@@ -5434,7 +5434,7 @@ static int __pyx_f_8flipdist_5_core_7_Search_descend(struct __pyx_obj_8flipdist_
  *             self.wf_cnt += 1
  *             self.wacts[self.wact_cnt] = 4             # <<<<<<<<<<<<<<
  *             self.wact_cnt += 1
- *             self.stack_len -= 1
+ *             self.stack_len -= 1  # prune: the pop exposes a destroyed edge, or too few flips remain
 */
     (__pyx_v_self->wacts[__pyx_v_self->wact_cnt]) = 4;
 
@@ -5442,24 +5442,24 @@ static int __pyx_f_8flipdist_5_core_7_Search_descend(struct __pyx_obj_8flipdist_
  *             self.wf_cnt += 1
  *             self.wacts[self.wact_cnt] = 4
  *             self.wact_cnt += 1             # <<<<<<<<<<<<<<
- *             self.stack_len -= 1
- *             # pruned when the pop exposes an edge the flips have destroyed
+ *             self.stack_len -= 1  # prune: the pop exposes a destroyed edge, or too few flips remain
+ *             if ((self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]])
 */
     __pyx_v_self->wact_cnt = (__pyx_v_self->wact_cnt + 1);
 
     /* "flipdist/_core.pyx":265
  *             self.wacts[self.wact_cnt] = 4
  *             self.wact_cnt += 1
- *             self.stack_len -= 1             # <<<<<<<<<<<<<<
- *             # pruned when the pop exposes an edge the flips have destroyed
- *             if self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]]:
+ *             self.stack_len -= 1  # prune: the pop exposes a destroyed edge, or too few flips remain             # <<<<<<<<<<<<<<
+ *             if ((self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]])
+ *                     and self.nec_cnt <= self.k_total - self.wf_cnt):
 */
     __pyx_v_self->stack_len = (__pyx_v_self->stack_len - 1);
 
     /* "flipdist/_core.pyx":267
- *             self.stack_len -= 1
- *             # pruned when the pop exposes an edge the flips have destroyed
- *             if self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]]:             # <<<<<<<<<<<<<<
+ *             self.stack_len -= 1  # prune: the pop exposes a destroyed edge, or too few flips remain
+ *             if ((self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]])
+ *                     and self.nec_cnt <= self.k_total - self.wf_cnt):             # <<<<<<<<<<<<<<
  *                 if self.descend(it, olex, olen, pos, ki, m, f + 1):
  *                     return True
 */
@@ -5472,11 +5472,11 @@ static int __pyx_f_8flipdist_5_core_7_Search_descend(struct __pyx_obj_8flipdist_
     __pyx_t_5 = ((__pyx_v_self->present[(__pyx_v_self->stack[(__pyx_v_self->stack_len - 1)])]) != 0);
     __pyx_t_1 = __pyx_t_5;
     __pyx_L14_bool_binop_done:;
-    if (__pyx_t_1) {
+    if (__pyx_t_1 && __pyx_v_self->nec_cnt <= __pyx_v_self->k_total - __pyx_v_self->wf_cnt) {
 
       /* "flipdist/_core.pyx":268
- *             # pruned when the pop exposes an edge the flips have destroyed
- *             if self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]]:
+ *             if ((self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]])
+ *                     and self.nec_cnt <= self.k_total - self.wf_cnt):
  *                 if self.descend(it, olex, olen, pos, ki, m, f + 1):             # <<<<<<<<<<<<<<
  *                     return True
  *             self.stack[self.stack_len] = cur
@@ -5485,7 +5485,7 @@ static int __pyx_f_8flipdist_5_core_7_Search_descend(struct __pyx_obj_8flipdist_
       if (__pyx_t_1) {
 
         /* "flipdist/_core.pyx":269
- *             if self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]]:
+ *                     and self.nec_cnt <= self.k_total - self.wf_cnt):
  *                 if self.descend(it, olex, olen, pos, ki, m, f + 1):
  *                     return True             # <<<<<<<<<<<<<<
  *             self.stack[self.stack_len] = cur
@@ -5495,8 +5495,8 @@ static int __pyx_f_8flipdist_5_core_7_Search_descend(struct __pyx_obj_8flipdist_
         goto __pyx_L0;
 
         /* "flipdist/_core.pyx":268
- *             # pruned when the pop exposes an edge the flips have destroyed
- *             if self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]]:
+ *             if ((self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]])
+ *                     and self.nec_cnt <= self.k_total - self.wf_cnt):
  *                 if self.descend(it, olex, olen, pos, ki, m, f + 1):             # <<<<<<<<<<<<<<
  *                     return True
  *             self.stack[self.stack_len] = cur
@@ -5504,9 +5504,9 @@ static int __pyx_f_8flipdist_5_core_7_Search_descend(struct __pyx_obj_8flipdist_
       }
 
       /* "flipdist/_core.pyx":267
- *             self.stack_len -= 1
- *             # pruned when the pop exposes an edge the flips have destroyed
- *             if self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]]:             # <<<<<<<<<<<<<<
+ *             self.stack_len -= 1  # prune: the pop exposes a destroyed edge, or too few flips remain
+ *             if ((self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]])
+ *                     and self.nec_cnt <= self.k_total - self.wf_cnt):             # <<<<<<<<<<<<<<
  *                 if self.descend(it, olex, olen, pos, ki, m, f + 1):
  *                     return True
 */

@@ -262,9 +262,9 @@ cdef class _Search:
             self.wf_cnt += 1
             self.wacts[self.wact_cnt] = 4
             self.wact_cnt += 1
-            self.stack_len -= 1
-            # pruned when the pop exposes an edge the flips have destroyed
-            if self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]]:
+            self.stack_len -= 1  # prune: the pop exposes a destroyed edge, or too few flips remain
+            if ((self.stack_len == 0 or self.present[self.stack[self.stack_len - 1]])
+                    and self.nec_cnt <= self.k_total - self.wf_cnt):
                 if self.descend(it, olex, olen, pos, ki, m, f + 1):
                     return True
             self.stack[self.stack_len] = cur

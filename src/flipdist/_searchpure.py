@@ -108,6 +108,7 @@ def run_composition(prep: Prep, parts: tuple[int, ...]) -> Optional[Accept]:
     st = _State(prep)
     n = st.n
     olex0 = tuple(sorted(e for e in st.apex if e not in st.target))
+    k_total = sum(parts)
     flips: list[tuple[int, int, int, int]] = []
     starts: list[int] = []
     actions: list[list[int]] = []
@@ -157,8 +158,9 @@ def run_composition(prep: Prep, parts: tuple[int, ...]) -> Optional[Accept]:
             flips.append((*divmod(cur, n), *divmod(gid, n)))
             trace.append(4)
             stack.pop()
-            # pruned when the pop exposes an edge the flips have destroyed
-            if not stack or stack[-1] in st.apex:
+            # pruned when the pop exposes an edge the flips have destroyed,
+            # or when more target edges are missing than flips remain
+            if (not stack or stack[-1] in st.apex) and st.nec_cnt <= k_total - len(flips):
                 if descend(it, olex, pos, ki, m, f + 1, stack):
                     return True
             stack.append(cur)

@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from ._kernel import resolve_backend
 from .errors import FlipDistError, InstanceSyntaxError, InvalidAt
 from .flipdag import FlipSequence, replay
 from .instances import (
@@ -199,6 +200,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     backends: list[Optional[str]] = (
         ["pure", "compiled"] if args.backend == "both" else [args.backend])
     ps = gen_convex(args.n)
+    for backend in backends:  # fail before the header, not after the first rows
+        resolve_backend(len(ps), backend)
     t_start = initial_triangulation(ps)
     tagged = args.backend == "both"
     print(("backend," if tagged else "") + "k,trials,median_ms,max_ms,solved")

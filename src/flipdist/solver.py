@@ -13,9 +13,17 @@ current triangulation missing from the target); when the cursor runs off the
 end, the ordering is rebuilt from the current triangulation and the cursor
 restarts.  An empty rebuild kills the branch.
 
+Every flip removes exactly one edge, so the number of current edges missing
+from the target never drops by more than one per flip: it is a lower bound on
+the flips still needed.  ``search_exact`` answers NO outright for a budget
+below it, and both kernels cut any branch whose remaining flips cannot cover
+it.  The cut removes only branches that cannot accept, so the first accepting
+run in search order, which is the witness returned, does not change.
+
 The exactly-k search is sound for every k and complete when k is the true flip
-distance, which is what ``flip_distance_upto`` exploits: it asks k' = 0, 1,
-..., k_max in turn and the first YES is the distance.
+distance, which is what ``flip_distance_upto`` exploits: it asks k' = b, b + 1,
+..., k_max in turn, starting at that lower bound b, and the first YES is the
+distance.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .triangulation import (
     flip,
     is_flippable,
     make_edge,
+    necessary_edges,
 )
 
 
@@ -213,10 +222,13 @@ def _package(t_start: Triangulation, t_end: Triangulation, k: int,
         starts=tuple((a, b) for a, b in raw_starts),
         shapes=shapes,
     )
-    # accept-time invariants: exactly k flips, action budget <= 2k, replayable
-    assert len(recs) == k, "accepting run must flip exactly k times"
-    assert sum(len(s.actions) for s in shapes) <= 2 * k, "action budget exceeded"
-    assert replay(result.sequence) == t_end, "witness does not replay to the target"
+    # accept-time invariants, raised explicitly so they hold under python -O
+    if len(recs) != k:
+        raise AssertionError("accepting run must flip exactly k times")
+    if sum(len(s.actions) for s in shapes) > 2 * k:
+        raise AssertionError("action budget exceeded")
+    if replay(result.sequence) != t_end:
+        raise AssertionError("witness does not replay to the target")
     return result
 
 
@@ -253,17 +265,18 @@ def search_exact(t_start: Triangulation, t_end: Triangulation, k: int,
     """A witness using exactly k flips, or None if this search finds none.
 
     Sound for every k.  Complete when k is the true flip distance, so scan
-    k upward (see flip_distance_upto) to compute distances.
+    k upward (see flip_distance_upto) to compute distances.  None without
+    searching when k is below the missing-edge lower bound.
     """
     _check_pair(t_start, t_end)
     if k < 0:
         raise ValidationError(f"negative flip budget {k}")
-    if k == 0:
-        if t_start.edges == t_end.edges:
-            return SolveResult(k=0, composition=Composition(()),
-                               sequence=FlipSequence(start=t_start, flips=()),
-                               starts=(), shapes=())
+    if k < len(necessary_edges(t_start, t_end)):
         return None
+    if k == 0:  # a bound of 0 means the two are equal
+        return SolveResult(k=0, composition=Composition(()),
+                           sequence=FlipSequence(start=t_start, flips=()),
+                           starts=(), shapes=())
 
     prep = _kernel.make_prep(t_start, t_end)
     name = _kernel.resolve_backend(len(t_start.ps), backend)
@@ -294,11 +307,12 @@ def exists_sequence(t_start: Triangulation, t_end: Triangulation, k: int,
 def search_upto(t_start: Triangulation, t_end: Triangulation, k_max: int,
                 workers: Optional[int] = None,
                 backend: Optional[str] = None) -> Optional[SolveResult]:
-    """The witness for the smallest k' <= k_max with a YES, or None."""
+    """The witness for the smallest k' <= k_max with a YES, or None.  The
+    scan starts at the missing-edge lower bound; every k' below it is a NO."""
     _check_pair(t_start, t_end)
     if k_max < 0:
         raise ValidationError(f"negative flip budget {k_max}")
-    for k in range(k_max + 1):
+    for k in range(len(necessary_edges(t_start, t_end)), k_max + 1):
         res = search_exact(t_start, t_end, k, workers=workers, backend=backend)
         if res is not None:
             return res

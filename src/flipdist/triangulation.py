@@ -1,4 +1,4 @@
-"""Triangulations of a planar point set and the edge-flip primitive.
+r"""Triangulations of a planar point set and the edge-flip primitive.
 
 A triangulation is stored as its canonical edge set plus the edge -> incident
 triangles map.  Flipping an interior edge replaces the diagonal of the strictly

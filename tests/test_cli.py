@@ -212,6 +212,17 @@ class TestBench:
     def test_kmax_validated(self):
         assert run_cli("bench", "--n", "8", "--kmax", "0").returncode == 2
 
+    def test_missing_backend_fails_before_output(self):
+        # the compiled kernel is hidden, so "both" cannot be honored
+        script = ("import sys; from flipdist import _kernel; _kernel._core = None; "
+                  "from flipdist.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", script, "bench", "--n", "8", "--kmax", "1",
+                               "--trials", "1", "--backend", "both"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "not built" in proc.stderr
+
 
 class TestUsage:
     def test_no_command(self):

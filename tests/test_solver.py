@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flipdist
 from flipdist.errors import EdgeAbsent, PointSetMismatch, ValidationError
 from flipdist.flipdag import replay
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
@@ -311,3 +316,37 @@ class TestParallelWorkers:
         if d >= 2:
             assert search_exact(start, target, d - 1, workers=2) is None
         assert search_exact(start, target, d, workers=2) == search_exact(start, target, d)
+
+
+# Feeds _package one corrupted accept per invariant on the square (start
+# diagonal 0-2, target diagonal 1-3) and prints which ones raised.
+_CORRUPT_ACCEPTS = """
+from flipdist.geometry import PointSet
+from flipdist.solver import Composition, _package
+from flipdist.triangulation import build
+
+ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
+hull = [(0, 1), (1, 2), (2, 3), (0, 3)]
+a, b = build(ps, hull + [(0, 2)]), build(ps, hull + [(1, 3)])
+flip = [(0, 2, 1, 3)]
+cases = {
+    "flip count": (a, b, 2, Composition((2,)), (flip, [(0, 2)], [[4]])),
+    "action budget": (a, b, 1, Composition((1,)), (flip, [(0, 2)], [[0, 4, 4]])),
+    "replay": (a, a, 1, Composition((1,)), (flip, [(0, 2)], [[4]])),
+}
+for name, args in cases.items():
+    try:
+        _package(*args)
+    except AssertionError:
+        print("raised", name)
+"""
+
+
+class TestPackageInvariants:
+    def test_corrupted_accepts_raise_under_optimize(self):
+        src = str(Path(flipdist.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_ACCEPTS],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised flip count", "raised action budget", "raised replay"]
