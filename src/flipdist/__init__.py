@@ -7,7 +7,6 @@ analysis (`flipdag`), and instance generation plus a text format
 """
 
 from .errors import (
-    BadIncidence,
     BadIndex,
     EdgeAbsent,
     ExhaustedRetries,

@@ -21,10 +21,6 @@ class NotMaximal(ValidationError):
     """Edge count differs from 3n - 3 - h, so the subdivision is not maximal."""
 
 
-class BadIncidence(ValidationError):
-    """An edge has the wrong number of incident triangles."""
-
-
 class TooLarge(ValidationError):
     """A size parameter exceeds what the coordinate bounds allow."""
 

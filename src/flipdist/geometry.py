@@ -8,6 +8,7 @@ exact (this also keeps the compiled kernel overflow-free).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +37,17 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
+def direction(p: Point, q: Point) -> tuple[int, int]:
+    """The line through distinct p and q as a reduced integer direction with
+    a fixed sign: for any r other than p, the points p, q, r are collinear
+    iff direction(p, q) == direction(p, r)."""
+    dx, dy = q.x - p.x, q.y - p.y
+    g = math.gcd(dx, dy)
+    if dx < 0 or (dx == 0 and dy < 0):
+        g = -g
+    return dx // g, dy // g
+
+
 def strictly_convex_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff the quadrilateral a,b,c,d (given in cyclic order) is strictly convex.
 
@@ -61,7 +73,9 @@ class PointSet:
     """An ordered, validated collection of points in general position.
 
     Validation enforces: n >= 3, coordinates within +-2^30, all coordinate
-    pairs distinct, and no three points collinear (checked in O(n^3)).
+    pairs distinct, and no three points collinear (two points with the same
+    :func:`direction` from a third).  A collinear input is reported by its
+    lexicographically first triple.
     Degenerate inputs are rejected outright because flips across collinear
     quadrilaterals are undefined.
     """
@@ -83,12 +97,16 @@ class PointSet:
             if key in seen:
                 raise ValidationError(f"points {seen[key]} and {p.id} coincide at {key}")
             seen[key] = p.id
-        n = len(pts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if orient(pts[i], pts[j], pts[k]) == 0:
-                        raise ValidationError(f"points {i}, {j}, {k} are collinear")
+        for i, p in enumerate(pts):
+            # first[d] is the smallest index after i in direction d, so each
+            # hit (j, k) is a collinear triple i, j, k; the smallest hit is
+            # the lexicographically first triple starting at i.
+            first: dict[tuple[int, int], int] = {}
+            hits = [(j, q.id) for q in pts[i + 1:]
+                    if (j := first.setdefault(direction(p, q), q.id)) != q.id]
+            if hits:
+                j, k = min(hits)
+                raise ValidationError(f"points {i}, {j}, {k} are collinear")
         self.points = pts
 
     @classmethod

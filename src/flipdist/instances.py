@@ -30,7 +30,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .geometry import COORD_BOUND, Point, PointSet, orient
+from .geometry import COORD_BOUND, Point, PointSet, direction, orient
 from .triangulation import Edge, Triangulation, build, flip, is_flippable, make_edge
 
 _RETRY_BUDGET = 20_000
@@ -85,8 +85,8 @@ def gen_random_points(n: int, seed: int, bound: int) -> PointSet:
         if (x, y) in taken:
             continue
         cand = Point(len(points), x, y)
-        if any(orient(points[i], points[j], cand) == 0
-               for i in range(len(points)) for j in range(i + 1, len(points))):
+        # cand is collinear with two accepted points iff they share a direction from it
+        if len({direction(cand, p) for p in points}) < len(points):
             continue
         points.append(cand)
         taken.add((x, y))

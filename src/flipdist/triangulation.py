@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import (
-    BadIncidence,
     BadIndex,
     EdgeAbsent,
     NotFlippable,
@@ -87,26 +86,21 @@ class Triangulation:
         return f"Triangulation({len(self.ps)} points, {len(self.edges)} edges)"
 
 
-def _empty_triangle(ps: PointSet, u: int, v: int, w: int) -> bool:
-    """No point of ps strictly inside triangle (u, v, w)."""
-    pu, pv, pw = ps[u], ps[v], ps[w]
-    if orient(pu, pv, pw) < 0:
-        pv, pw = pw, pv
-    for p in ps:
-        if p.id in (u, v, w):
-            continue
-        if orient(pu, pv, p) > 0 and orient(pv, pw, p) > 0 and orient(pw, pu, p) > 0:
-            return False
-    return True
-
-
 def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     """Validate an edge set and assemble the full triangulation value.
 
-    Raises BadIndex for out-of-range endpoints, NotPlanar if two edges
-    properly cross, NotMaximal if the edge count differs from 3n - 3 - h,
-    and BadIncidence if any edge does not bound exactly 1 (hull) or 2
-    (interior) empty triangles.
+    Raises BadIndex for out-of-range endpoints and NotMaximal if the edge
+    count differs from 3n - 3 - h.  With the count right, the edges form a
+    triangulation iff no two properly cross, so NotPlanar is the only error
+    left, and a local certificate decides it.  For each edge and side, the
+    common neighbour of its endpoints angularly nearest to the edge gives a
+    candidate face.  The edges are accepted iff every hull edge bounds one
+    candidate and every other edge bounds two, one on each side.  Then each
+    point of the hull is covered equally often (crossing an edge leaves one
+    candidate and enters one), and once, as next to a hull edge: the
+    candidates tile the hull, so no edges cross, and they are the faces.
+    Only a rejected certificate runs the all-pairs crossing test, which
+    names the first crossing pair.
     """
     n = len(ps)
     edges: set[Edge] = set()
@@ -120,33 +114,39 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     if len(edges) != expected:
         raise NotMaximal(f"{len(edges)} edges, expected 3n-3-h = {expected}")
 
-    ordered = sorted(edges)
-    for i, e1 in enumerate(ordered):
-        seg1 = (ps[e1[0]], ps[e1[1]])
-        for e2 in ordered[i + 1:]:
-            if segments_properly_cross(seg1, (ps[e2[0]], ps[e2[1]])):
-                raise NotPlanar(f"edges {e1} and {e2} cross")
-
-    # Faces are exactly the empty triangles whose three sides are present.
-    tri_of: dict[Edge, list[Triangle]] = {e: [] for e in edges}
+    pts = ps.points
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
     triangles: set[Triangle] = set()
-    for a, b in ordered:
-        for w in range(n):
-            if w in (a, b):
-                continue
-            if make_edge(a, w) in edges and make_edge(b, w) in edges and _empty_triangle(ps, a, b, w):
-                triangles.add(make_triangle(a, b, w))
+    for a, b in edges:
+        pa, pb = pts[a], pts[b]
+        apex = {1: -1, -1: -1}
+        for w in adj[a] & adj[b]:
+            side = orient(pa, pb, pts[w])
+            # w is nearer to ab than the apex so far iff that apex lies past w around a
+            if apex[side] < 0 or orient(pa, pts[w], pts[apex[side]]) == side:
+                apex[side] = w
+        triangles.update(make_triangle(a, b, w) for w in apex.values() if w >= 0)
+
+    tri_of: dict[Edge, list[Triangle]] = {e: [] for e in edges}
+    sides = dict.fromkeys(edges, 0)  # sum over incident candidates of the apex's side
     for tri in triangles:
         u, v, w = tri
-        for e in (make_edge(u, v), make_edge(u, w), make_edge(v, w)):
+        s = orient(pts[u], pts[v], pts[w])
+        for e, side in (((u, v), s), ((u, w), -s), ((v, w), s)):
             tri_of[e].append(tri)
-
-    for e, tris in tri_of.items():
-        want = 1 if e in hull else 2
-        if len(tris) != want:
-            raise BadIncidence(f"edge {e} bounds {len(tris)} triangles, expected {want}")
-    if len(triangles) != 2 * n - 2 - len(hull):
-        raise BadIncidence(f"{len(triangles)} triangles, expected 2n-2-h = {2 * n - 2 - len(hull)}")
+            sides[e] += side
+    if not all(len(tris) == 1 if e in hull else len(tris) == 2 and sides[e] == 0
+               for e, tris in tri_of.items()):
+        ordered = sorted(edges)
+        for i, e1 in enumerate(ordered):
+            seg1 = (pts[e1[0]], pts[e1[1]])
+            for e2 in ordered[i + 1:]:
+                if segments_properly_cross(seg1, (pts[e2[0]], pts[e2[1]])):
+                    raise NotPlanar(f"edges {e1} and {e2} cross")
+        raise AssertionError("non-crossing maximal edge set failed the triangulation certificate")
 
     frozen = {e: tuple(sorted(tris)) for e, tris in tri_of.items()}
     return Triangulation(ps, frozenset(edges), frozen, frozenset(triangles))
