@@ -6,6 +6,10 @@
  * pure kernel above that).  Coordinates are bounded by 2^30, so every
  * orientation determinant fits in a signed 64-bit product.
  *
+ * The n*n arrays live in module buffers grown to the largest n seen, so a
+ * scan does not page-fault them in again for every composition.  That makes
+ * run_composition non-reentrant: a nested call raises RuntimeError.
+ *
  * Build: setup.py compiles this file as flipdist._core; without an installed
  * build, flipdist._kernel compiles it on first import into a per-user cache.
  */
@@ -40,7 +44,18 @@ typedef struct {
     int *wstarts;
     int *wacts;
     int *act_off;
+    int *targ_ids;   /* the target edge ids, to clear targ on exit */
+    int targ_cnt;
 } Search;
+
+/* ap0, ap1 and pos_of are read only where present is set.  present and targ
+ * are all zero between calls: each call clears what it set. */
+static struct {
+    size_t cap;
+    int busy;
+    int *ap0, *ap1, *pos_of;
+    char *present, *targ;
+} shared;
 
 static int cmp_int(const void *x, const void *y)
 {
@@ -238,16 +253,40 @@ static int descend(Search *s, int it, const int *olex, int olen, int pos, int ki
     return REJECT;
 }
 
+static void shared_free(void)
+{
+    free(shared.ap0);
+    free(shared.ap1);
+    free(shared.pos_of);
+    free(shared.present);
+    free(shared.targ);
+    shared.ap0 = shared.ap1 = shared.pos_of = NULL;
+    shared.present = shared.targ = NULL;
+    shared.cap = 0;
+}
+
+/* Restore the all-zero invariant of present and targ.  After a run that left
+ * the state consistent (accept or reject) only the current and the target
+ * edges can be set; after a failed init or a corrupt table, clear it all. */
+static void shared_release(Search *s, int consistent)
+{
+    int i;
+    if (consistent) {
+        for (i = 0; i < s->E; i++)
+            s->present[s->cur_edges[i]] = 0;
+        for (i = 0; i < s->targ_cnt; i++)
+            s->targ[s->targ_ids[i]] = 0;
+    } else if (s->present != NULL) {
+        memset(s->present, 0, (size_t)s->n * s->n);
+        memset(s->targ, 0, (size_t)s->n * s->n);
+    }
+}
+
 static void search_free(Search *s)
 {
     free(s->xs);
     free(s->ys);
-    free(s->ap0);
-    free(s->ap1);
-    free(s->present);
-    free(s->targ);
     free(s->cur_edges);
-    free(s->pos_of);
     free(s->comp);
     free(s->stack);
     free(s->olex0);
@@ -256,11 +295,32 @@ static void search_free(Search *s)
     free(s->wstarts);
     free(s->wacts);
     free(s->act_off);
+    free(s->targ_ids);
 }
 
 static void *xmalloc(size_t count, size_t size)
 {
     return malloc(count > 0 ? count * size : 1);
+}
+
+/* Grow the shared buffers to nn entries; -1 with MemoryError on failure. */
+static int shared_reserve(size_t nn)
+{
+    if (nn <= shared.cap)
+        return 0;
+    shared_free();
+    shared.ap0 = xmalloc(nn, sizeof(int));
+    shared.ap1 = xmalloc(nn, sizeof(int));
+    shared.pos_of = xmalloc(nn, sizeof(int));
+    shared.present = calloc(nn, 1);
+    shared.targ = calloc(nn, 1);
+    if (!shared.ap0 || !shared.ap1 || !shared.pos_of || !shared.present || !shared.targ) {
+        shared_free();
+        PyErr_NoMemory();
+        return -1;
+    }
+    shared.cap = nn;
+    return 0;
 }
 
 /* Read the int in seq[i] into *out, requiring lo <= value < hi. */
@@ -337,12 +397,8 @@ static int search_init(Search *s, PyObject *prep, PyObject *parts)
 
     s->xs = xmalloc(n, sizeof(long long));
     s->ys = xmalloc(n, sizeof(long long));
-    s->ap0 = xmalloc(nn, sizeof(int));
-    s->ap1 = xmalloc(nn, sizeof(int));
-    s->present = calloc(nn, 1);
-    s->targ = calloc(nn, 1);
     s->cur_edges = xmalloc(E, sizeof(int));
-    s->pos_of = xmalloc(nn, sizeof(int));
+    s->targ_ids = xmalloc(nt, sizeof(int));
     s->stack = xmalloc(k_total + 2, sizeof(int));
     s->olex0 = xmalloc(E, sizeof(int));
     s->opool = xmalloc((size_t)t * E, sizeof(int));
@@ -350,12 +406,18 @@ static int search_init(Search *s, PyObject *prep, PyObject *parts)
     s->wstarts = xmalloc(t, sizeof(int));
     s->wacts = xmalloc(2 * k_total, sizeof(int));
     s->act_off = xmalloc(t, sizeof(int));
-    if (!s->xs || !s->ys || !s->ap0 || !s->ap1 || !s->present || !s->targ ||
-        !s->cur_edges || !s->pos_of || !s->stack || !s->olex0 || !s->opool ||
-        !s->wflips || !s->wstarts || !s->wacts || !s->act_off) {
+    if (!s->xs || !s->ys || !s->cur_edges || !s->targ_ids || !s->stack || !s->olex0 ||
+        !s->opool || !s->wflips || !s->wstarts || !s->wacts || !s->act_off) {
         PyErr_NoMemory();
         return -1;
     }
+    if (shared_reserve((size_t)nn) < 0)
+        return -1;
+    s->ap0 = shared.ap0;
+    s->ap1 = shared.ap1;
+    s->pos_of = shared.pos_of;
+    s->present = shared.present;
+    s->targ = shared.targ;
 
     for (i = 0; i < n; i++) /* the bound keeps every orientation in 64 bits */
         if (get_int(xs_obj, i, -COORD_BOUND, COORD_BOUND + 1, &s->xs[i]) < 0 ||
@@ -396,6 +458,7 @@ static int search_init(Search *s, PyObject *prep, PyObject *parts)
             return -1;
         }
         s->targ[a * n + b] = 1;
+        s->targ_ids[s->targ_cnt++] = (int)(a * n + b);
     }
     for (i = 0; i < E; i++) { /* input edges are sorted, so this is ascending */
         int eid = s->cur_edges[i];
@@ -452,10 +515,16 @@ static PyObject *run_composition(PyObject *self, PyObject *args)
 {
     PyObject *prep, *parts, *result = NULL;
     Search s;
-    int r;
+    int r = CORRUPT;
     (void)self;
     if (!PyArg_ParseTuple(args, "O!O:run_composition", &PyTuple_Type, &prep, &parts))
         return NULL;
+    /* init reads Python objects, whose methods could call back in */
+    if (shared.busy) {
+        PyErr_SetString(PyExc_RuntimeError, "run_composition is not reentrant");
+        return NULL;
+    }
+    shared.busy = 1;
     memset(&s, 0, sizeof s);
     if (search_init(&s, prep, parts) == 0) {
         r = iterate(&s, 0, s.olex0, s.olex0_len, 0);
@@ -464,7 +533,9 @@ static PyObject *run_composition(PyObject *self, PyObject *args)
         else if (r == REJECT)
             result = Py_NewRef(Py_None);
     }
+    shared_release(&s, r != CORRUPT);
     search_free(&s);
+    shared.busy = 0;
     return result;
 }
 
@@ -475,9 +546,15 @@ static PyMethodDef core_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+static void core_free(void *module)
+{
+    (void)module;
+    shared_free();
+}
+
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT, "_core", "Compiled search kernel.", -1, core_methods,
-    NULL, NULL, NULL, NULL,
+    NULL, NULL, NULL, core_free,
 };
 
 PyMODINIT_FUNC PyInit__core(void)

@@ -170,6 +170,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail("need --mode cross or --replay SEQFILE")
     if args.n is None or args.trials is None:
         return _fail("--mode cross needs --n and --trials")
+    if args.trials < 1:
+        return _fail("--trials must be >= 1")
     ok = fail = 0
     for trial in range(args.trials):
         sub_seed = args.seed * 100_003 + trial

@@ -157,6 +157,13 @@ class TestVerify:
         assert proc.returncode == 0
         assert proc.stdout == "ok=5 fail=0\n"
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_cross_mode_needs_a_trial(self, trials):
+        proc = run_cli("verify", "--mode", "cross", "--n", "6", "--trials", trials)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--trials" in proc.stderr
+
     def test_replay_solver_output(self, instance_file, tmp_path):
         solved = run_cli("solve", "--in", str(instance_file), "--trace")
         witness = tmp_path / "witness.txt"

@@ -187,6 +187,52 @@ class TestCorruptState:
             kernel_for(backend)(prep, (1,))
 
 
+@needs_compiled
+class TestSharedBuffers:
+    """The compiled kernel keeps its n*n arrays between calls, so no call may
+    see state that an earlier one left, not even a failed one."""
+
+    def test_reentrant_call_raises(self, square_tris):
+        from flipdist import _core
+        prep = make_prep(*square_tris)
+
+        class CallsBack:
+            def __len__(self):
+                return 1
+
+            def __getitem__(self, i):
+                if i > 0:
+                    raise IndexError(i)
+                _core.run_composition(prep, (1,))
+                return 1
+
+        with pytest.raises(RuntimeError, match="not reentrant"):
+            _core.run_composition(prep, CallsBack())
+        assert _core.run_composition(prep, (1,)) == kernel_for("pure")(prep, (1,))
+
+    def test_failed_calls_leave_no_state(self, square_tris):
+        from flipdist import _core
+        pure = kernel_for("pure")
+        n4, xs4, ys4, edges4, target4 = make_prep(*square_tris)
+        wrong_apex = (n4, xs4, ys4, tuple((0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges4),
+                      target4)
+        for start, end, d in instance_pairs()[::3]:
+            n, xs, ys, edges, target = prep = make_prep(start, end)
+            with pytest.raises(AssertionError, match="apex table corrupted"):
+                _core.run_composition(wrong_apex, (1,))
+            # init fails after marking every start edge as a target
+            with pytest.raises(ValueError):
+                _core.run_composition((n, xs, ys, edges, tuple(e[:2] for e in edges) + ((0, n),)),
+                                      (1,))
+            # init fails after loading a few edges
+            with pytest.raises(ValueError):
+                _core.run_composition((n, xs, ys, edges[:3] + ((0, 1, n, -1),) + edges[3:], target),
+                                      (1,))
+            for k in range(max(d, 1), d + 2):
+                for comp in compositions(k):
+                    assert _core.run_composition(prep, comp.parts) == pure(prep, comp.parts)
+
+
 class TestBackendThroughSolver:
     def test_pure_backend_explicit(self, square_tris):
         a, b = square_tris

@@ -2,20 +2,82 @@
 
 Small convex point sets have closed-form flip graphs (Catalan vertex counts,
 the pentagon's graph is a 5-cycle), so most checks here compare against those
-plus an independently coded closure from conftest.
+plus an independently coded closure from conftest.  The bidirectional
+``bfs_distance`` is also compared with the one-sided BFS it replaced, kept
+below verbatim as ``reference_bfs_distance``.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Optional
+
 import pytest
 
+from flipdist import oracle
 from flipdist.errors import PointSetMismatch
-from flipdist.flipdag import replay
+from flipdist.flipdag import FlipSequence, replay
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance, enumerate_all, graph_stats
-from flipdist.triangulation import build, canonical_key
+from flipdist.solver import search_upto
+from flipdist.triangulation import FlipRecord, Triangulation, build, canonical_key, flip, is_flippable
 
 from conftest import convex_pair, flip_closure
+from test_prune import fan
+
+
+def _neighbors(tri: Triangulation) -> list[tuple[Triangulation, FlipRecord]]:
+    # sorted edge order keeps BFS witnesses deterministic
+    out = []
+    for e in sorted(tri.edges):
+        if is_flippable(tri, e):
+            out.append(flip(tri, e))
+    return out
+
+
+def reference_bfs_distance(t_start: Triangulation, t_end: Triangulation,
+                           cap: int) -> Optional[tuple[int, FlipSequence]]:
+    """Exact flip distance with one shortest witness, or None if it exceeds cap.
+
+    Deduplicates on canonical edge-set keys; parent pointers reconstruct the
+    witness sequence.
+    """
+    if t_start.ps != t_end.ps:
+        raise PointSetMismatch("triangulations are over different point sets")
+    target = canonical_key(t_end)
+    start_key = canonical_key(t_start)
+    if start_key == target:
+        return 0, FlipSequence(start=t_start, flips=())
+
+    # key -> (parent key, flip that got here from the parent)
+    seen: dict[bytes, Optional[tuple[bytes, FlipRecord]]] = {start_key: None}
+    frontier: deque[tuple[Triangulation, int]] = deque([(t_start, 0)])
+    found_depth: Optional[int] = None
+    while frontier:
+        tri, depth = frontier.popleft()
+        if depth >= cap:
+            break
+        for nxt, rec in _neighbors(tri):
+            key = canonical_key(nxt)
+            if key in seen:
+                continue
+            seen[key] = (canonical_key(tri), rec)
+            if key == target:
+                found_depth = depth + 1
+                frontier.clear()
+                break
+            frontier.append((nxt, depth + 1))
+    if found_depth is None:
+        return None
+
+    recs: list[FlipRecord] = []
+    key = target
+    while key != start_key:
+        parent_key, rec = seen[key]  # type: ignore[misc]
+        recs.append(rec)
+        key = parent_key
+    recs.reverse()
+    return found_depth, FlipSequence(start=t_start, flips=tuple(recs))
 
 
 def pentagon_fan(apex: int):
@@ -98,6 +160,72 @@ class TestBfsDistance:
         other = initial_triangulation(gen_convex(4))
         with pytest.raises(PointSetMismatch):
             bfs_distance(square_tris[0], other, cap=3)
+
+
+def convex_pairs():
+    for n in range(4, 8):
+        tris = flip_closure(convex_pair(n)[1])
+        yield from ((a, b) for a in tris for b in tris)
+
+
+def walk_pairs():
+    for seed in range(40):
+        ps = gen_random_points(8 + seed % 4, seed=seed, bound=1000)
+        start = initial_triangulation(ps)
+        yield start, random_walk_triangulation(start, steps=4 + seed % 5, seed=seed + 500)
+
+
+def assert_shortest(start, end, cap):
+    """bfs_distance agrees with the reference at cap, gives the distance d at
+    cap d and None at every cap below; the witness has length d, replays and
+    repeats."""
+    want = reference_bfs_distance(start, end, cap)
+    got = bfs_distance(start, end, cap)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    d, seq = got
+    assert d == want[0] == len(seq)
+    assert replay(seq) == end
+    assert bfs_distance(start, end, cap) == got
+    assert bfs_distance(start, end, d)[0] == d
+    for below in range(d):
+        assert bfs_distance(start, end, below) is None
+
+
+class TestAgainstReference:
+    def test_all_convex_pairs(self):
+        for a, b in convex_pairs():
+            assert_shortest(a, b, 10)
+
+    def test_random_walks(self):
+        for start, end in walk_pairs():
+            assert_shortest(start, end, 8)
+
+    def test_no_state_built_at_cap_one(self, monkeypatch):
+        # the depth-1 states are discovered as keys but never built
+        ps, start = convex_pair(8)
+        end = fan(ps, 3)
+        assert bfs_distance(start, end, 5)[0] > 1
+        calls = []
+        monkeypatch.setattr(oracle, "flip", lambda *args: calls.append(args))
+        assert bfs_distance(start, end, 1) is None
+        assert calls == []
+
+
+class TestDeepGroundTruth:
+    """fan(0) -> fan(1) on the convex n-gon is at distance n - 3."""
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_solver_matches_oracle(self, n):
+        ps = gen_convex(n)
+        start, end = fan(ps, 0), fan(ps, 1)
+        d, seq = bfs_distance(start, end, n)
+        assert d == n - 3
+        assert replay(seq) == end
+        assert bfs_distance(start, end, d - 1) is None
+        assert search_upto(start, end, d).k == d
+        assert search_upto(start, end, d - 1) is None
 
 
 class TestEnumerateAll:
