@@ -50,8 +50,6 @@ from .solver import (
     Move,
     SolveResult,
     compositions,
-    decide_equals,
-    exists_sequence,
     flip_distance_upto,
     iteration_shapes,
     search_exact,

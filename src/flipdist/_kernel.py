@@ -117,9 +117,9 @@ def kernel_for(name: str) -> RunFn:
 
 
 def make_prep(t_start: Triangulation, t_end: Triangulation) -> _searchpure.Prep:
-    """Flatten a start/target pair to the plain picklable tuple the kernels
-    consume.  Start edges are emitted sorted; the kernels rely on that for the
-    initial ordering of necessary edges."""
+    """Flatten a start/target pair to the plain tuple the kernels consume.
+    Start edges are emitted sorted; the kernels rely on that for the initial
+    ordering of necessary edges."""
     ps = t_start.ps
     n = len(ps)
     xs = tuple(p.x for p in ps)

@@ -15,7 +15,7 @@ sequence for this composition transforms start into target, else a triple
     starts  list of (a, b): each iteration's start edge
     actions list per iteration of action codes, 0..3 = move direction, 4 = flip
 
-``prep`` comes from ``_kernel.make_prep`` and is plain picklable data.
+``prep`` comes from ``_kernel.make_prep`` and is plain tuple data.
 """
 
 from __future__ import annotations

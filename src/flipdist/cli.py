@@ -1,8 +1,8 @@
 """Command line front end.
 
-Five subcommands: gen (emit an instance), solve (parameterized search),
-oracle (BFS ground truth / flip graph statistics), verify (solver-vs-oracle
-cross checks and witness replay), bench (timing CSV).
+Four subcommands: gen (emit an instance), solve (parameterized search),
+oracle (BFS ground truth / flip graph statistics) and verify (solver-vs-oracle
+cross checks and witness replay).
 
 Exit codes are uniform: 0 = YES or success, 1 = NO (including "not within
 bound" and failed verification), 2 = usage or validation errors.  Machine
@@ -15,13 +15,10 @@ itself replayable.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
-from ._kernel import resolve_backend
 from .errors import FlipDistError, InstanceSyntaxError, InvalidAt
 from .flipdag import FlipSequence, replay
 from .instances import (
@@ -34,7 +31,7 @@ from .instances import (
     serialize,
 )
 from .oracle import bfs_distance, graph_stats
-from .solver import decide_equals, flip_distance_upto, search_upto
+from .solver import flip_distance_upto, search_upto
 from .triangulation import FlipRecord, make_edge
 
 _DEFAULT_CAP = 64
@@ -98,16 +95,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.decide:
         if inst.k is None:
             return _fail("--decide needs a 'k' line in the instance file")
-        yes = decide_equals(inst.t_start, inst.t_end, inst.k,
-                            workers=args.workers, backend=args.backend)
+        yes = flip_distance_upto(inst.t_start, inst.t_end, inst.k,
+                                 backend=args.backend) == inst.k
         print(f"decision={'YES' if yes else 'NO'}")
         return 0 if yes else 1
 
     max_k = args.max_k
     if max_k is None:
         max_k = inst.k if inst.k is not None else _DEFAULT_MAX_K
-    result = search_upto(inst.t_start, inst.t_end, max_k,
-                         workers=args.workers, backend=args.backend)
+    result = search_upto(inst.t_start, inst.t_end, max_k, backend=args.backend)
     if result is None:
         print(f"distance=>{max_k}")
         return 1
@@ -181,8 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         t_end = random_walk_triangulation(t_start, steps, sub_seed + 1)
         oracle_found = bfs_distance(t_start, t_end, args.max_k)
         want = oracle_found[0] if oracle_found is not None else None
-        got = flip_distance_upto(t_start, t_end, args.max_k,
-                                 workers=args.workers, backend=args.backend)
+        got = flip_distance_upto(t_start, t_end, args.max_k, backend=args.backend)
         if got == want:
             ok += 1
         else:
@@ -194,36 +189,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if fail == 0 else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.kmax < 1:
-        return _fail("--kmax must be >= 1")
-    if args.trials < 1:
-        return _fail("--trials must be >= 1")
-    backends: list[Optional[str]] = (
-        ["pure", "compiled"] if args.backend == "both" else [args.backend])
-    ps = gen_convex(args.n)
-    for backend in backends:  # fail before the header, not after the first rows
-        resolve_backend(len(ps), backend)
-    t_start = initial_triangulation(ps)
-    tagged = args.backend == "both"
-    print(("backend," if tagged else "") + "k,trials,median_ms,max_ms,solved")
-    for k in range(1, args.kmax + 1):
-        ends = [random_walk_triangulation(t_start, k, args.seed * 1009 + k * 97 + i)
-                for i in range(args.trials)]
-        for backend in backends:
-            times = []
-            solved = 0
-            for t_end in ends:
-                t0 = time.perf_counter()
-                d = flip_distance_upto(t_start, t_end, k,
-                                       workers=args.workers, backend=backend)
-                times.append((time.perf_counter() - t0) * 1000.0)
-                solved += d is not None
-            row = f"{k},{args.trials},{statistics.median(times):.3f},{max(times):.3f},{solved}"
-            print((f"{backend}," if tagged else "") + row)
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flipdist",
@@ -231,8 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallelize the search over this many processes")
         p.add_argument("--backend", choices=["auto", "pure", "compiled"], default=None,
                        help="search kernel (default: auto)")
 
@@ -280,15 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", default=None, help="witness file to replay against --in")
     add_backend_flags(p)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing CSV over random-walk instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--backend", choices=["auto", "pure", "compiled", "both"], default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

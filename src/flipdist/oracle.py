@@ -178,7 +178,8 @@ def graph_stats(ps: PointSet, seed_tri: Triangulation) -> FlipGraphStats:
                 if other not in dist:
                     dist[other] = dist[key] + 1
                     frontier.append(other)
-        assert len(dist) == len(adjacency), "flip graph must be connected"
+        if len(dist) != len(adjacency):  # explicit, so it holds under python -O
+            raise AssertionError("flip graph must be connected")
         for d in dist.values():
             histogram[d] = histogram.get(d, 0) + 1
             diameter = max(diameter, d)

@@ -28,7 +28,6 @@ distance.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -232,43 +231,22 @@ def _package(t_start: Triangulation, t_end: Triangulation, k: int,
     return result
 
 
-def _run_task(backend: str, prep, parts):
-    return _kernel.kernel_for(backend)(prep, parts)
-
-
-def _scan_parallel(backend: str, prep, comps: list[Composition],
-                   workers: int) -> tuple[Optional[int], Optional[object]]:
-    """Run compositions concurrently but keep the single-worker answer: the
-    lexicographically first accepting composition wins, so results are
-    consumed in submission order."""
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_task, backend, prep, c.parts) for c in comps]
-        try:
-            for i, fut in enumerate(futures):
-                res = fut.result()
-                if res is not None:
-                    return i, res
-        finally:
-            for fut in futures:
-                fut.cancel()
-    return None, None
-
-
 def _check_pair(t_start: Triangulation, t_end: Triangulation) -> None:
     if t_start.ps != t_end.ps:
         raise PointSetMismatch("triangulations are over different point sets")
 
 
 def search_exact(t_start: Triangulation, t_end: Triangulation, k: int,
-                 workers: Optional[int] = None,
                  backend: Optional[str] = None) -> Optional[SolveResult]:
     """A witness using exactly k flips, or None if this search finds none.
 
     Sound for every k.  Complete when k is the true flip distance, so scan
     k upward (see flip_distance_upto) to compute distances.  None without
-    searching when k is below the missing-edge lower bound.
+    searching when k is below the missing-edge lower bound.  Compositions
+    are drawn lazily, in order, and the scan stops at the first accept.
     """
     _check_pair(t_start, t_end)
+    name = _kernel.resolve_backend(len(t_start.ps), backend)
     if k < 0:
         raise ValidationError(f"negative flip budget {k}")
     if k < len(necessary_edges(t_start, t_end)):
@@ -279,56 +257,31 @@ def search_exact(t_start: Triangulation, t_end: Triangulation, k: int,
                            starts=(), shapes=())
 
     prep = _kernel.make_prep(t_start, t_end)
-    name = _kernel.resolve_backend(len(t_start.ps), backend)
-    comps = list(compositions(k))
-    if workers is not None and workers > 1 and len(comps) > 1:
-        idx, accept = _scan_parallel(name, prep, comps, workers)
-    else:
-        run = _kernel.kernel_for(name)
-        idx, accept = None, None
-        for i, comp in enumerate(comps):
-            res = run(prep, comp.parts)
-            if res is not None:
-                idx, accept = i, res
-                break
-    if accept is None:
-        return None
-    return _package(t_start, t_end, k, comps[idx], accept)
-
-
-def exists_sequence(t_start: Triangulation, t_end: Triangulation, k: int,
-                    workers: Optional[int] = None,
-                    backend: Optional[str] = None) -> bool:
-    """True iff the search finds a sequence of exactly k flips from start to
-    end (k = 0 means they are already equal)."""
-    return search_exact(t_start, t_end, k, workers=workers, backend=backend) is not None
+    run = _kernel.kernel_for(name)
+    for comp in compositions(k):
+        accept = run(prep, comp.parts)
+        if accept is not None:
+            return _package(t_start, t_end, k, comp, accept)
+    return None
 
 
 def search_upto(t_start: Triangulation, t_end: Triangulation, k_max: int,
-                workers: Optional[int] = None,
                 backend: Optional[str] = None) -> Optional[SolveResult]:
     """The witness for the smallest k' <= k_max with a YES, or None.  The
     scan starts at the missing-edge lower bound; every k' below it is a NO."""
     _check_pair(t_start, t_end)
+    name = _kernel.resolve_backend(len(t_start.ps), backend)
     if k_max < 0:
         raise ValidationError(f"negative flip budget {k_max}")
     for k in range(len(necessary_edges(t_start, t_end)), k_max + 1):
-        res = search_exact(t_start, t_end, k, workers=workers, backend=backend)
+        res = search_exact(t_start, t_end, k, backend=name)
         if res is not None:
             return res
     return None
 
 
 def flip_distance_upto(t_start: Triangulation, t_end: Triangulation, k_max: int,
-                       workers: Optional[int] = None,
                        backend: Optional[str] = None) -> Optional[int]:
     """The flip distance if it is <= k_max, else None."""
-    res = search_upto(t_start, t_end, k_max, workers=workers, backend=backend)
+    res = search_upto(t_start, t_end, k_max, backend=backend)
     return None if res is None else res.k
-
-
-def decide_equals(t_start: Triangulation, t_end: Triangulation, k: int,
-                  workers: Optional[int] = None,
-                  backend: Optional[str] = None) -> bool:
-    """True iff the flip distance equals k exactly."""
-    return flip_distance_upto(t_start, t_end, k, workers=workers, backend=backend) == k

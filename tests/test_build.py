@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import flipdist
+from flipdist.instances import Instance, gen_convex, initial_triangulation, serialize
 
 from conftest import can_build_core, compiler_command
 
@@ -93,8 +94,13 @@ def test_unusable_build_falls_back_to_pure(tmp_path, broken):
     proc = probe(env)
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
-    bench = subprocess.run([sys.executable, "-m", "flipdist", "bench", "--n", "8", "--kmax", "1",
-                            "--trials", "1", "--backend", "both"],
+    # equal endpoints: the bound answers before any kernel would run
+    start = initial_triangulation(gen_convex(8))
+    instance = tmp_path / "equal.flipdist"
+    instance.write_text(serialize(Instance(ps=start.ps, t_start=start, t_end=start)),
+                        encoding="utf-8")
+    solve = subprocess.run([sys.executable, "-m", "flipdist", "solve", "--backend", "compiled",
+                            "--in", str(instance)],
                            env=env, capture_output=True, text=True, timeout=300)
-    assert bench.returncode == 2
-    assert bench.stdout == ""
+    assert solve.returncode == 2
+    assert solve.stdout == ""

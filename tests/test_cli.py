@@ -79,10 +79,17 @@ class TestSolve:
         assert proc.stdout == "decision=YES\n" and proc.returncode == 0
 
         text = instance_file.read_text(encoding="utf-8")
-        wrong = tmp_path / "wrong.flipdist"
-        wrong.write_text(text.replace("k 3", "k 9"), encoding="utf-8")
-        proc = run_cli("solve", "--in", str(wrong), "--decide")
-        assert proc.stdout == "decision=NO\n" and proc.returncode == 1
+        for k in ("2", "9"):  # below and above the distance of 3
+            wrong = tmp_path / f"k{k}.flipdist"
+            wrong.write_text(text.replace("k 3", f"k {k}"), encoding="utf-8")
+            proc = run_cli("solve", "--in", str(wrong), "--decide")
+            assert proc.stdout == "decision=NO\n" and proc.returncode == 1
+
+        same = run_cli("gen", "--mode", "convex", "--n", "8", "--k", "0")
+        equal = tmp_path / "equal.flipdist"
+        equal.write_text(same.stdout, encoding="utf-8")
+        proc = run_cli("solve", "--in", str(equal), "--decide")
+        assert proc.stdout == "decision=YES\n" and proc.returncode == 0
 
     def test_decide_needs_k_line(self, instance_file, tmp_path):
         text = instance_file.read_text(encoding="utf-8").replace("k 3\n", "")
@@ -109,6 +116,20 @@ class TestSolve:
         pure = run_cli("solve", "--in", str(instance_file), "--backend", "pure")
         auto = run_cli("solve", "--in", str(instance_file), "--backend", "auto")
         assert pure.stdout == auto.stdout
+
+    def test_missing_backend_fails_before_output(self, instance_file, tmp_path):
+        # the compiled kernel is hidden, so it cannot be honored, not even on
+        # equal endpoints, where the bound answers before any kernel runs
+        equal = tmp_path / "equal.flipdist"
+        equal.write_text(run_cli("gen", "--mode", "convex", "--n", "8").stdout, encoding="utf-8")
+        script = ("import sys; from flipdist import _kernel; _kernel._core = None; "
+                  "from flipdist.cli import main; sys.exit(main(sys.argv[1:]))")
+        for path in (instance_file, equal):
+            proc = subprocess.run([sys.executable, "-c", script, "solve", "--backend", "compiled",
+                                   "--in", str(path)], capture_output=True, text=True)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert "not built" in proc.stderr
 
 
 class TestOracle:
@@ -200,40 +221,10 @@ class TestVerify:
         assert run_cli("verify").returncode == 2
 
 
-class TestBench:
-    def test_csv_shape(self):
-        proc = run_cli("bench", "--n", "8", "--kmax", "2", "--trials", "2")
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "k,trials,median_ms,max_ms,solved"
-        assert len(lines) == 3
-        assert [int(l.split(",")[0]) for l in lines[1:]] == [1, 2]
-
-    def test_both_backends_column(self):
-        proc = run_cli("bench", "--n", "8", "--kmax", "1", "--trials", "1",
-                       "--backend", "both")
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "backend,k,trials,median_ms,max_ms,solved"
-        assert {l.split(",")[0] for l in lines[1:]} == {"pure", "compiled"}
-
-    def test_kmax_validated(self):
-        assert run_cli("bench", "--n", "8", "--kmax", "0").returncode == 2
-
-    def test_missing_backend_fails_before_output(self):
-        # the compiled kernel is hidden, so "both" cannot be honored
-        script = ("import sys; from flipdist import _kernel; _kernel._core = None; "
-                  "from flipdist.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run([sys.executable, "-c", script, "bench", "--n", "8", "--kmax", "1",
-                               "--trials", "1", "--backend", "both"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "not built" in proc.stderr
-
-
 class TestUsage:
     def test_no_command(self):
         assert run_cli().returncode == 2
 
     def test_unknown_command(self):
-        assert run_cli("frobnicate").returncode == 2
+        for command in ("frobnicate", "bench"):
+            assert run_cli(command).returncode == 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from flipdist import _kernel
 from flipdist._kernel import (
     COMPILED_MAX_POINTS,
     compiled_available,
@@ -21,6 +22,7 @@ from flipdist.oracle import bfs_distance
 from flipdist.solver import compositions, search_exact, search_upto
 
 from conftest import can_build_core, convex_pair, flip_closure
+from test_prune import fan
 
 needs_compiled = pytest.mark.skipif(not compiled_available(),
                                     reason="compiled extension not built")
@@ -249,3 +251,18 @@ class TestBackendThroughSolver:
         monkeypatch.setenv("FLIPDIST_BACKEND", "bogus")
         with pytest.raises(ValueError):
             search_exact(*square_tris, 1)
+
+    @pytest.mark.parametrize("search", [search_exact, search_upto])
+    def test_backend_checked_before_the_bound_answers(self, square_tris, search, monkeypatch):
+        # no kernel runs for k = 0 on equal triangulations or for k below the
+        # missing-edge bound (2 on the hexagon fans), yet the backend is checked
+        ps = gen_convex(6)
+        a = square_tris[0]
+        cases = [(a, a, 0), (*square_tris, 0), (fan(ps, 0), fan(ps, 3), 1)]
+        for start, end, k in cases:
+            with pytest.raises(ValueError):
+                search(start, end, k, backend="bogus")
+        monkeypatch.setattr(_kernel, "_core", None)
+        for start, end, k in cases:
+            with pytest.raises(RuntimeError):
+                search(start, end, k, backend="compiled")

@@ -9,11 +9,16 @@ below verbatim as ``reference_bfs_distance``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
+import flipdist
 from flipdist import oracle
 from flipdist.errors import PointSetMismatch
 from flipdist.flipdag import FlipSequence, replay
@@ -258,6 +263,24 @@ class TestEnumerateAll:
             enumerate_all(gen_convex(4), square_tris[0])
 
 
+# The only triangulation of a triangle with one interior point has no
+# flippable edge; listed under two keys it is a flip graph of two components.
+_DISCONNECTED = """
+import sys
+from flipdist import oracle
+from flipdist.geometry import PointSet
+from flipdist.triangulation import build
+
+ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
+tri = build(ps, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])
+oracle._closure = lambda seed: {1: tri, 2: tri}
+try:
+    oracle.graph_stats(ps, tri)
+except AssertionError as exc:
+    print(f"optimize={sys.flags.optimize} {exc}")
+"""
+
+
 class TestGraphStats:
     def test_square(self, square_ps, square_tris):
         stats = graph_stats(square_ps, square_tris[0])
@@ -295,3 +318,10 @@ class TestGraphStats:
     def test_mismatched_point_sets(self, square_tris):
         with pytest.raises(PointSetMismatch):
             graph_stats(gen_convex(4), square_tris[0])
+
+    def test_disconnected_graph_raises_under_optimize(self):
+        src = str(Path(flipdist.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", _DISCONNECTED],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "optimize=1 flip graph must be connected\n"

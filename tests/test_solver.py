@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import flipdist
+from flipdist import solver
 from flipdist.errors import EdgeAbsent, PointSetMismatch, ValidationError
 from flipdist.flipdag import replay
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
@@ -30,8 +31,6 @@ from flipdist.solver import (
     Move,
     SolveResult,
     compositions,
-    decide_equals,
-    exists_sequence,
     flip_distance_upto,
     iteration_shapes,
     search_exact,
@@ -41,6 +40,7 @@ from flipdist.solver import (
 from flipdist.triangulation import build, flip
 
 from conftest import convex_pair, flip_closure
+from test_prune import fan
 
 
 def catalan(n: int) -> int:
@@ -247,7 +247,7 @@ class TestSearchExact:
         # on edges missing from the target, and a == target leaves none;
         # distance scans are unaffected because k = 0 already answers
         a = square_tris[0]
-        assert exists_sequence(a, a, 2) is False
+        assert search_exact(a, a, 2) is None
         assert flip_distance_upto(a, a, 2) == 0
 
     def test_negative_budget(self, square_tris):
@@ -288,34 +288,24 @@ class TestDistanceScan:
         assert search_upto(a, b, 0) is None
         assert flip_distance_upto(a, b, 0) is None
 
-    def test_decide_equals(self, square_tris):
-        a, b = square_tris
-        assert decide_equals(a, b, 1)
-        assert not decide_equals(a, b, 0)
-        assert not decide_equals(a, b, 2)
-        assert decide_equals(a, a, 0)
+    def test_scan_stops_at_first_accept(self, monkeypatch):
+        # fan(0) -> fan(4) on the 12-gon accepts at composition (2, 1, ..., 1),
+        # the first of the 2^7 compositions of 8 that starts with 2
+        ps = gen_convex(12)
+        start, target = fan(ps, 0), fan(ps, 4)
+        order = list(compositions(8))
+        drawn = []
 
+        def counting(k):
+            for comp in compositions(k):
+                drawn.append(comp)
+                yield comp
 
-class TestParallelWorkers:
-    def test_same_result_as_single_worker(self):
-        # a hexagon pair at distance 4 exercises multiple compositions
-        ps, seed_tri = convex_pair(6)
-        tris = flip_closure(seed_tri)
-        far = [(a, b) for a in tris for b in tris
-               if bfs_distance(a, b, cap=10)[0] == 4]
-        assert far
-        start, target = far[0]
-        single = search_exact(start, target, 4)
-        multi = search_exact(start, target, 4, workers=2)
-        assert single == multi
-
-    def test_parallel_rejects_below_distance(self):
-        ps, start = convex_pair(6)
-        target = random_walk_triangulation(start, steps=6, seed=2)
-        d, _ = bfs_distance(start, target, cap=8)
-        if d >= 2:
-            assert search_exact(start, target, d - 1, workers=2) is None
-        assert search_exact(start, target, d, workers=2) == search_exact(start, target, d)
+        monkeypatch.setattr(solver, "compositions", counting)
+        res = search_exact(start, target, 8)
+        i = order.index(res.composition)
+        assert 0 < i < len(order) - 1
+        assert len(drawn) == i + 1
 
 
 # Feeds _package one corrupted accept per invariant on the square (start
