@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import InvalidAt, ValidationError
-from .triangulation import Edge, FlipRecord, Triangulation, flip, is_flippable
+# flip is unused here but stays a module name: perfbench/tracing.py patches flipdag.flip
+from .triangulation import Edge, FlipRecord, Triangulation, TriOf, flip, flip_step  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,61 +49,61 @@ class FlipDag:
                 raise ValidationError(f"arc ({i}, {j}) not forward within {self.node_count} nodes")
 
 
-def intermediates(seq: FlipSequence) -> list[Triangulation]:
-    """All of T_0..T_r.  Raises InvalidAt(i) at the first flip whose edge is
-    not flippable or whose recorded result disagrees with the actual flip."""
-    out = [seq.start]
-    for i, rec in enumerate(seq.flips):
-        cur = out[-1]
-        if rec.underlying not in cur.edges or not is_flippable(cur, rec.underlying):
+def _walk(start: Triangulation, flips: Iterable[FlipRecord]) -> Iterator[tuple[set[Edge], TriOf]]:
+    """The (edges, tri_of) pairs of T_0..T_r, each live until the next: one
+    private copy of the start, flipped in place.  Raises InvalidAt(i) at the
+    first flip whose edge is not flippable or that inserts another edge."""
+    edges, tri_of = set(start.edges), dict(start.tri_of)
+    yield edges, tri_of
+    for i, rec in enumerate(flips):
+        actual = flip_step(start.ps, edges, tri_of, rec.underlying)
+        if actual is None:
             raise InvalidAt(i, f"edge {rec.underlying} not flippable")
-        nxt, actual = flip(cur, rec.underlying)
-        if actual.resulting != rec.resulting:
-            raise InvalidAt(i, f"flip yields {actual.resulting}, record says {rec.resulting}")
-        out.append(nxt)
-    return out
+        if actual != rec.resulting:
+            raise InvalidAt(i, f"flip yields {actual}, record says {rec.resulting}")
+        yield edges, tri_of
+
+
+def intermediates(seq: FlipSequence) -> list[Triangulation]:
+    """All of T_0..T_r.  Raises InvalidAt as ``_walk`` does."""
+    return [Triangulation(seq.start.ps, frozenset(edges), dict(tri_of))
+            for edges, tri_of in _walk(seq.start, seq.flips)]
 
 
 def replay(seq: FlipSequence) -> Triangulation:
-    """The endpoint after applying the whole sequence."""
-    return intermediates(seq)[-1]
-
-
-def _share_triangle(tri: Triangulation, e1: Edge, e2: Edge) -> bool:
-    if e1 not in tri.edges or e2 not in tri.edges:
-        return False
-    return not set(tri.tri_of[e1]).isdisjoint(tri.tri_of[e2])
+    """The endpoint after applying the whole sequence.  Raises InvalidAt as ``_walk`` does."""
+    *_, (edges, tri_of) = _walk(seq.start, seq.flips)
+    return Triangulation(seq.start.ps, frozenset(edges), tri_of)
 
 
 def build_dag(seq: FlipSequence) -> FlipDag:
     """Arcs i -> j exactly where flip j depends on flip i (see module doc).
 
-    The created-edge/removed-edge interaction is tested on the replayed
-    intermediate T_{j-1}; one replay pass caches all intermediates.
+    The created-edge/removed-edge interaction is tested on T_{j-1}, the live
+    state of one in-place replay just before flip j.
     """
-    steps = intermediates(seq)
     r = len(seq.flips)
-
-    # next_flip[i]: first p > i that flips the edge created by flip i (r if none)
-    next_flip = [r + 1] * r
-    for i in range(r):
-        created = seq.flips[i].resulting
-        next_flip[i] = next(
-            (p for p in range(i + 1, r) if seq.flips[p].underlying == created), r + 1)
+    # next_flip[i]: first p > i that flips the edge created by flip i (r + 1 if none)
+    next_flip = [next((p for p in range(i + 1, r) if seq.flips[p].underlying == rec.resulting),
+                      r + 1) for i, rec in enumerate(seq.flips)]
 
     arcs = set()
-    for j in range(r):
-        removed = seq.flips[j].underlying
+    for j, (_, tri_of) in enumerate(_walk(seq.start, seq.flips)):
+        if j == r:
+            break
+        around = set(tri_of.get(seq.flips[j].underlying, ()))  # the triangles flip j removes
         for i in range(j):
             if next_flip[i] == j:
                 arcs.add((i, j))
-            elif next_flip[i] > j and _share_triangle(steps[j], seq.flips[i].resulting, removed):
+            elif next_flip[i] > j and not around.isdisjoint(tri_of.get(seq.flips[i].resulting, ())):
                 arcs.add((i, j))
     return FlipDag(node_count=r, arcs=frozenset(arcs))
 
 
 def topological_sorts_sample(dag: FlipDag, count: int, seed: int) -> list[list[int]]:
     """`count` seeded random topological orders of the DAG (repeats allowed)."""
+    if count < 0:
+        raise ValidationError(f"negative sample count {count}")
     succs: dict[int, list[int]] = {i: [] for i in range(dag.node_count)}
     base_indeg = [0] * dag.node_count
     for i, j in sorted(dag.arcs):
@@ -128,19 +130,16 @@ def topological_sorts_sample(dag: FlipDag, count: int, seed: int) -> list[list[i
 
 def check_reordering(seq: FlipSequence, perm: list[int]) -> bool:
     """True iff replaying the flips in `perm` order (matching each step by its
-    underlying edge) is valid throughout and lands on replay(seq)."""
+    underlying edge) is valid throughout and lands on replay(seq).  Raises
+    InvalidAt if seq itself does not replay."""
     if sorted(perm) != list(range(len(seq.flips))):
         raise ValidationError("perm is not a permutation of the sequence indices")
-    target = replay(seq)
-    cur = seq.start
-    for idx in perm:
-        rec = seq.flips[idx]
-        if rec.underlying not in cur.edges or not is_flippable(cur, rec.underlying):
-            return False
-        cur, actual = flip(cur, rec.underlying)
-        if actual.resulting != rec.resulting:
-            return False
-    return cur == target
+    *_, (target, _) = _walk(seq.start, seq.flips)
+    try:
+        *_, (edges, _) = _walk(seq.start, (seq.flips[idx] for idx in perm))
+    except InvalidAt:
+        return False
+    return edges == target
 
 
 def to_dot(dag: FlipDag) -> str:

@@ -127,6 +127,8 @@ def random_walk_triangulation(tri: Triangulation, steps: int, seed: int) -> Tria
     Each step picks among the currently flippable edges, so the walk itself
     witnesses flip distance <= steps from the input.
     """
+    if steps < 0:
+        raise ValidationError(f"negative walk length {steps}")
     rng = random.Random(seed)
     cur = tri
     for _ in range(steps):

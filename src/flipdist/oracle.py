@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 from .errors import PointSetMismatch
 from .flipdag import FlipSequence
 from .geometry import PointSet, strictly_convex_quad
-from .triangulation import Edge, Triangulation, canonical_key, flip
+from .triangulation import Edge, FlipRecord, Triangulation, canonical_key, flip
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,9 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     disjoint, so the distance exceeds d_s + d_t, while the path through the
     meeting key has length at most d_s + 1 + d_t: it is shortest.  The search
     gives up once d_s + d_t reaches cap.  A state is built with ``flip`` only
-    when its level is expanded, so the last level is never built; the witness
-    replays the forward parent chain from the start and then the backward
-    chain to the target.
+    when its level is expanded, so the last level is never built.  The
+    witness is the forward parent chain from the start, then the backward
+    chain to the target, read off the stored (flipped, inserted) pairs.
     """
     if t_start.ps != t_end.ps:
         raise PointSetMismatch("triangulations are over different point sets")
@@ -127,13 +127,9 @@ def _witness(t_start: Triangulation, seen: tuple[_Seen, _Seen],
              meet: int) -> tuple[int, FlipSequence]:
     # forward: the flips from the start to meet; backward: each state's
     # inserted edge flips it back to its parent, one step nearer the target
-    forward = [e for e, _ in reversed(_chain(seen[0], meet))]
-    backward = [g for _, g in _chain(seen[1], meet)]
-    tri, recs = t_start, []
-    for e in forward + backward:
-        tri, rec = flip(tri, e)
-        recs.append(rec)
-    return len(recs), FlipSequence(start=t_start, flips=tuple(recs))
+    flips = [FlipRecord(underlying=e, resulting=g) for e, g in reversed(_chain(seen[0], meet))]
+    flips += [FlipRecord(underlying=g, resulting=e) for e, g in _chain(seen[1], meet)]
+    return len(flips), FlipSequence(start=t_start, flips=tuple(flips))
 
 
 def _closure(seed: Triangulation) -> dict[int, Triangulation]:

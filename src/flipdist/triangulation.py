@@ -8,12 +8,13 @@ convex quadrilateral formed by its two triangles:
        / \               /|\
       / 1 \             / | \
      a-----b    ->     a 1|2 b        flip of (a,b) yields (c,d);
-      \ 2 /             \ | /         triangles 1,2 are rebuilt, all
-       \ /               \|/          others are untouched.
+      \ 2 /             \ | /         the entries of the five edges of
+       \ /               \|/          the quadrilateral change, no others.
         d                 d
 
-Triangulation values are immutable: ``flip`` returns a new value sharing the
-point set, so search code may branch freely without undo bookkeeping.
+Triangulation values are immutable: ``flip`` applies ``flip_step``, the O(1)
+in-place change of an ``(edges, tri_of)`` pair, to C-level copies of the
+input's, so search code may branch freely without undo bookkeeping.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .geometry import PointSet, convex_hull_edges, orient, segments_properly_cro
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
+TriOf = dict[Edge, tuple[Triangle, ...]]
 
 
 def make_edge(a: int, b: int) -> Edge:
@@ -67,15 +69,17 @@ class Triangulation:
     """Immutable triangulation value.  Use :func:`build` to construct one
     from raw edges; ``flip`` produces derived values directly."""
 
-    __slots__ = ("ps", "edges", "tri_of", "triangles", "_key")
+    __slots__ = ("ps", "edges", "tri_of", "_key")
 
-    def __init__(self, ps: PointSet, edges: frozenset[Edge], tri_of: dict[Edge, tuple[Triangle, ...]],
-                 triangles: frozenset[Triangle]):
+    def __init__(self, ps: PointSet, edges: frozenset[Edge], tri_of: TriOf):
         self.ps = ps
         self.edges = edges
         self.tri_of = tri_of
-        self.triangles = triangles
         self._key: Optional[bytes] = None
+
+    @property
+    def triangles(self) -> frozenset[Triangle]:
+        return frozenset(t for tris in self.tri_of.values() for t in tris)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangulation):
@@ -149,7 +153,7 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
         raise AssertionError("non-crossing maximal edge set failed the triangulation certificate")
 
     frozen = {e: tuple(sorted(tris)) for e, tris in tri_of.items()}
-    return Triangulation(ps, frozenset(edges), frozen, frozenset(triangles))
+    return Triangulation(ps, frozenset(edges), frozen)
 
 
 def _require_edge(tri: Triangulation, e: Edge) -> Edge:
@@ -182,38 +186,37 @@ def is_flippable(tri: Triangulation, e: Edge) -> bool:
     return strictly_convex_quad(ps[a], ps[c], ps[b], ps[d])
 
 
-def flip(tri: Triangulation, e: Edge) -> tuple[Triangulation, FlipRecord]:
-    """Replace diagonal e with the opposite diagonal of its quadrilateral.
-
-    Only the two incident triangles are rebuilt; everything else is shared
-    with the input value.
-    """
-    e = make_edge(*e)
-    if not is_flippable(tri, e):
-        raise NotFlippable(f"edge {e} is not flippable")
+def flip_step(ps: PointSet, edges: set[Edge], tri_of: TriOf, e: Edge) -> Optional[Edge]:
+    """Flip edge e of an (edges, tri_of) pair in place, in O(1), and return
+    the edge inserted; or return None, changing nothing, when e is not a
+    canonical edge of the pair or does not flip (see ``is_flippable``)."""
+    tris = tri_of.get(e)
+    if tris is None or len(tris) != 2:
+        return None
     a, b = e
-    c, d = quad_around(tri, e)  # type: ignore[misc]
-    new_edge = make_edge(c, d)
-
-    gone1, gone2 = make_triangle(a, b, c), make_triangle(a, b, d)
-    born1, born2 = make_triangle(a, c, d), make_triangle(b, c, d)
-
-    tri_of = dict(tri.tri_of)
+    gone = {sum(t) - a - b: t for t in tris}  # apex -> its triangle
+    c, d = sorted(gone)
+    if not strictly_convex_quad(ps[a], ps[c], ps[b], ps[d]):
+        return None
+    born = {a: make_triangle(a, c, d), b: make_triangle(b, c, d)}
+    for x, y in ((a, c), (b, c), (a, d), (b, d)):
+        side = make_edge(x, y)
+        tri_of[side] = tuple(sorted([born[x] if t == gone[y] else t for t in tri_of[side]]))
     del tri_of[e]
-    tri_of[new_edge] = tuple(sorted((born1, born2)))
+    tri_of[(c, d)] = (born[a], born[b])  # sorted, as a < b
+    edges.remove(e)
+    edges.add((c, d))
+    return c, d
 
-    def swap(side: Edge, old: Triangle, new: Triangle) -> None:
-        tri_of[side] = tuple(sorted(new if t == old else t for t in tri_of[side]))
 
-    swap(make_edge(a, c), gone1, born1)
-    swap(make_edge(b, c), gone1, born2)
-    swap(make_edge(a, d), gone2, born1)
-    swap(make_edge(b, d), gone2, born2)
-
-    edges = (tri.edges - {e}) | {new_edge}
-    triangles = (tri.triangles - {gone1, gone2}) | {born1, born2}
-    rec = FlipRecord(underlying=e, resulting=new_edge)
-    return Triangulation(tri.ps, edges, tri_of, triangles), rec
+def flip(tri: Triangulation, e: Edge) -> tuple[Triangulation, FlipRecord]:
+    """Replace diagonal e with the opposite diagonal of its quadrilateral."""
+    e = _require_edge(tri, e)
+    edges, tri_of = set(tri.edges), dict(tri.tri_of)
+    new_edge = flip_step(tri.ps, edges, tri_of, e)
+    if new_edge is None:
+        raise NotFlippable(f"edge {e} is not flippable")
+    return Triangulation(tri.ps, frozenset(edges), tri_of), FlipRecord(e, new_edge)
 
 
 def edge_neighbors(tri: Triangulation, e: Edge) -> list[Edge]:

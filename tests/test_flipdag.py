@@ -168,6 +168,12 @@ class TestTopologicalSortsSample:
                 position = {v: p for p, v in enumerate(order)}
                 assert all(position[i] < position[j] for i, j in dag.arcs)
 
+    def test_negative_count_rejected(self):
+        dag = FlipDag(node_count=2, arcs=frozenset())
+        assert topological_sorts_sample(dag, 0, seed=0) == []
+        with pytest.raises(ValidationError, match="negative sample count -1"):
+            topological_sorts_sample(dag, -1, seed=0)
+
     def test_deterministic_for_seed(self):
         dag = FlipDag(node_count=5, arcs=frozenset({(0, 3), (1, 4)}))
         assert (topological_sorts_sample(dag, 8, seed=5)

@@ -109,6 +109,10 @@ class TestRandomWalk:
     def test_zero_steps(self, square_tris):
         assert random_walk_triangulation(square_tris[0], 0, 3) == square_tris[0]
 
+    def test_negative_steps_rejected(self, square_tris):
+        with pytest.raises(ValidationError, match="negative walk length -1"):
+            random_walk_triangulation(square_tris[0], -1, 3)
+
     def test_one_step_on_square(self, square_tris):
         with_02, with_13 = square_tris
         # the diagonal is the only flippable edge, whatever the seed
