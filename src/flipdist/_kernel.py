@@ -4,13 +4,15 @@ The compiled kernel is the C extension ``_core``.  An installed build is used
 when present; otherwise ``_core.c`` is compiled on first import with ``$CC``
 (default: the compiler Python was built with) into
 ``${XDG_CACHE_HOME:-~/.cache}/flipdist/<sha256 of the source>/``, and later
-imports load it from there.  Without a working compiler or a writable cache
-the pure kernel is used, and nothing is printed.
+imports load it from there.  Without a working compiler, or a writable cache
+and a home directory to find it in, the pure kernel is used, and nothing is
+printed.
 
-The env var FLIPDIST_BACKEND (auto | pure | compiled) overrides the default,
-and callers may pass the same strings explicitly.  The compiled kernel indexes
-edges as a * n + b in flat arrays, so it is capped at COMPILED_MAX_POINTS;
-larger point sets silently fall back to the dict-based pure kernel.
+Both kernels return identical witnesses, so the choice changes only speed and
+is made from facts alone: the compiled kernel whenever it is loaded and the
+point set fits it.  It indexes edges as a * n + b in flat arrays, so it is
+capped at COMPILED_MAX_POINTS; larger point sets run on the dict-based pure
+kernel.
 """
 
 from __future__ import annotations
@@ -40,10 +42,16 @@ def _build_core() -> Optional[ModuleType]:
     except OSError:
         return None
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    try:
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    except RuntimeError:  # no $HOME and no passwd entry for this uid
+        return None
     lib = cache / "flipdist" / digest / ("_core" + suffix)
     if not lib.exists():
-        cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+        try:
+            cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+        except ValueError:  # unbalanced quotes in $CC
+            return None
         includes = {sysconfig.get_paths()["include"], sysconfig.get_paths()["platinclude"]}
         flags = ["-undefined", "dynamic_lookup"] if sys.platform == "darwin" else []
         try:
@@ -88,22 +96,9 @@ def compiled_available() -> bool:
     return _core is not None
 
 
-def resolve_backend(n: int, override: Optional[str] = None) -> str:
-    """The backend name to use for an n-point search."""
-    mode = override if override is not None else os.environ.get("FLIPDIST_BACKEND", "auto")
-    if mode == "pure":
-        return "pure"
-    if mode == "compiled":
-        if _core is None:
-            raise RuntimeError("compiled backend requested but the extension is not built")
-        if n > COMPILED_MAX_POINTS:
-            raise RuntimeError(f"compiled backend capped at {COMPILED_MAX_POINTS} points, got {n}")
-        return "compiled"
-    if mode != "auto":
-        raise ValueError(f"unknown backend {mode!r}, expected auto, pure, or compiled")
-    if _core is not None and n <= COMPILED_MAX_POINTS:
-        return "compiled"
-    return "pure"
+def resolve_backend(n: int) -> str:
+    """The kernel for an n-point search: compiled when loaded and n fits its cap."""
+    return "compiled" if _core is not None and n <= COMPILED_MAX_POINTS else "pure"
 
 
 def kernel_for(name: str) -> RunFn:

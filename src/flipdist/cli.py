@@ -95,15 +95,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.decide:
         if inst.k is None:
             return _fail("--decide needs a 'k' line in the instance file")
-        yes = flip_distance_upto(inst.t_start, inst.t_end, inst.k,
-                                 backend=args.backend) == inst.k
+        yes = flip_distance_upto(inst.t_start, inst.t_end, inst.k) == inst.k
         print(f"decision={'YES' if yes else 'NO'}")
         return 0 if yes else 1
 
     max_k = args.max_k
     if max_k is None:
         max_k = inst.k if inst.k is not None else _DEFAULT_MAX_K
-    result = search_upto(inst.t_start, inst.t_end, max_k, backend=args.backend)
+    result = search_upto(inst.t_start, inst.t_end, max_k)
     if result is None:
         print(f"distance=>{max_k}")
         return 1
@@ -177,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         t_end = random_walk_triangulation(t_start, steps, sub_seed + 1)
         oracle_found = bfs_distance(t_start, t_end, args.max_k)
         want = oracle_found[0] if oracle_found is not None else None
-        got = flip_distance_upto(t_start, t_end, args.max_k, backend=args.backend)
+        got = flip_distance_upto(t_start, t_end, args.max_k)
         if got == want:
             ok += 1
         else:
@@ -194,10 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="flipdist",
         description="Flip distance between triangulations of a planar point set.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_backend_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=["auto", "pure", "compiled"], default=None,
-                       help="search kernel (default: auto)")
 
     p = sub.add_parser("gen", help="generate an instance on stdout")
     p.add_argument("--mode", choices=["convex", "random"], required=True)
@@ -218,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="decide 'distance equals the file's k' instead")
     p.add_argument("--trace", action="store_true",
                    help="also print the accepting run as '#' comment lines")
-    add_backend_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="exact BFS distance or flip graph stats")
@@ -241,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=1000)
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--replay", default=None, help="witness file to replay against --in")
-    add_backend_flags(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -251,9 +244,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FlipDistError as exc:
-        return _fail(str(exc))
-    except (OSError, RuntimeError) as exc:
+    except (FlipDistError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Union
 
 from . import _kernel
 from ._searchpure import Accept as _Accept
-from .errors import EdgeAbsent, PointSetMismatch, ValidationError
+from .errors import EdgeAbsent, ValidationError
 from .flipdag import FlipSequence, replay
 from .triangulation import (
     Edge,
@@ -231,13 +231,7 @@ def _package(t_start: Triangulation, t_end: Triangulation, k: int,
     return result
 
 
-def _check_pair(t_start: Triangulation, t_end: Triangulation) -> None:
-    if t_start.ps != t_end.ps:
-        raise PointSetMismatch("triangulations are over different point sets")
-
-
-def search_exact(t_start: Triangulation, t_end: Triangulation, k: int,
-                 backend: Optional[str] = None) -> Optional[SolveResult]:
+def search_exact(t_start: Triangulation, t_end: Triangulation, k: int) -> Optional[SolveResult]:
     """A witness using exactly k flips, or None if this search finds none.
 
     Sound for every k.  Complete when k is the true flip distance, so scan
@@ -245,11 +239,10 @@ def search_exact(t_start: Triangulation, t_end: Triangulation, k: int,
     searching when k is below the missing-edge lower bound.  Compositions
     are drawn lazily, in order, and the scan stops at the first accept.
     """
-    _check_pair(t_start, t_end)
-    name = _kernel.resolve_backend(len(t_start.ps), backend)
+    bound = len(necessary_edges(t_start, t_end))
     if k < 0:
         raise ValidationError(f"negative flip budget {k}")
-    if k < len(necessary_edges(t_start, t_end)):
+    if k < bound:
         return None
     if k == 0:  # a bound of 0 means the two are equal
         return SolveResult(k=0, composition=Composition(()),
@@ -257,7 +250,7 @@ def search_exact(t_start: Triangulation, t_end: Triangulation, k: int,
                            starts=(), shapes=())
 
     prep = _kernel.make_prep(t_start, t_end)
-    run = _kernel.kernel_for(name)
+    run = _kernel.kernel_for(_kernel.resolve_backend(len(t_start.ps)))
     for comp in compositions(k):
         accept = run(prep, comp.parts)
         if accept is not None:
@@ -265,23 +258,20 @@ def search_exact(t_start: Triangulation, t_end: Triangulation, k: int,
     return None
 
 
-def search_upto(t_start: Triangulation, t_end: Triangulation, k_max: int,
-                backend: Optional[str] = None) -> Optional[SolveResult]:
+def search_upto(t_start: Triangulation, t_end: Triangulation, k_max: int) -> Optional[SolveResult]:
     """The witness for the smallest k' <= k_max with a YES, or None.  The
     scan starts at the missing-edge lower bound; every k' below it is a NO."""
-    _check_pair(t_start, t_end)
-    name = _kernel.resolve_backend(len(t_start.ps), backend)
+    bound = len(necessary_edges(t_start, t_end))
     if k_max < 0:
         raise ValidationError(f"negative flip budget {k_max}")
-    for k in range(len(necessary_edges(t_start, t_end)), k_max + 1):
-        res = search_exact(t_start, t_end, k, backend=name)
+    for k in range(bound, k_max + 1):
+        res = search_exact(t_start, t_end, k)
         if res is not None:
             return res
     return None
 
 
-def flip_distance_upto(t_start: Triangulation, t_end: Triangulation, k_max: int,
-                       backend: Optional[str] = None) -> Optional[int]:
+def flip_distance_upto(t_start: Triangulation, t_end: Triangulation, k_max: int) -> Optional[int]:
     """The flip distance if it is <= k_max, else None."""
-    res = search_upto(t_start, t_end, k_max, backend=backend)
+    res = search_upto(t_start, t_end, k_max)
     return None if res is None else res.k

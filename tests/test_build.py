@@ -19,12 +19,23 @@ from pathlib import Path
 import pytest
 
 import flipdist
-from flipdist.instances import Instance, gen_convex, initial_triangulation, serialize
+from flipdist.cli import main
+from flipdist.instances import (
+    Instance,
+    gen_convex,
+    initial_triangulation,
+    random_walk_triangulation,
+    serialize,
+)
 
 from conftest import can_build_core, compiler_command
 
 PACKAGE = Path(flipdist.__file__).resolve().parent
 PROBE = "import flipdist; from flipdist import _kernel; print(_kernel.compiled_available())"
+CLI = "import sys; from flipdist.cli import main; sys.exit(main(sys.argv[1:]))"
+NO_PASSWD_ENTRY = ("import pwd\n"
+                   "def getpwuid(uid): raise KeyError(uid)\n"
+                   "pwd.getpwuid = getpwuid\n")
 LIBRARY = "_core" + sysconfig.get_config_var("EXT_SUFFIX")
 
 pytestmark = pytest.mark.skipif(
@@ -39,8 +50,8 @@ def environ(cache: Path, cc: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=path, XDG_CACHE_HOME=str(cache), CC=cc)
 
 
-def probe(env: dict[str, str]) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+def probe(env: dict[str, str], prelude: str = "") -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", prelude + PROBE], env=env, capture_output=True,
                           text=True, timeout=300)
 
 
@@ -84,23 +95,36 @@ def test_second_import_does_not_compile(tmp_path, recording_cc):
     assert log.read_text() == "called\n"
 
 
-@pytest.mark.parametrize("broken", ["missing compiler", "cache is a file"])
-def test_unusable_build_falls_back_to_pure(tmp_path, broken):
+@pytest.mark.parametrize("broken", ["missing compiler", "cache is a file", "no home directory",
+                                    "malformed CC"])
+def test_unusable_build_falls_back_to_pure(tmp_path, capsys, broken):
+    cc = " ".join(map(shlex.quote, compiler_command()))
+    env = environ(tmp_path / "cache", cc)
+    prelude = ""
     if broken == "missing compiler":
-        env = environ(tmp_path / "cache", str(tmp_path / "no-such-cc"))
-    else:
+        env["CC"] = str(tmp_path / "no-such-cc")
+    elif broken == "cache is a file":
         (tmp_path / "cache").write_text("")
-        env = environ(tmp_path / "cache", " ".join(map(shlex.quote, compiler_command())))
-    proc = probe(env)
-    assert proc.returncode == 0
+    elif broken == "no home directory":
+        # no $HOME, no $XDG_CACHE_HOME and no passwd entry for this uid
+        env.pop("HOME", None)
+        env.pop("XDG_CACHE_HOME")
+        prelude = NO_PASSWD_ENTRY
+    else:
+        env["CC"] = cc + ' "'  # an unclosed quote
+    proc = probe(env, prelude)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
-    # equal endpoints: the bound answers before any kernel would run
+    # the pure kernel prints what this process, on the compiled kernel where
+    # one can be built, prints
     start = initial_triangulation(gen_convex(8))
-    instance = tmp_path / "equal.flipdist"
-    instance.write_text(serialize(Instance(ps=start.ps, t_start=start, t_end=start)),
+    end = random_walk_triangulation(start, 5, 3)
+    instance = tmp_path / "walk.flipdist"
+    instance.write_text(serialize(Instance(ps=start.ps, t_start=start, t_end=end)),
                         encoding="utf-8")
-    solve = subprocess.run([sys.executable, "-m", "flipdist", "solve", "--backend", "compiled",
-                            "--in", str(instance)],
+    args = ["solve", "--trace", "--in", str(instance)]
+    assert main(args) == 0
+    solve = subprocess.run([sys.executable, "-c", prelude + CLI, *args],
                            env=env, capture_output=True, text=True, timeout=300)
-    assert solve.returncode == 2
-    assert solve.stdout == ""
+    assert solve.returncode == 0, solve.stderr
+    assert solve.stdout == capsys.readouterr().out

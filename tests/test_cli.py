@@ -112,24 +112,20 @@ class TestSolve:
         proc = run_cli("solve", "--in", str(bad))
         assert proc.returncode == 2
 
-    def test_backend_flags_agree(self, instance_file):
-        pure = run_cli("solve", "--in", str(instance_file), "--backend", "pure")
-        auto = run_cli("solve", "--in", str(instance_file), "--backend", "auto")
-        assert pure.stdout == auto.stdout
-
-    def test_missing_backend_fails_before_output(self, instance_file, tmp_path):
-        # the compiled kernel is hidden, so it cannot be honored, not even on
-        # equal endpoints, where the bound answers before any kernel runs
+    def test_backend_flags_agree(self, instance_file, tmp_path):
+        # with the compiled kernel hidden, as on a machine without a compiler,
+        # the pure kernel prints the same bytes
         equal = tmp_path / "equal.flipdist"
         equal.write_text(run_cli("gen", "--mode", "convex", "--n", "8").stdout, encoding="utf-8")
         script = ("import sys; from flipdist import _kernel; _kernel._core = None; "
                   "from flipdist.cli import main; sys.exit(main(sys.argv[1:]))")
-        for path in (instance_file, equal):
-            proc = subprocess.run([sys.executable, "-c", script, "solve", "--backend", "compiled",
-                                   "--in", str(path)], capture_output=True, text=True)
-            assert proc.returncode == 2
-            assert proc.stdout == ""
-            assert "not built" in proc.stderr
+        for args in (["solve", "--trace", "--in", str(instance_file)],
+                     ["solve", "--trace", "--in", str(equal)],
+                     ["verify", "--mode", "cross", "--n", "8", "--trials", "6", "--seed", "2"]):
+            default = run_cli_bytes(*args)
+            pure = subprocess.run([sys.executable, "-c", script, *args], capture_output=True)
+            assert default.returncode == pure.returncode == 0
+            assert pure.stdout == default.stdout
 
 
 class TestOracle:

@@ -7,6 +7,10 @@ composition, since the solver's determinism guarantee rests on that.
 
 from __future__ import annotations
 
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import pytest
 
 from flipdist import _kernel
@@ -17,12 +21,11 @@ from flipdist._kernel import (
     make_prep,
     resolve_backend,
 )
-from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
+from flipdist.instances import gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
 from flipdist.solver import compositions, search_exact, search_upto
 
-from conftest import can_build_core, convex_pair, flip_closure
-from test_prune import fan
+from conftest import can_build_core, compiler_command, convex_pair, flip_closure
 
 needs_compiled = pytest.mark.skipif(not compiled_available(),
                                     reason="compiled extension not built")
@@ -53,35 +56,32 @@ def test_compiled_kernel_present_where_it_can_be_built():
     assert compiled_available()
 
 
+@pytest.mark.skipif(not can_build_core(), reason="no C compiler on PATH or no Python.h")
+def test_kernel_source_compiles_without_warnings():
+    # Python's own headers go in as system headers, so only warnings in
+    # _core.c count
+    paths = sysconfig.get_paths()
+    includes = sorted({paths["include"], paths["platinclude"]})
+    source = Path(_kernel.__file__).with_name("_core.c")
+    proc = subprocess.run(
+        compiler_command() + ["-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                              *(f"-isystem{d}" for d in includes), str(source)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestResolveBackend:
-    def test_explicit_pure(self):
-        assert resolve_backend(10, "pure") == "pure"
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            resolve_backend(10, "fast")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FLIPDIST_BACKEND", "pure")
+    def test_explicit_pure(self, monkeypatch):
+        # a machine without a compiler has no compiled kernel to pick
+        monkeypatch.setattr(_kernel, "_core", None)
         assert resolve_backend(10) == "pure"
-        monkeypatch.setenv("FLIPDIST_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            resolve_backend(10)
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("FLIPDIST_BACKEND", "pure")
-        assert resolve_backend(10, "auto") in ("pure", "compiled")
+        assert resolve_backend(COMPILED_MAX_POINTS) == "pure"
 
     @needs_compiled
     def test_auto_prefers_compiled_within_cap(self):
-        assert resolve_backend(10, "auto") == "compiled"
-        assert resolve_backend(COMPILED_MAX_POINTS, "auto") == "compiled"
-        assert resolve_backend(COMPILED_MAX_POINTS + 1, "auto") == "pure"
-
-    @needs_compiled
-    def test_explicit_compiled_over_cap_errors(self):
-        with pytest.raises(RuntimeError):
-            resolve_backend(COMPILED_MAX_POINTS + 1, "compiled")
+        assert resolve_backend(10) == "compiled"
+        assert resolve_backend(COMPILED_MAX_POINTS) == "compiled"
+        assert resolve_backend(COMPILED_MAX_POINTS + 1) == "pure"
 
     def test_kernel_for_unknown(self):
         with pytest.raises(ValueError):
@@ -137,11 +137,11 @@ class TestBackendParity:
                     assert pure(prep, comp.parts) is None
                     assert compiled(prep, comp.parts) is None
 
-    def test_solver_results_agree(self):
-        for start, end, d in instance_pairs()[:8]:
-            pure_res = search_upto(start, end, 6, backend="pure")
-            compiled_res = search_upto(start, end, 6, backend="compiled")
-            assert pure_res == compiled_res
+    def test_solver_results_agree(self, monkeypatch):
+        pairs = instance_pairs()[:8]
+        compiled_res = [search_upto(start, end, 6) for start, end, _ in pairs]
+        monkeypatch.setattr(_kernel, "_core", None)
+        assert [search_upto(start, end, 6) for start, end, _ in pairs] == compiled_res
 
     def test_cap_guard_in_compiled_kernel(self):
         from flipdist import _core
@@ -236,33 +236,13 @@ class TestSharedBuffers:
 
 
 class TestBackendThroughSolver:
-    def test_pure_backend_explicit(self, square_tris):
-        a, b = square_tris
-        res = search_exact(a, b, 1, backend="pure")
+    def test_pure_backend_explicit(self, square_tris, monkeypatch):
+        monkeypatch.setattr(_kernel, "_core", None)
+        res = search_exact(*square_tris, 1)
         assert res is not None and res.k == 1
 
     @needs_compiled
-    def test_compiled_backend_explicit(self, square_tris):
-        a, b = square_tris
-        assert (search_exact(a, b, 1, backend="compiled")
-                == search_exact(a, b, 1, backend="pure"))
-
-    def test_env_var_respected(self, square_tris, monkeypatch):
-        monkeypatch.setenv("FLIPDIST_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            search_exact(*square_tris, 1)
-
-    @pytest.mark.parametrize("search", [search_exact, search_upto])
-    def test_backend_checked_before_the_bound_answers(self, square_tris, search, monkeypatch):
-        # no kernel runs for k = 0 on equal triangulations or for k below the
-        # missing-edge bound (2 on the hexagon fans), yet the backend is checked
-        ps = gen_convex(6)
-        a = square_tris[0]
-        cases = [(a, a, 0), (*square_tris, 0), (fan(ps, 0), fan(ps, 3), 1)]
-        for start, end, k in cases:
-            with pytest.raises(ValueError):
-                search(start, end, k, backend="bogus")
+    def test_compiled_backend_explicit(self, square_tris, monkeypatch):
+        compiled_res = search_exact(*square_tris, 1)
         monkeypatch.setattr(_kernel, "_core", None)
-        for start, end, k in cases:
-            with pytest.raises(RuntimeError):
-                search(start, end, k, backend="compiled")
+        assert compiled_res == search_exact(*square_tris, 1)

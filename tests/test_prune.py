@@ -4,7 +4,7 @@ branches whose remaining flips cannot cover the edges still missing.
 
 The cut removes only branches that cannot accept, so the first accepting run
 in search order is unchanged.  The expected witnesses below are literal: they
-were produced by the search before the bound existed, and every backend must
+were produced by the search before the bound existed, and both kernels must
 still return them flip for flip.
 """
 
@@ -19,6 +19,16 @@ from flipdist.solver import flip_distance_upto, search_exact, search_upto
 from flipdist.triangulation import build, make_edge
 
 BACKENDS = ["pure"] + (["compiled"] if _kernel.compiled_available() else [])
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """The kernel the solver runs on: "pure" hides the compiled one, as on a
+    machine without a C compiler."""
+    if request.param == "pure":
+        monkeypatch.setattr(_kernel, "_core", None)
+    assert _kernel.resolve_backend(12) == request.param
+    return request.param
 
 
 def fan(ps, v: int):
@@ -91,26 +101,26 @@ def bound(start, end) -> int:
     return len(start.edges - end.edges)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("v", sorted(FAN_WITNESSES))
 def test_fan_witnesses_unchanged(v, backend):
     ps = gen_convex(12)
     start, end = initial_triangulation(ps), fan(ps, v)
     parts, flips = FAN_WITNESSES[v]
-    res = search_upto(start, end, 10, backend=backend)
+    res = search_upto(start, end, 10)
     assert res is not None
     assert res.k == bound(start, end) == len(flips)
     assert res.composition.parts == parts
     assert flips_of(res) == flips
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("n,seed,walk,lower,parts,flips", WALK_WITNESSES,
                          ids=[f"n{w[0]}-s{w[1]}-w{w[2]}" for w in WALK_WITNESSES])
 def test_walk_witnesses_unchanged(n, seed, walk, lower, parts, flips, backend):
     start, end = walk_pair(n, seed, walk)
     assert bound(start, end) == lower < len(flips)
-    res = search_upto(start, end, walk, backend=backend)
+    res = search_upto(start, end, walk)
     assert res is not None
     assert res.k == len(flips)
     assert res.composition.parts == parts
@@ -137,9 +147,9 @@ def test_scan_starts_at_the_bound(monkeypatch):
     asked = []
     real = solver.search_exact
 
-    def recording(t_start, t_end, k, **kwargs):
+    def recording(t_start, t_end, k):
         asked.append(k)
-        return real(t_start, t_end, k, **kwargs)
+        return real(t_start, t_end, k)
 
     monkeypatch.setattr(solver, "search_exact", recording)
     n, seed, walk, lower, _, flips = WALK_WITNESSES[0]

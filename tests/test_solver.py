@@ -257,6 +257,9 @@ class TestSearchExact:
     def test_mismatched_point_sets(self, square_tris):
         with pytest.raises(PointSetMismatch):
             search_exact(square_tris[0], initial_triangulation(gen_convex(4)), 1)
+        # the pair is checked before the budget
+        with pytest.raises(PointSetMismatch):
+            search_exact(square_tris[0], initial_triangulation(gen_convex(4)), -1)
 
 
 class TestDistanceScan:
@@ -287,6 +290,13 @@ class TestDistanceScan:
         a, b = square_tris
         assert search_upto(a, b, 0) is None
         assert flip_distance_upto(a, b, 0) is None
+
+    @pytest.mark.parametrize("search", [search_upto, flip_distance_upto])
+    def test_mismatched_point_sets(self, square_tris, search):
+        other = initial_triangulation(gen_convex(4))
+        for k_max in (-1, 0, 4):
+            with pytest.raises(PointSetMismatch):
+                search(square_tris[0], other, k_max)
 
     def test_scan_stops_at_first_accept(self, monkeypatch):
         # fan(0) -> fan(4) on the 12-gon accepts at composition (2, 1, ..., 1),
