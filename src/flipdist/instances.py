@@ -58,6 +58,8 @@ def gen_convex(n: int) -> PointSet:
     Exact integer coordinates, no three collinear, no trigonometry.  n is
     capped at 2^15 so (n-1)^2 stays inside the coordinate bound.
     """
+    if n < 3:
+        raise ValidationError(f"need at least 3 points, got {n}")
     if n > 2 ** 15:
         raise TooLarge(f"n = {n} exceeds 2^15, squares would leave the coordinate range")
     return PointSet.from_coords([(i, i * i) for i in range(n)])
@@ -71,6 +73,8 @@ def gen_random_points(n: int, seed: int, bound: int) -> PointSet:
     redrawn; coordinates are never perturbed.  Raises ExhaustedRetries when
     the grid is too cramped to succeed within the retry budget.
     """
+    if n < 3:
+        raise ValidationError(f"need at least 3 points, got {n}")
     if bound < 1 or bound > COORD_BOUND:
         raise TooLarge(f"bound {bound} outside [1, {COORD_BOUND}]")
     rng = random.Random(seed)

@@ -6,22 +6,28 @@ is connected, so BFS from any seed reaches everything; it is also
 combinatorially explosive, which is why ``bfs_distance`` takes a hard depth
 cap instead of running unbounded.
 
-A state is keyed by its edge set as a Python int with bit ``a*n + b`` set for
-each edge ``(a, b)``, ``a < b``.  Flipping ``e`` into ``g`` maps key ``k`` to
-``k ^ bit(e) ^ bit(g)``, and ``_moves`` reads ``e`` and ``g`` off ``tri_of``,
-so a neighbour's key costs neither ``flip`` nor ``canonical_key``.
+A BFS state is keyed by the edges in which it differs from the start: each
+call gives an edge the next free bit of an int when it first sees the edge,
+and a key is the XOR of the bits of ``T Δ start``.  Flipping ``e`` into ``g``
+maps key ``k`` to ``k ^ bit(e) ^ bit(g)``, so a neighbour's key costs no
+``flip``, and keys grow with the edges the search touched, not with n^2.
+
+Each state carries its move table, {flippable edge e: edge g it flips into}.
+A child copies its parent's, maps ``g`` back to ``e`` (the new diagonal
+always flips back) and tests again only the four sides of the flipped
+quadrilateral, the only edges whose triangles changed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import PointSetMismatch
 from .flipdag import FlipSequence
-from .geometry import PointSet, strictly_convex_quad
-from .triangulation import Edge, FlipRecord, Triangulation, canonical_key, flip
+from .geometry import PointSet
+from .triangulation import Edge, FlipRecord, Triangulation, _flips_into, canonical_key, flip, make_edge
 
 
 @dataclass(frozen=True)
@@ -34,46 +40,35 @@ class FlipGraphStats:
     distance_histogram: dict[int, int]
 
 
-def _bit(e: Edge, n: int) -> int:
-    return 1 << (e[0] * n + e[1])
+def _move_table(tri: Triangulation) -> dict[Edge, Edge]:
+    """The move table of tri: {flippable edge e: the edge g it flips into}."""
+    pts, tri_of = tri.ps.points, tri.tri_of
+    return {e: g for e in tri.edges if (g := _flips_into(pts, tri_of, e)) is not None}
 
 
-def _key(tri: Triangulation) -> int:
-    n = len(tri.ps)
-    return sum(_bit(e, n) for e in tri.edges)
+def _flip_with_moves(tri: Triangulation, e: Edge,
+                     moves: dict[Edge, Edge]) -> tuple[Triangulation, dict[Edge, Edge]]:
+    """flip(tri, e) and its move table, from tri's table ``moves``.  The new
+    diagonal g flips back into e, and only the four sides of the quadrilateral
+    change triangles, so only they are tested again."""
+    child = flip(tri, e)[0]
+    (a, b), (c, d) = e, moves[e]
+    out = dict(moves)
+    del out[e]
+    out[c, d] = e
+    for side in (make_edge(a, c), make_edge(b, c), make_edge(a, d), make_edge(b, d)):
+        if (g := _flips_into(child.ps.points, child.tri_of, side)) is None:
+            out.pop(side, None)
+        else:
+            out[side] = g
+    return child, out
 
 
-def _moves(tri: Triangulation, key: int) -> Iterator[tuple[Edge, Edge, int]]:
-    """(e, g, key of flip(tri, e)) for every flippable edge e, in sorted edge
-    order, where g is the edge the flip inserts and ``key`` is tri's key.  The
-    fixed order keeps witnesses deterministic."""
-    ps, tri_of, n = tri.ps, tri.tri_of, len(tri.ps)
-    for e in sorted(tri.edges):
-        tris = tri_of[e]
-        if len(tris) != 2:
-            continue
-        a, b = e
-        c, d = sorted(v for t in tris for v in t if v != a and v != b)
-        if strictly_convex_quad(ps[a], ps[c], ps[b], ps[d]):
-            yield e, (c, d), key ^ _bit(e, n) ^ _bit((c, d), n)
-
-
-# One BFS level entry: the state with ``key`` is flip(parent, edge), or the
-# root ``parent`` itself when edge is None.  It is built only when expanded.
-_Entry = tuple[Triangulation, Optional[Edge], int]
+# One BFS level entry: the state with ``key`` is flip(parent, edge) and moves is
+# parent's move table, or the root ``parent`` itself when edge and moves are None.
+_Entry = tuple[Triangulation, Optional[Edge], int, Optional[dict[Edge, Edge]]]
 # key -> (parent key, edge flipped in the parent, edge it inserted); None at the root
 _Seen = dict[int, Optional[tuple[int, Edge, Edge]]]
-
-
-def _expand(level: list[_Entry], seen: _Seen) -> Iterator[_Entry]:
-    """Build each state of ``level`` and yield the entries of its neighbours
-    missing from ``seen``, recording each there as it is yielded."""
-    for parent, edge, key in level:
-        tri = parent if edge is None else flip(parent, edge)[0]
-        for e, g, nxt in _moves(tri, key):
-            if nxt not in seen:
-                seen[nxt] = (key, e, g)
-                yield tri, e, nxt
 
 
 def _chain(seen: _Seen, key: int) -> list[tuple[Edge, Edge]]:
@@ -90,34 +85,48 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
                  cap: int) -> Optional[tuple[int, FlipSequence]]:
     """Exact flip distance with one shortest witness, or None if it exceeds cap.
 
-    Bidirectional, level-synchronous BFS over edge-bitmask keys.  Each round
-    expands every state of the smaller frontier (the start side on a tie) and
-    stops at the first key the other side has seen.  Before the round the
-    balls of radius d_s around the start and d_t around the target were
-    disjoint, so the distance exceeds d_s + d_t, while the path through the
-    meeting key has length at most d_s + 1 + d_t: it is shortest.  The search
-    gives up once d_s + d_t reaches cap.  A state is built with ``flip`` only
-    when its level is expanded, so the last level is never built.  The
-    witness is the forward parent chain from the start, then the backward
-    chain to the target, read off the stored (flipped, inserted) pairs.
+    Bidirectional, level-synchronous BFS over the keys and move tables of
+    the module docstring.  Each round expands every state of the smaller
+    frontier (the start side on a tie) and stops at the first key the other
+    side has seen.  Before the round the balls of radius d_s around the start
+    and d_t around the target were disjoint, so the distance exceeds
+    d_s + d_t, while the path through the meeting key has length at most
+    d_s + 1 + d_t: it is shortest.  The search gives up once d_s + d_t
+    reaches cap.  A state is built with ``flip``, and its move table updated
+    at the four sides of that flip, only when its level is expanded, so the
+    last level is never built.  The witness is the forward parent chain from
+    the start, then the backward chain to the target, read off the stored
+    (flipped, inserted) pairs.
     """
     if t_start.ps != t_end.ps:
         raise PointSetMismatch("triangulations are over different point sets")
-    roots = (_key(t_start), _key(t_end))
-    if roots[0] == roots[1]:
+    bits: dict[Edge, int] = {}  # edge -> its bit, the next free one at first sight
+    end_key = 0
+    for e in t_start.edges ^ t_end.edges:
+        end_key |= bits.setdefault(e, 1 << len(bits))
+    if end_key == 0:
         return 0, FlipSequence(start=t_start, flips=())
 
-    seen: tuple[_Seen, _Seen] = ({roots[0]: None}, {roots[1]: None})
-    levels = [[(t_start, None, roots[0])], [(t_end, None, roots[1])]]
+    seen: tuple[_Seen, _Seen] = ({0: None}, {end_key: None})
+    levels: list[list[_Entry]] = [[(t_start, None, 0, None)], [(t_end, None, end_key, None)]]
     depth = [0, 0]
     while depth[0] + depth[1] < cap:
         side = 0 if len(levels[0]) <= len(levels[1]) else 1
-        other = seen[1 - side]
-        nxt_level = []
-        for entry in _expand(levels[side], seen[side]):
-            if entry[2] in other:
-                return _witness(t_start, seen, entry[2])
-            nxt_level.append(entry)
+        mine, other = seen[side], seen[1 - side]
+        nxt_level: list[_Entry] = []
+        for parent, edge, key, moves in levels[side]:
+            if edge is None:
+                tri, moves = parent, _move_table(parent)
+            else:
+                tri, moves = _flip_with_moves(parent, edge, moves)
+            for e in sorted(moves):  # the fixed order keeps witnesses deterministic
+                g = moves[e]
+                nxt = key ^ bits.setdefault(e, 1 << len(bits)) ^ bits.setdefault(g, 1 << len(bits))
+                if nxt not in mine:
+                    mine[nxt] = (key, e, g)
+                    if nxt in other:
+                        return _witness(t_start, seen, nxt)
+                    nxt_level.append((tri, e, nxt, moves))
         levels[side] = nxt_level
         depth[side] += 1
     return None
@@ -132,15 +141,16 @@ def _witness(t_start: Triangulation, seen: tuple[_Seen, _Seen],
     return len(flips), FlipSequence(start=t_start, flips=tuple(flips))
 
 
-def _closure(seed: Triangulation) -> dict[int, Triangulation]:
-    out = {_key(seed): seed}
-    frontier = deque(out.items())
+def _closure(seed: Triangulation) -> dict[frozenset[Edge], Triangulation]:
+    """Every triangulation reachable from seed, keyed by its edge set."""
+    out = {seed.edges: seed}
+    frontier = deque([seed])
     while frontier:
-        key, tri = frontier.popleft()
-        for e, _, nxt in _moves(tri, key):
-            if nxt not in out:
+        tri = frontier.popleft()
+        for e, g in _move_table(tri).items():
+            if (nxt := tri.edges ^ {e, g}) not in out:
                 out[nxt] = flip(tri, e)[0]
-                frontier.append((nxt, out[nxt]))
+                frontier.append(out[nxt])
     return out
 
 
@@ -158,14 +168,13 @@ def graph_stats(ps: PointSet, seed_tri: Triangulation) -> FlipGraphStats:
     if seed_tri.ps != ps:
         raise PointSetMismatch("seed triangulation is over a different point set")
     nodes = _closure(seed_tri)
-    adjacency: dict[int, list[int]] = {
-        key: [nxt for _, _, nxt in _moves(tri, key)]
-        for key, tri in nodes.items()
-    }
+    index = {key: i for i, key in enumerate(nodes)}  # int vertices keep the all-pairs BFS cheap
+    adjacency = [[index[key ^ {e, g}] for e, g in _move_table(tri).items()]
+                 for key, tri in nodes.items()]
 
     histogram: dict[int, int] = {}
     diameter = 0
-    for source in adjacency:
+    for source in range(len(adjacency)):
         dist = {source: 0}
         frontier = deque([source])
         while frontier:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadIndex,
@@ -32,7 +32,7 @@ from .errors import (
     PointSetMismatch,
     ValidationError,
 )
-from .geometry import PointSet, convex_hull_edges, orient, segments_properly_cross, strictly_convex_quad
+from .geometry import Point, PointSet, convex_hull_edges, orient, segments_properly_cross, strictly_convex_quad
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -175,15 +175,21 @@ def quad_around(tri: Triangulation, e: Edge) -> Optional[tuple[int, int]]:
     return (min(apexes), max(apexes))
 
 
+def _flips_into(pts: Sequence[Point], tri_of: TriOf, e: Edge) -> Optional[Edge]:
+    """The diagonal that canonical edge e of tri_of flips into: the other
+    diagonal of its quadrilateral, or None when e is a hull edge or the
+    quadrilateral is not strictly convex.  ``pts`` is the point tuple."""
+    tris = tri_of[e]
+    if len(tris) != 2:
+        return None
+    a, b = e
+    c, d = sorted((sum(tris[0]) - a - b, sum(tris[1]) - a - b))
+    return (c, d) if strictly_convex_quad(pts[a], pts[c], pts[b], pts[d]) else None
+
+
 def is_flippable(tri: Triangulation, e: Edge) -> bool:
     """An edge flips iff it is interior and its quadrilateral is strictly convex."""
-    quad = quad_around(tri, e)
-    if quad is None:
-        return False
-    a, b = make_edge(*e)
-    c, d = quad
-    ps = tri.ps
-    return strictly_convex_quad(ps[a], ps[c], ps[b], ps[d])
+    return _flips_into(tri.ps.points, tri.tri_of, _require_edge(tri, e)) is not None
 
 
 def flip_step(ps: PointSet, edges: set[Edge], tri_of: TriOf, e: Edge) -> Optional[Edge]:

@@ -56,6 +56,14 @@ class TestGen:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("args", [("gen", "--mode", "convex"), ("gen", "--mode", "random"),
+                                      ("oracle", "--stats")])
+    def test_negative_n_quoted(self, args):
+        proc = run_cli(*args, "--n", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "got -1" in proc.stderr
+
     def test_negative_walk_rejected(self):
         assert run_cli("gen", "--mode", "convex", "--n", "5", "--walk", "-1").returncode == 2
 

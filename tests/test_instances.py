@@ -43,6 +43,12 @@ class TestGenConvex:
         with pytest.raises(TooLarge):
             gen_convex(2 ** 15 + 1)
 
+    @pytest.mark.parametrize("gen", [gen_convex, lambda n: gen_random_points(n, 0, 1000)])
+    @pytest.mark.parametrize("n", [-1, 0, 2])
+    def test_too_few_points_quotes_n(self, gen, n):
+        with pytest.raises(ValidationError, match=f"need at least 3 points, got {n}$"):
+            gen(n)
+
     def test_at_cap_is_valid(self):
         # validation is O(n^3), so check the boundary arithmetic directly
         n = 2 ** 15

@@ -4,7 +4,9 @@ Small convex point sets have closed-form flip graphs (Catalan vertex counts,
 the pentagon's graph is a 5-cycle), so most checks here compare against those
 plus an independently coded closure from conftest.  The bidirectional
 ``bfs_distance`` is also compared with the one-sided BFS it replaced, kept
-below verbatim as ``reference_bfs_distance``.
+below verbatim as ``reference_bfs_distance``, and with the bidirectional BFS
+over ``a*n + b`` edge-bitmask keys that rebuilt every move of every state,
+kept verbatim as ``bitmask_bfs_distance``: the witnesses must be identical.
 """
 
 from __future__ import annotations
@@ -12,20 +14,22 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import pytest
 
 import flipdist
-from flipdist import oracle
+from flipdist import oracle, triangulation
 from flipdist.errors import PointSetMismatch
 from flipdist.flipdag import FlipSequence, replay
+from flipdist.geometry import convex_hull_edges, strictly_convex_quad
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance, enumerate_all, graph_stats
 from flipdist.solver import search_upto
-from flipdist.triangulation import FlipRecord, Triangulation, build, canonical_key, flip, is_flippable
+from flipdist.triangulation import Edge, FlipRecord, Triangulation, build, canonical_key, flip, is_flippable
 
 from conftest import convex_pair, flip_closure
 from test_prune import fan
@@ -83,6 +87,106 @@ def reference_bfs_distance(t_start: Triangulation, t_end: Triangulation,
         key = parent_key
     recs.reverse()
     return found_depth, FlipSequence(start=t_start, flips=tuple(recs))
+
+
+# bitmask_bfs_distance and its helpers, as bfs_distance was before states
+# carried move tables and keys took compact per-call bits.
+def _bit(e: Edge, n: int) -> int:
+    return 1 << (e[0] * n + e[1])
+
+
+def _key(tri: Triangulation) -> int:
+    n = len(tri.ps)
+    return sum(_bit(e, n) for e in tri.edges)
+
+
+def _moves(tri: Triangulation, key: int) -> Iterator[tuple[Edge, Edge, int]]:
+    """(e, g, key of flip(tri, e)) for every flippable edge e, in sorted edge
+    order, where g is the edge the flip inserts and ``key`` is tri's key.  The
+    fixed order keeps witnesses deterministic."""
+    ps, tri_of, n = tri.ps, tri.tri_of, len(tri.ps)
+    for e in sorted(tri.edges):
+        tris = tri_of[e]
+        if len(tris) != 2:
+            continue
+        a, b = e
+        c, d = sorted(v for t in tris for v in t if v != a and v != b)
+        if strictly_convex_quad(ps[a], ps[c], ps[b], ps[d]):
+            yield e, (c, d), key ^ _bit(e, n) ^ _bit((c, d), n)
+
+
+# One BFS level entry: the state with ``key`` is flip(parent, edge), or the
+# root ``parent`` itself when edge is None.  It is built only when expanded.
+_Entry = tuple[Triangulation, Optional[Edge], int]
+# key -> (parent key, edge flipped in the parent, edge it inserted); None at the root
+_Seen = dict[int, Optional[tuple[int, Edge, Edge]]]
+
+
+def _expand(level: list[_Entry], seen: _Seen) -> Iterator[_Entry]:
+    """Build each state of ``level`` and yield the entries of its neighbours
+    missing from ``seen``, recording each there as it is yielded."""
+    for parent, edge, key in level:
+        tri = parent if edge is None else flip(parent, edge)[0]
+        for e, g, nxt in _moves(tri, key):
+            if nxt not in seen:
+                seen[nxt] = (key, e, g)
+                yield tri, e, nxt
+
+
+def _chain(seen: _Seen, key: int) -> list[tuple[Edge, Edge]]:
+    """The (flipped, inserted) edge pairs on the parent chain from ``key`` up
+    to its side's root, nearest to ``key`` first."""
+    out = []
+    while (step := seen[key]) is not None:
+        key, e, g = step
+        out.append((e, g))
+    return out
+
+
+def bitmask_bfs_distance(t_start: Triangulation, t_end: Triangulation,
+                         cap: int) -> Optional[tuple[int, FlipSequence]]:
+    """Exact flip distance with one shortest witness, or None if it exceeds cap.
+
+    Bidirectional, level-synchronous BFS over edge-bitmask keys.  Each round
+    expands every state of the smaller frontier (the start side on a tie) and
+    stops at the first key the other side has seen.  Before the round the
+    balls of radius d_s around the start and d_t around the target were
+    disjoint, so the distance exceeds d_s + d_t, while the path through the
+    meeting key has length at most d_s + 1 + d_t: it is shortest.  The search
+    gives up once d_s + d_t reaches cap.  A state is built with ``flip`` only
+    when its level is expanded, so the last level is never built.  The
+    witness is the forward parent chain from the start, then the backward
+    chain to the target, read off the stored (flipped, inserted) pairs.
+    """
+    if t_start.ps != t_end.ps:
+        raise PointSetMismatch("triangulations are over different point sets")
+    roots = (_key(t_start), _key(t_end))
+    if roots[0] == roots[1]:
+        return 0, FlipSequence(start=t_start, flips=())
+
+    seen: tuple[_Seen, _Seen] = ({roots[0]: None}, {roots[1]: None})
+    levels = [[(t_start, None, roots[0])], [(t_end, None, roots[1])]]
+    depth = [0, 0]
+    while depth[0] + depth[1] < cap:
+        side = 0 if len(levels[0]) <= len(levels[1]) else 1
+        other = seen[1 - side]
+        nxt_level = []
+        for entry in _expand(levels[side], seen[side]):
+            if entry[2] in other:
+                return _witness(t_start, seen, entry[2])
+            nxt_level.append(entry)
+        levels[side] = nxt_level
+        depth[side] += 1
+    return None
+
+
+def _witness(t_start: Triangulation, seen: tuple[_Seen, _Seen],
+             meet: int) -> tuple[int, FlipSequence]:
+    # forward: the flips from the start to meet; backward: each state's
+    # inserted edge flips it back to its parent, one step nearer the target
+    flips = [FlipRecord(underlying=e, resulting=g) for e, g in reversed(_chain(seen[0], meet))]
+    flips += [FlipRecord(underlying=g, resulting=e) for e, g in _chain(seen[1], meet)]
+    return len(flips), FlipSequence(start=t_start, flips=tuple(flips))
 
 
 def pentagon_fan(apex: int):
@@ -180,12 +284,21 @@ def walk_pairs():
         yield start, random_walk_triangulation(start, steps=4 + seed % 5, seed=seed + 500)
 
 
+def assert_same_as_bitmask(start, end, cap):
+    got = bfs_distance(start, end, cap)
+    want = bitmask_bfs_distance(start, end, cap)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got[0], got[1].flips) == (want[0], want[1].flips)
+    return got
+
+
 def assert_shortest(start, end, cap):
     """bfs_distance agrees with the reference at cap, gives the distance d at
     cap d and None at every cap below; the witness has length d, replays and
-    repeats."""
+    repeats.  At every cap it returns the bitmask BFS's distance and witness."""
     want = reference_bfs_distance(start, end, cap)
-    got = bfs_distance(start, end, cap)
+    got = assert_same_as_bitmask(start, end, cap)
     assert (got is None) == (want is None)
     if got is None:
         return
@@ -193,9 +306,9 @@ def assert_shortest(start, end, cap):
     assert d == want[0] == len(seq)
     assert replay(seq) == end
     assert bfs_distance(start, end, cap) == got
-    assert bfs_distance(start, end, d)[0] == d
+    assert assert_same_as_bitmask(start, end, d)[0] == d
     for below in range(d):
-        assert bfs_distance(start, end, below) is None
+        assert assert_same_as_bitmask(start, end, below) is None
 
 
 class TestAgainstReference:
@@ -216,6 +329,44 @@ class TestAgainstReference:
         monkeypatch.setattr(oracle, "flip", lambda *args: calls.append(args))
         assert bfs_distance(start, end, 1) is None
         assert calls == []
+
+    def test_convexity_tests_four_per_built_state(self, monkeypatch):
+        # roots test every interior edge once; a built state tests only the
+        # four sides of its flip (flip's own test inside flip_step not counted)
+        start = initial_triangulation(gen_convex(11))
+        end = random_walk_triangulation(start, steps=8, seed=5)
+        tests, flips = [], []
+
+        def counting(*quad):
+            tests.append(quad)
+            return strictly_convex_quad(*quad)
+
+        def uncounted_flip(tri, e):
+            flips.append(e)
+            with monkeypatch.context() as m:
+                m.setattr(triangulation, "strictly_convex_quad", strictly_convex_quad)
+                return flip(tri, e)
+
+        for module in (oracle, triangulation):  # count a test wherever the oracle makes it
+            if hasattr(module, "strictly_convex_quad"):
+                monkeypatch.setattr(module, "strictly_convex_quad", counting)
+        monkeypatch.setattr(oracle, "flip", uncounted_flip)
+        d, seq = bfs_distance(start, end, 12)
+        assert d == 6 and replay(seq) == end
+        interior = sum(len(tri.edges) - len(convex_hull_edges(tri.ps)) for tri in (start, end))
+        assert flips and len(tests) <= interior + 4 * len(flips)
+
+    def test_peak_memory_at_cap_one(self):
+        # keys hold a bit per edge the call has seen, not one per point pair
+        start = initial_triangulation(gen_random_points(300, 1, 2 ** 20))
+        end = random_walk_triangulation(start, steps=6, seed=1)
+        tracemalloc.start()
+        try:
+            assert bfs_distance(start, end, 1) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestDeepGroundTruth:
