@@ -116,12 +116,7 @@ def make_prep(t_start: Triangulation, t_end: Triangulation) -> _searchpure.Prep:
     Start edges are emitted sorted; the kernels rely on that for the initial
     ordering of necessary edges."""
     ps = t_start.ps
-    n = len(ps)
     xs = tuple(p.x for p in ps)
     ys = tuple(p.y for p in ps)
-    edges = []
-    for a, b in sorted(t_start.edges):
-        apexes = sorted(v for t in t_start.tri_of[(a, b)] for v in t if v != a and v != b)
-        c, d = (apexes[0], -1) if len(apexes) == 1 else apexes
-        edges.append((a, b, c, d))
-    return (n, xs, ys, tuple(edges), tuple(sorted(t_end.edges)))
+    edges = tuple((a, b, c, d) for (a, b), (c, d) in sorted(t_start.apex.items()))
+    return (len(ps), xs, ys, edges, tuple(sorted(t_end.edges)))

@@ -36,6 +36,7 @@ from .triangulation import FlipRecord, make_edge
 
 _DEFAULT_CAP = 64
 _DEFAULT_MAX_K = 10
+_STATS_MAX_N = 10  # --stats holds all Catalan(n - 2) triangulations: 1,430 at n = 10
 
 
 def _nonneg(text: str) -> int:
@@ -120,6 +121,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.stats:
         if args.n is None:
             return _fail("--stats needs --n")
+        if args.n > _STATS_MAX_N:
+            return _fail(f"--stats needs --n at most {_STATS_MAX_N}, got {args.n}")
         ps = gen_convex(args.n)
         stats = graph_stats(ps, initial_triangulation(ps))
         print("n,order,diameter")
@@ -223,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print a shortest flip sequence")
     p.add_argument("--stats", action="store_true",
                    help="print flip graph statistics for the convex n-gon")
-    p.add_argument("--n", type=int, default=None, help="point count for --stats")
+    p.add_argument("--n", type=int, default=None, help=f"point count for --stats (at most {_STATS_MAX_N})")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-check solver against the oracle, or replay a witness")

@@ -3,10 +3,10 @@
 A flip sequence F = <f_1, ..., f_r> applied to a start triangulation visits
 intermediates T_0, ..., T_r.  The dependency DAG has one node per flip and an
 arc i -> j (i < j) when flip j cannot be moved before flip i: either the edge
-created by f_i is the edge removed by f_j, or those two edges share a triangle
-of T_{j-1}, provided the created edge survives untouched strictly between the
-two flips.  Every topological order of this DAG replays to the same endpoint,
-which is what ``check_reordering`` verifies.
+created by f_i is the edge removed by f_j, or it is a side of the
+quadrilateral that f_j flips in T_{j-1}, provided the created edge survives
+untouched strictly between the two flips.  Every topological order of this
+DAG replays to the same endpoint, which is what ``check_reordering`` verifies.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidAt, ValidationError
 # flip is unused here but stays a module name: perfbench/tracing.py patches flipdag.flip
-from .triangulation import Edge, FlipRecord, Triangulation, TriOf, flip, flip_step  # noqa: F401
+from .triangulation import ApexMap, Edge, FlipRecord, Triangulation, _quad_sides, flip, flip_step  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,38 +49,39 @@ class FlipDag:
                 raise ValidationError(f"arc ({i}, {j}) not forward within {self.node_count} nodes")
 
 
-def _walk(start: Triangulation, flips: Iterable[FlipRecord]) -> Iterator[tuple[set[Edge], TriOf]]:
-    """The (edges, tri_of) pairs of T_0..T_r, each live until the next: one
+def _walk(start: Triangulation, flips: Iterable[FlipRecord]) -> Iterator[tuple[set[Edge], ApexMap]]:
+    """The (edges, apex) pairs of T_0..T_r, each live until the next: one
     private copy of the start, flipped in place.  Raises InvalidAt(i) at the
     first flip whose edge is not flippable or that inserts another edge."""
-    edges, tri_of = set(start.edges), dict(start.tri_of)
-    yield edges, tri_of
+    edges, apex = set(start.edges), dict(start.apex)
+    yield edges, apex
     for i, rec in enumerate(flips):
-        actual = flip_step(start.ps, edges, tri_of, rec.underlying)
+        actual = flip_step(start.ps, edges, apex, rec.underlying)
         if actual is None:
             raise InvalidAt(i, f"edge {rec.underlying} not flippable")
         if actual != rec.resulting:
             raise InvalidAt(i, f"flip yields {actual}, record says {rec.resulting}")
-        yield edges, tri_of
+        yield edges, apex
 
 
 def intermediates(seq: FlipSequence) -> list[Triangulation]:
     """All of T_0..T_r.  Raises InvalidAt as ``_walk`` does."""
-    return [Triangulation(seq.start.ps, frozenset(edges), dict(tri_of))
-            for edges, tri_of in _walk(seq.start, seq.flips)]
+    return [Triangulation(seq.start.ps, frozenset(edges), dict(apex))
+            for edges, apex in _walk(seq.start, seq.flips)]
 
 
 def replay(seq: FlipSequence) -> Triangulation:
     """The endpoint after applying the whole sequence.  Raises InvalidAt as ``_walk`` does."""
-    *_, (edges, tri_of) = _walk(seq.start, seq.flips)
-    return Triangulation(seq.start.ps, frozenset(edges), tri_of)
+    *_, (edges, apex) = _walk(seq.start, seq.flips)
+    return Triangulation(seq.start.ps, frozenset(edges), apex)
 
 
 def build_dag(seq: FlipSequence) -> FlipDag:
     """Arcs i -> j exactly where flip j depends on flip i (see module doc).
 
     The created-edge/removed-edge interaction is tested on T_{j-1}, the live
-    state of one in-place replay just before flip j.
+    state of one in-place replay just before flip j: a created edge still there
+    shares a triangle with the removed edge iff it is a side of its quadrilateral.
     """
     r = len(seq.flips)
     # next_flip[i]: first p > i that flips the edge created by flip i (r + 1 if none)
@@ -88,14 +89,15 @@ def build_dag(seq: FlipSequence) -> FlipDag:
                       r + 1) for i, rec in enumerate(seq.flips)]
 
     arcs = set()
-    for j, (_, tri_of) in enumerate(_walk(seq.start, seq.flips)):
+    for j, (_, apex) in enumerate(_walk(seq.start, seq.flips)):
         if j == r:
             break
-        around = set(tri_of.get(seq.flips[j].underlying, ()))  # the triangles flip j removes
+        removed = seq.flips[j].underlying
+        around = set(_quad_sides(removed, *apex.get(removed, (-1, -1))))  # none if absent
         for i in range(j):
             if next_flip[i] == j:
                 arcs.add((i, j))
-            elif next_flip[i] > j and not around.isdisjoint(tri_of.get(seq.flips[i].resulting, ())):
+            elif next_flip[i] > j and seq.flips[i].resulting in around:
                 arcs.add((i, j))
     return FlipDag(node_count=r, arcs=frozenset(arcs))
 

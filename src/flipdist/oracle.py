@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import PointSetMismatch
 from .flipdag import FlipSequence
 from .geometry import PointSet
-from .triangulation import Edge, FlipRecord, Triangulation, _flips_into, canonical_key, flip, make_edge
+from .triangulation import Edge, FlipRecord, Triangulation, _flips_into, _quad_sides, canonical_key, flip
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class FlipGraphStats:
 
 def _move_table(tri: Triangulation) -> dict[Edge, Edge]:
     """The move table of tri: {flippable edge e: the edge g it flips into}."""
-    pts, tri_of = tri.ps.points, tri.tri_of
-    return {e: g for e in tri.edges if (g := _flips_into(pts, tri_of, e)) is not None}
+    pts, apex = tri.ps.points, tri.apex
+    return {e: g for e in tri.edges if (g := _flips_into(pts, apex, e)) is not None}
 
 
 def _flip_with_moves(tri: Triangulation, e: Edge,
@@ -52,15 +52,14 @@ def _flip_with_moves(tri: Triangulation, e: Edge,
     diagonal g flips back into e, and only the four sides of the quadrilateral
     change triangles, so only they are tested again."""
     child = flip(tri, e)[0]
-    (a, b), (c, d) = e, moves[e]
     out = dict(moves)
-    del out[e]
-    out[c, d] = e
-    for side in (make_edge(a, c), make_edge(b, c), make_edge(a, d), make_edge(b, d)):
-        if (g := _flips_into(child.ps.points, child.tri_of, side)) is None:
+    g = out.pop(e)
+    out[g] = e
+    for side in _quad_sides(e, *g):
+        if (h := _flips_into(child.ps.points, child.apex, side)) is None:
             out.pop(side, None)
         else:
-            out[side] = g
+            out[side] = h
     return child, out
 
 

@@ -1,19 +1,21 @@
 r"""Triangulations of a planar point set and the edge-flip primitive.
 
-A triangulation is stored as its canonical edge set plus the edge -> incident
-triangles map.  Flipping an interior edge replaces the diagonal of the strictly
-convex quadrilateral formed by its two triangles:
+A triangulation is stored as its canonical edge set plus the apex map: each
+edge (a, b) maps to (c, d), the third vertices of its two triangles, with
+c < d, or to (c, -1) when the edge is on the hull.  These are the
+(a, b, c, d) rows both search kernels read.  Flipping an interior edge
+replaces the diagonal of the strictly convex quadrilateral around it:
 
         c                 c
        / \               /|\
-      / 1 \             / | \
-     a-----b    ->     a 1|2 b        flip of (a,b) yields (c,d);
-      \ 2 /             \ | /         the entries of the five edges of
-       \ /               \|/          the quadrilateral change, no others.
-        d                 d
+      /   \             / | \
+     a-----b    ->     a  |  b        flip of (a,b) yields (c,d), whose
+      \   /             \ | /         apexes are (a,b); each of the four
+       \ /               \|/          sides ac, bc, ad, bd swaps one apex
+        d                 d           (b for d, or a for c), no others.
 
 Triangulation values are immutable: ``flip`` applies ``flip_step``, the O(1)
-in-place change of an ``(edges, tri_of)`` pair, to C-level copies of the
+in-place change of an ``(edges, apex)`` pair, to C-level copies of the
 input's, so search code may branch freely without undo bookkeeping.
 """
 
@@ -36,7 +38,7 @@ from .geometry import Point, PointSet, convex_hull_edges, orient, segments_prope
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
-TriOf = dict[Edge, tuple[Triangle, ...]]
+ApexMap = dict[Edge, tuple[int, int]]
 
 
 def make_edge(a: int, b: int) -> Edge:
@@ -69,17 +71,18 @@ class Triangulation:
     """Immutable triangulation value.  Use :func:`build` to construct one
     from raw edges; ``flip`` produces derived values directly."""
 
-    __slots__ = ("ps", "edges", "tri_of", "_key")
+    __slots__ = ("ps", "edges", "apex", "_key")
 
-    def __init__(self, ps: PointSet, edges: frozenset[Edge], tri_of: TriOf):
+    def __init__(self, ps: PointSet, edges: frozenset[Edge], apex: ApexMap):
         self.ps = ps
         self.edges = edges
-        self.tri_of = tri_of
+        self.apex = apex
         self._key: Optional[bytes] = None
 
     @property
     def triangles(self) -> frozenset[Triangle]:
-        return frozenset(t for tris in self.tri_of.values() for t in tris)
+        return frozenset(make_triangle(a, b, w) for (a, b), pair in self.apex.items()
+                         for w in pair if w >= 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangulation):
@@ -123,27 +126,29 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
+    apex: ApexMap = {}
     triangles: set[Triangle] = set()
     for a, b in edges:
         pa, pb = pts[a], pts[b]
-        apex = {1: -1, -1: -1}
+        nearest = {1: -1, -1: -1}
         for w in adj[a] & adj[b]:
             side = orient(pa, pb, pts[w])
             # w is nearer to ab than the apex so far iff that apex lies past w around a
-            if apex[side] < 0 or orient(pa, pts[w], pts[apex[side]]) == side:
-                apex[side] = w
-        triangles.update(make_triangle(a, b, w) for w in apex.values() if w >= 0)
+            if nearest[side] < 0 or orient(pa, pts[w], pts[nearest[side]]) == side:
+                nearest[side] = w
+        c, d = sorted(nearest.values())
+        apex[a, b] = (d, c) if c < 0 else (c, d)
+        triangles.update(make_triangle(a, b, w) for w in nearest.values() if w >= 0)
 
-    tri_of: dict[Edge, list[Triangle]] = {e: [] for e in edges}
+    bounded = dict.fromkeys(edges, 0)  # how many candidates each edge bounds
     sides = dict.fromkeys(edges, 0)  # sum over incident candidates of the apex's side
-    for tri in triangles:
-        u, v, w = tri
+    for u, v, w in triangles:
         s = orient(pts[u], pts[v], pts[w])
         for e, side in (((u, v), s), ((u, w), -s), ((v, w), s)):
-            tri_of[e].append(tri)
+            bounded[e] += 1
             sides[e] += side
-    if not all(len(tris) == 1 if e in hull else len(tris) == 2 and sides[e] == 0
-               for e, tris in tri_of.items()):
+    if not all(count == 1 if e in hull else count == 2 and sides[e] == 0
+               for e, count in bounded.items()):
         ordered = sorted(edges)
         for i, e1 in enumerate(ordered):
             seg1 = (pts[e1[0]], pts[e1[1]])
@@ -151,9 +156,8 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
                 if segments_properly_cross(seg1, (pts[e2[0]], pts[e2[1]])):
                     raise NotPlanar(f"edges {e1} and {e2} cross")
         raise AssertionError("non-crossing maximal edge set failed the triangulation certificate")
-
-    frozen = {e: tuple(sorted(tris)) for e, tris in tri_of.items()}
-    return Triangulation(ps, frozenset(edges), frozen)
+    # each edge bounds its own candidates and, having passed, no others: apex holds the faces
+    return Triangulation(ps, frozenset(edges), apex)
 
 
 def _require_edge(tri: Triangulation, e: Edge) -> Edge:
@@ -166,79 +170,73 @@ def _require_edge(tri: Triangulation, e: Edge) -> Edge:
 def quad_around(tri: Triangulation, e: Edge) -> Optional[tuple[int, int]]:
     """Apex vertices (min, max) of the two triangles at an interior edge,
     or None for a hull edge."""
-    e = _require_edge(tri, e)
-    tris = tri.tri_of[e]
-    if len(tris) == 1:
-        return None
+    c, d = tri.apex[_require_edge(tri, e)]
+    return None if d < 0 else (c, d)
+
+
+def _quad_sides(e: Edge, c: int, d: int) -> list[Edge]:
+    """The sides (a, c), (b, c), (a, d), (b, d) of the quadrilateral around
+    e = (a, b) with apexes c < d, canonical; only the first two when d < 0."""
     a, b = e
-    apexes = [next(v for v in t if v != a and v != b) for t in tris]
-    return (min(apexes), max(apexes))
+    return [make_edge(x, y) for y in (c, d) if y >= 0 for x in (a, b)]
 
 
-def _flips_into(pts: Sequence[Point], tri_of: TriOf, e: Edge) -> Optional[Edge]:
-    """The diagonal that canonical edge e of tri_of flips into: the other
-    diagonal of its quadrilateral, or None when e is a hull edge or the
+def _flips_into(pts: Sequence[Point], apex: ApexMap, e: Edge) -> Optional[Edge]:
+    """The diagonal that canonical edge e of the apex map flips into: the
+    other diagonal of its quadrilateral, or None when e is a hull edge or the
     quadrilateral is not strictly convex.  ``pts`` is the point tuple."""
-    tris = tri_of[e]
-    if len(tris) != 2:
+    c, d = apex[e]
+    if d < 0:
         return None
     a, b = e
-    c, d = sorted((sum(tris[0]) - a - b, sum(tris[1]) - a - b))
     return (c, d) if strictly_convex_quad(pts[a], pts[c], pts[b], pts[d]) else None
 
 
 def is_flippable(tri: Triangulation, e: Edge) -> bool:
     """An edge flips iff it is interior and its quadrilateral is strictly convex."""
-    return _flips_into(tri.ps.points, tri.tri_of, _require_edge(tri, e)) is not None
+    return _flips_into(tri.ps.points, tri.apex, _require_edge(tri, e)) is not None
 
 
-def flip_step(ps: PointSet, edges: set[Edge], tri_of: TriOf, e: Edge) -> Optional[Edge]:
-    """Flip edge e of an (edges, tri_of) pair in place, in O(1), and return
+def flip_step(ps: PointSet, edges: set[Edge], apex: ApexMap, e: Edge) -> Optional[Edge]:
+    """Flip edge e of an (edges, apex) pair in place, in O(1), and return
     the edge inserted; or return None, changing nothing, when e is not a
     canonical edge of the pair or does not flip (see ``is_flippable``)."""
-    tris = tri_of.get(e)
-    if tris is None or len(tris) != 2:
+    if e not in apex or (g := _flips_into(ps.points, apex, e)) is None:
         return None
     a, b = e
-    gone = {sum(t) - a - b: t for t in tris}  # apex -> its triangle
-    c, d = sorted(gone)
-    if not strictly_convex_quad(ps[a], ps[c], ps[b], ps[d]):
-        return None
-    born = {a: make_triangle(a, c, d), b: make_triangle(b, c, d)}
-    for x, y in ((a, c), (b, c), (a, d), (b, d)):
-        side = make_edge(x, y)
-        tri_of[side] = tuple(sorted([born[x] if t == gone[y] else t for t in tri_of[side]]))
-    del tri_of[e]
-    tri_of[(c, d)] = (born[a], born[b])  # sorted, as a < b
+    c, d = g
+    # side ac's triangle abc becomes acd, so its apex b becomes d; likewise bc, ad, bd
+    for side, old, new in zip(_quad_sides(e, c, d), (b, a, b, a), (d, d, c, c)):
+        x, y = apex[side]
+        x, y = (new, y) if x == old else (x, new)
+        apex[side] = (y, x) if x > y >= 0 else (x, y)
+    del apex[e]
+    apex[g] = e
     edges.remove(e)
-    edges.add((c, d))
-    return c, d
+    edges.add(g)
+    return g
 
 
 def flip(tri: Triangulation, e: Edge) -> tuple[Triangulation, FlipRecord]:
     """Replace diagonal e with the opposite diagonal of its quadrilateral."""
     e = _require_edge(tri, e)
-    edges, tri_of = set(tri.edges), dict(tri.tri_of)
-    new_edge = flip_step(tri.ps, edges, tri_of, e)
+    edges, apex = set(tri.edges), dict(tri.apex)
+    new_edge = flip_step(tri.ps, edges, apex, e)
     if new_edge is None:
         raise NotFlippable(f"edge {e} is not flippable")
-    return Triangulation(tri.ps, frozenset(edges), tri_of), FlipRecord(e, new_edge)
+    return Triangulation(tri.ps, frozenset(edges), apex), FlipRecord(e, new_edge)
 
 
 def edge_neighbors(tri: Triangulation, e: Edge) -> list[Edge]:
     """The other edges of e's incident triangles, in a fixed deterministic
-    order: triangles sorted by canonical triple, then the two non-e edges of
+    order: the quadrilateral's sides as ``_quad_sides`` lists them, which is
+    the triangles sorted by canonical triple, then the two non-e edges of
     each triangle in lexicographic order.  Length 2 for hull edges, 4 for
     interior ones.  This order is what gives move directions their meaning
     in the search, so it must never change.
     """
     e = _require_edge(tri, e)
-    a, b = e
-    out: list[Edge] = []
-    for t in tri.tri_of[e]:  # already sorted canonically
-        w = next(v for v in t if v != a and v != b)
-        out.extend(sorted((make_edge(a, w), make_edge(b, w))))
-    return out
+    return _quad_sides(e, *tri.apex[e])
 
 
 def necessary_edges(tri: Triangulation, target: Triangulation) -> list[Edge]:

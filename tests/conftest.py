@@ -11,7 +11,7 @@ import pytest
 
 from flipdist.geometry import PointSet
 from flipdist.instances import gen_convex, initial_triangulation
-from flipdist.triangulation import Triangulation, build, canonical_key, flip, is_flippable
+from flipdist.triangulation import Edge, Triangle, Triangulation, build, canonical_key, flip, is_flippable
 
 # unit square scaled to keep things integral
 SQUARE_COORDS = [(0, 0), (4, 0), (4, 4), (0, 4)]
@@ -59,6 +59,18 @@ def can_build_core() -> bool:
 def convex_pair(n: int) -> tuple[PointSet, Triangulation]:
     ps = gen_convex(n)
     return ps, initial_triangulation(ps)
+
+
+def tri_of(tri: Triangulation) -> dict[Edge, tuple[Triangle, ...]]:
+    """Edge -> its incident triangles, sorted: the map triangulations stored
+    before they stored apexes, derived from ``tri.triangles`` for the
+    reference code that still reads it."""
+    out: dict[Edge, list[Triangle]] = {e: [] for e in tri.edges}
+    for t in sorted(tri.triangles):
+        u, v, w = t
+        for e in ((u, v), (u, w), (v, w)):
+            out[e].append(t)
+    return {e: tuple(tris) for e, tris in out.items()}
 
 
 def flip_closure(seed: Triangulation) -> list[Triangulation]:

@@ -171,6 +171,16 @@ class TestOracle:
     def test_stats_needs_n(self):
         assert run_cli("oracle", "--stats").returncode == 2
 
+    @pytest.mark.parametrize("n", ["11", "40"])
+    def test_stats_refuses_large_n(self, n):
+        # the flip graph of the convex 40-gon cannot be held, so the size
+        # check must come first; the timeout stops a run that tries anyway
+        proc = subprocess.run(MODULE + ["oracle", "--stats", "--n", n],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "at most 10" in proc.stderr
+
     def test_needs_some_input(self):
         assert run_cli("oracle").returncode == 2
 

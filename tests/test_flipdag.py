@@ -25,7 +25,7 @@ from flipdist.instances import gen_convex, gen_random_points, initial_triangulat
 from flipdist.oracle import bfs_distance
 from flipdist.triangulation import FlipRecord, build, flip
 
-from conftest import convex_pair
+from conftest import convex_pair, tri_of
 
 
 def hexagon_fan():
@@ -75,7 +75,7 @@ def naive_arcs(seq):
                 break  # the created edge is gone; later flips depend on j instead
             tri = steps[j]
             if created in tri.edges and removed in tri.edges:
-                if set(tri.tri_of[created]) & set(tri.tri_of[removed]):
+                if set(tri_of(tri)[created]) & set(tri_of(tri)[removed]):
                     arcs.add((i, j))
     return arcs
 

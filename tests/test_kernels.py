@@ -21,11 +21,11 @@ from flipdist._kernel import (
     make_prep,
     resolve_backend,
 )
-from flipdist.instances import gen_random_points, initial_triangulation, random_walk_triangulation
+from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
 from flipdist.solver import compositions, search_exact, search_upto
 
-from conftest import can_build_core, compiler_command, convex_pair, flip_closure
+from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
 
 needs_compiled = pytest.mark.skipif(not compiled_available(),
                                     reason="compiled extension not built")
@@ -47,6 +47,32 @@ def instance_pairs():
         d, _ = bfs_distance(start, end, cap=6)
         out.append((start, end, d))
     return out
+
+
+def reference_make_prep(t_start, t_end):
+    """make_prep as it was when triangulations stored their triangle map, kept
+    verbatim but for reading that map from conftest.tri_of."""
+    ps = t_start.ps
+    n = len(ps)
+    xs = tuple(p.x for p in ps)
+    ys = tuple(p.y for p in ps)
+    edges = []
+    triangle_map = tri_of(t_start)
+    for a, b in sorted(t_start.edges):
+        apexes = sorted(v for t in triangle_map[(a, b)] for v in t if v != a and v != b)
+        c, d = (apexes[0], -1) if len(apexes) == 1 else apexes
+        edges.append((a, b, c, d))
+    return (n, xs, ys, tuple(edges), tuple(sorted(t_end.edges)))
+
+
+def test_make_prep_matches_the_triangle_map_version():
+    cases = [(start, end) for start, end, _ in instance_pairs()]
+    for ps in (gen_random_points(300, seed=1, bound=1 << 20), gen_convex(300)):
+        start = random_walk_triangulation(initial_triangulation(ps), steps=30, seed=2)
+        cases.append((start, random_walk_triangulation(start, steps=6, seed=3)))
+    for start, end in cases:
+        assert make_prep(start, end) == reference_make_prep(start, end)
+        assert make_prep(end, start) == reference_make_prep(end, start)
 
 
 @pytest.mark.skipif(not can_build_core(), reason="no C compiler on PATH or no Python.h")

@@ -12,6 +12,7 @@ kept verbatim as ``bitmask_bfs_distance``: the witnesses must be identical.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -29,9 +30,18 @@ from flipdist.geometry import convex_hull_edges, strictly_convex_quad
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance, enumerate_all, graph_stats
 from flipdist.solver import search_upto
-from flipdist.triangulation import Edge, FlipRecord, Triangulation, build, canonical_key, flip, is_flippable
+from flipdist.triangulation import (
+    Edge,
+    FlipRecord,
+    Triangulation,
+    build,
+    canonical_key,
+    edge_neighbors,
+    flip,
+    is_flippable,
+)
 
-from conftest import convex_pair, flip_closure
+from conftest import convex_pair, flip_closure, tri_of
 from test_prune import fan
 
 
@@ -90,7 +100,8 @@ def reference_bfs_distance(t_start: Triangulation, t_end: Triangulation,
 
 
 # bitmask_bfs_distance and its helpers, as bfs_distance was before states
-# carried move tables and keys took compact per-call bits.
+# carried move tables and keys took compact per-call bits.  ``_moves`` reads
+# the triangle map triangulations stored then, now derived by conftest.tri_of.
 def _bit(e: Edge, n: int) -> int:
     return 1 << (e[0] * n + e[1])
 
@@ -104,9 +115,9 @@ def _moves(tri: Triangulation, key: int) -> Iterator[tuple[Edge, Edge, int]]:
     """(e, g, key of flip(tri, e)) for every flippable edge e, in sorted edge
     order, where g is the edge the flip inserts and ``key`` is tri's key.  The
     fixed order keeps witnesses deterministic."""
-    ps, tri_of, n = tri.ps, tri.tri_of, len(tri.ps)
+    ps, triangle_map, n = tri.ps, tri_of(tri), len(tri.ps)
     for e in sorted(tri.edges):
-        tris = tri_of[e]
+        tris = triangle_map[e]
         if len(tris) != 2:
             continue
         a, b = e
@@ -367,6 +378,27 @@ class TestAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+class TestMoveTables:
+    def test_flip_with_moves_along_walks(self):
+        # each child holds the apex map build gives its edges and the move
+        # table computed from scratch, also after flips next to the hull
+        next_to_hull = flips = 0
+        for seed in range(6):
+            ps = gen_convex(9) if seed == 0 else gen_random_points(8 + seed, seed, 1000)
+            hull = set(convex_hull_edges(ps))
+            rng = random.Random(seed)
+            tri = initial_triangulation(ps)
+            moves = oracle._move_table(tri)
+            for _ in range(3 * len(ps)):
+                e = rng.choice(sorted(moves))
+                next_to_hull += not hull.isdisjoint(edge_neighbors(tri, e))
+                tri, moves = oracle._flip_with_moves(tri, e, moves)
+                flips += 1
+                assert tri.apex == build(ps, tri.edges).apex
+                assert moves == oracle._move_table(tri)
+        assert flips > next_to_hull > flips // 4
 
 
 class TestDeepGroundTruth:

@@ -4,11 +4,15 @@
 replays, builds DAGs and checks reorderings on one mutable copy of the start.
 The reference functions below are the earlier versions, kept verbatim as
 oracles (only renamed, with ``RefTri`` standing in for the former
-``Triangulation`` that stored its triangle set): a ``flip`` that copied and
-rebuilt the value on every call, and the ``intermediates``, ``build_dag`` and
-``check_reordering`` built on it.  On seeded random walks both must give the
-same states, arcs and answers, and on corrupted sequences the same
-``InvalidAt`` index and message.
+``Triangulation`` that stored its triangle set and its edge -> triangles
+map): a ``flip`` that copied and rebuilt the value on every call, the
+``quad_around`` and ``is_flippable`` it read that map with, and the
+``intermediates``, ``build_dag`` and ``check_reordering`` built on it.  A
+``RefTri`` takes its map from ``conftest.tri_of`` once, at the start of a
+walk, and keeps it up to date itself.  On seeded random walks both must give
+the same states, arcs and answers, and on corrupted sequences the same
+``InvalidAt`` index and message.  Every state, whether made by ``flip`` or by
+in-place replay, must also hold the apex map that ``build`` gives its edges.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import random
 
 import pytest
 
-from flipdist.errors import FlipDistError, InvalidAt, NotFlippable, ValidationError
+from flipdist.errors import EdgeAbsent, FlipDistError, InvalidAt, NotFlippable, ValidationError
 from flipdist.flipdag import (
     FlipSequence,
     build_dag,
@@ -27,16 +31,20 @@ from flipdist.flipdag import (
     replay,
     topological_sorts_sample,
 )
+from flipdist.geometry import convex_hull_edges, strictly_convex_quad
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation
 from flipdist.triangulation import (
     FlipRecord,
     Triangulation,
+    build,
+    edge_neighbors,
     flip,
     is_flippable,
     make_edge,
     make_triangle,
-    quad_around,
 )
+
+from conftest import tri_of
 
 SIZES = range(6, 13)
 SEEDS = range(4)
@@ -56,15 +64,45 @@ class RefTri:
 
 
 def ref_of(tri: Triangulation) -> RefTri:
-    return RefTri(tri.ps, tri.edges, tri.tri_of, tri.triangles)
+    return RefTri(tri.ps, tri.edges, tri_of(tri), tri.triangles)
+
+
+def reference_require_edge(tri, e):
+    e = make_edge(*e)
+    if e not in tri.edges:
+        raise EdgeAbsent(f"edge {e} not in triangulation")
+    return e
+
+
+def reference_quad_around(tri, e):
+    e = reference_require_edge(tri, e)
+    tris = tri.tri_of[e]
+    if len(tris) == 1:
+        return None
+    a, b = e
+    apexes = [next(v for v in t if v != a and v != b) for t in tris]
+    return (min(apexes), max(apexes))
+
+
+def reference_flips_into(pts, tri_of, e):
+    tris = tri_of[e]
+    if len(tris) != 2:
+        return None
+    a, b = e
+    c, d = sorted((sum(tris[0]) - a - b, sum(tris[1]) - a - b))
+    return (c, d) if strictly_convex_quad(pts[a], pts[c], pts[b], pts[d]) else None
+
+
+def reference_is_flippable(tri, e):
+    return reference_flips_into(tri.ps.points, tri.tri_of, reference_require_edge(tri, e)) is not None
 
 
 def reference_flip(tri, e):
     e = make_edge(*e)
-    if not is_flippable(tri, e):
+    if not reference_is_flippable(tri, e):
         raise NotFlippable(f"edge {e} is not flippable")
     a, b = e
-    c, d = quad_around(tri, e)  # type: ignore[misc]
+    c, d = reference_quad_around(tri, e)  # type: ignore[misc]
     new_edge = make_edge(c, d)
 
     gone1, gone2 = make_triangle(a, b, c), make_triangle(a, b, d)
@@ -92,7 +130,7 @@ def reference_intermediates(seq):
     out = [seq.start]
     for i, rec in enumerate(seq.flips):
         cur = out[-1]
-        if rec.underlying not in cur.edges or not is_flippable(cur, rec.underlying):
+        if rec.underlying not in cur.edges or not reference_is_flippable(cur, rec.underlying):
             raise InvalidAt(i, f"edge {rec.underlying} not flippable")
         nxt, actual = reference_flip(cur, rec.underlying)
         if actual.resulting != rec.resulting:
@@ -139,7 +177,7 @@ def reference_check_reordering(seq, perm) -> bool:
     cur = seq.start
     for idx in perm:
         rec = seq.flips[idx]
-        if rec.underlying not in cur.edges or not is_flippable(cur, rec.underlying):
+        if rec.underlying not in cur.edges or not reference_is_flippable(cur, rec.underlying):
             return False
         cur, actual = reference_flip(cur, rec.underlying)
         if actual.resulting != rec.resulting:
@@ -156,7 +194,16 @@ def outcome(fn, *args):
 
 
 def state(tri) -> tuple:
-    return tri.edges, tri.tri_of, tri.triangles
+    """Edges, triangle map and triangle set: a RefTri's as it keeps them, a
+    Triangulation's derived from its apex map."""
+    if isinstance(tri, RefTri):
+        return tri.edges, tri.tri_of, tri.triangles
+    return tri.edges, tri_of(tri), tri.triangles
+
+
+def assert_built_apexes(tri: Triangulation) -> None:
+    """tri holds the apex map that build gives its edges."""
+    assert tri.apex == build(tri.ps, tri.edges).apex
 
 
 def point_sets():
@@ -186,6 +233,7 @@ def walks():
             e = rng.choice(options)
             (tri, rec), (ref, ref_rec) = flip(tri, e), reference_flip(ref, e)
             assert state(tri) == state(ref) and rec == ref_rec
+            assert_built_apexes(tri)
             recs.append(rec)
         yield label, start, tuple(recs)
 
@@ -207,18 +255,27 @@ def test_flip_matches_reference_along_walks(walk_cases):
 
 def test_flip_step_leaves_inputs_alone(walk_cases):
     for _, start, flips in walk_cases:
-        before = (set(start.edges), dict(start.tri_of))
+        before = (set(start.edges), dict(start.apex))
         replay(FlipSequence(start=start, flips=flips))
         flip(start, next(e for e in sorted(start.edges) if is_flippable(start, e)))
-        assert (start.edges, start.tri_of) == before
+        assert (start.edges, start.apex) == before
 
 
 def test_same_intermediates(walk_cases):
+    next_to_hull = 0
     for _, start, flips in walk_cases:
         seq, ref_seq = both(start, flips)
         got, want = intermediates(seq), reference_intermediates(ref_seq)
         assert [state(t) for t in got] == [state(t) for t in want]
         assert state(replay(seq)) == state(want[-1])
+        hull = set(convex_hull_edges(start.ps))
+        for tri, rec in zip(got, flips):
+            assert_built_apexes(tri)
+            next_to_hull += not hull.isdisjoint(edge_neighbors(tri, rec.underlying))
+        assert_built_apexes(got[-1])
+        assert_built_apexes(replay(seq))
+    # the apex maps were checked after flips that change a hull edge's apex
+    assert next_to_hull > len(walk_cases)
 
 
 def test_same_dag_arcs(walk_cases):

@@ -51,6 +51,8 @@ from flipdist.triangulation import (
     make_triangle,
 )
 
+from conftest import tri_of
+
 SIZES = range(3, 10)
 BOUNDS = (6, 20, 1000)
 SEEDS = range(12)
@@ -182,7 +184,11 @@ def assert_same_build(ps: PointSet, edges: list[Edge]) -> bool:
     if not isinstance(got, Triangulation):
         assert got == want, edges  # the same error type and message
         return False
-    assert (got.edges, got.triangles, got.tri_of) == want, edges
+    assert (got.edges, got.triangles, tri_of(got)) == want, edges
+    # and its apex map holds the reference's third vertices, (c, d) with c < d
+    # or (c, -1) on the hull
+    apexes = {(a, b): sorted(sum(t) - a - b for t in tris) for (a, b), tris in want[2].items()}
+    assert got.apex == {e: (v[0], -1) if len(v) == 1 else tuple(v) for e, v in apexes.items()}, edges
     return True
 
 
