@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import index
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -37,15 +38,33 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
-def direction(p: Point, q: Point) -> tuple[int, int]:
-    """The line through distinct p and q as a reduced integer direction with
-    a fixed sign: for any r other than p, the points p, q, r are collinear
-    iff direction(p, q) == direction(p, r)."""
-    dx, dy = q.x - p.x, q.y - p.y
+def direction(dx: int, dy: int) -> tuple[int, int]:
+    """The line through p and q = p + (dx, dy) != p as a reduced integer
+    direction with a fixed sign: for any r other than p, the points p, q, r
+    are collinear iff direction(q - p) == direction(r - p)."""
     g = math.gcd(dx, dy)
     if dx < 0 or (dx == 0 and dy < 0):
         g = -g
     return dx // g, dy // g
+
+
+def _shared_line(x: int, y: int, coords: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """The first pair of positions j < k in ``coords`` whose points lie on one
+    line through (x, y), a point not in coords, or None.
+
+    Differences of coordinates within 2^30 are exact doubles and division
+    rounds correctly, so points on one line get equal float slopes (math.inf
+    when vertical, 0.0 == -0.0): distinct slopes prove the lines distinct,
+    and only a repeat runs the exact :func:`direction` test.
+    """
+    slopes = {(qy - y) / (qx - x) if qx != x else math.inf for qx, qy in coords}
+    if len(slopes) == len(coords):
+        return None
+    # first[d] is the first position in direction d; the smallest hit is the first pair
+    first: dict[tuple[int, int], int] = {}
+    hits = [(j, k) for k, (qx, qy) in enumerate(coords)
+            if (j := first.setdefault(direction(qx - x, qy - y), k)) != k]
+    return min(hits, default=None)
 
 
 def strictly_convex_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -72,9 +91,11 @@ def segments_properly_cross(e1: tuple[Point, Point], e2: tuple[Point, Point]) ->
 class PointSet:
     """An ordered, validated collection of points in general position.
 
-    Validation enforces: n >= 3, coordinates within +-2^30, all coordinate
-    pairs distinct, and no three points collinear (two points with the same
-    :func:`direction` from a third).  A collinear input is reported by its
+    Validation enforces: n >= 3, integer coordinates within +-2^30, all
+    coordinate pairs distinct, and no three points collinear: the float
+    slopes from each point to the later ones prove them on distinct lines
+    unless two are equal, and only then are exact reduced directions
+    compared (:func:`_shared_line`).  A collinear input is reported by its
     lexicographically first triple.
     Degenerate inputs are rejected outright because flips across collinear
     quadrilaterals are undefined.
@@ -97,16 +118,11 @@ class PointSet:
             if key in seen:
                 raise ValidationError(f"points {seen[key]} and {p.id} coincide at {key}")
             seen[key] = p.id
-        for i, p in enumerate(pts):
-            # first[d] is the smallest index after i in direction d, so each
-            # hit (j, k) is a collinear triple i, j, k; the smallest hit is
-            # the lexicographically first triple starting at i.
-            first: dict[tuple[int, int], int] = {}
-            hits = [(j, q.id) for q in pts[i + 1:]
-                    if (j := first.setdefault(direction(p, q), q.id)) != q.id]
-            if hits:
-                j, k = min(hits)
-                raise ValidationError(f"points {i}, {j}, {k} are collinear")
+        coords = [(index(p.x), index(p.y)) for p in pts]
+        for i, (x, y) in enumerate(coords):
+            if pair := _shared_line(x, y, coords[i + 1:]):
+                j, k = pair
+                raise ValidationError(f"points {i}, {i + 1 + j}, {i + 1 + k} are collinear")
         self.points = pts
 
     @classmethod

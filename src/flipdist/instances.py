@@ -30,7 +30,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .geometry import COORD_BOUND, Point, PointSet, direction, orient
+from .geometry import COORD_BOUND, PointSet, _shared_line, orient
 from .triangulation import Edge, Triangulation, build, flip, is_flippable, make_edge
 
 _RETRY_BUDGET = 20_000
@@ -78,23 +78,22 @@ def gen_random_points(n: int, seed: int, bound: int) -> PointSet:
     if bound < 1 or bound > COORD_BOUND:
         raise TooLarge(f"bound {bound} outside [1, {COORD_BOUND}]")
     rng = random.Random(seed)
-    points: list[Point] = []
+    coords: list[tuple[int, int]] = []
     taken: set[tuple[int, int]] = set()
     budget = _RETRY_BUDGET
-    while len(points) < n:
+    while len(coords) < n:
         if budget == 0:
             raise ExhaustedRetries(f"no general-position placement after {_RETRY_BUDGET} draws")
         budget -= 1
         x, y = rng.randint(0, bound), rng.randint(0, bound)
         if (x, y) in taken:
             continue
-        cand = Point(len(points), x, y)
-        # cand is collinear with two accepted points iff they share a direction from it
-        if len({direction(cand, p) for p in points}) < len(points):
+        # (x, y) is collinear with two accepted points iff they share a line through it
+        if _shared_line(x, y, coords) is not None:
             continue
-        points.append(cand)
+        coords.append((x, y))
         taken.add((x, y))
-    return PointSet(points)
+    return PointSet.from_coords(coords)
 
 
 def initial_triangulation(ps: PointSet) -> Triangulation:

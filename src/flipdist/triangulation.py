@@ -34,7 +34,7 @@ from .errors import (
     PointSetMismatch,
     ValidationError,
 )
-from .geometry import Point, PointSet, convex_hull_edges, orient, segments_properly_cross, strictly_convex_quad
+from .geometry import Point, PointSet, convex_hull_edges, segments_properly_cross
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -101,11 +101,13 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     triangulation iff no two properly cross, so NotPlanar is the only error
     left, and a local certificate decides it.  For each edge and side, the
     common neighbour of its endpoints angularly nearest to the edge gives a
-    candidate face.  The edges are accepted iff every hull edge bounds one
-    candidate and every other edge bounds two, one on each side.  Then each
-    point of the hull is covered equally often (crossing an edge leaves one
-    candidate and enters one), and once, as next to a hull edge: the
-    candidates tile the hull, so no edges cross, and they are the faces.
+    candidate face.  The edges are accepted iff every hull edge has one
+    candidate and every other edge two, and each candidate abw is also the
+    candidate of aw and bw on its side.  Then every edge bounds only its own
+    candidates, so each point of the hull is covered equally often
+    (crossing an edge leaves one candidate and enters one), and once, as
+    next to a hull edge: the candidates tile the hull, so no edges cross,
+    and they are the faces.
     Only a rejected certificate runs the all-pairs crossing test, which
     names the first crossing pair.
     """
@@ -121,35 +123,30 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     if len(edges) != expected:
         raise NotMaximal(f"{len(edges)} edges, expected 3n-3-h = {expected}")
 
-    pts = ps.points
+    xy = ps.coords()
     adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
     apex: ApexMap = {}
-    triangles: set[Triangle] = set()
     for a, b in edges:
-        pa, pb = pts[a], pts[b]
+        (xa, ya), (xb, yb) = xy[a], xy[b]
+        dx, dy = xb - xa, yb - ya
         nearest = {1: -1, -1: -1}
         for w in adj[a] & adj[b]:
-            side = orient(pa, pb, pts[w])
+            xw, yw = xy[w]
+            side = 1 if dx * (yw - ya) > dy * (xw - xa) else -1  # never 0 in general position
+            c = nearest[side]
             # w is nearer to ab than the apex so far iff that apex lies past w around a
-            if nearest[side] < 0 or orient(pa, pts[w], pts[nearest[side]]) == side:
+            if c < 0 or ((xw - xa) * (xy[c][1] - ya) - (yw - ya) * (xy[c][0] - xa)) * side > 0:
                 nearest[side] = w
         c, d = sorted(nearest.values())
         apex[a, b] = (d, c) if c < 0 else (c, d)
-        triangles.update(make_triangle(a, b, w) for w in nearest.values() if w >= 0)
-
-    bounded = dict.fromkeys(edges, 0)  # how many candidates each edge bounds
-    sides = dict.fromkeys(edges, 0)  # sum over incident candidates of the apex's side
-    for u, v, w in triangles:
-        s = orient(pts[u], pts[v], pts[w])
-        for e, side in (((u, v), s), ((u, w), -s), ((v, w), s)):
-            bounded[e] += 1
-            sides[e] += side
-    if not all(count == 1 if e in hull else count == 2 and sides[e] == 0
-               for e, count in bounded.items()):
-        ordered = sorted(edges)
+    # candidate abw is aw's and bw's on its side iff they list b and a as apexes
+    consistent = all(w < 0 or b in apex[make_edge(a, w)] and a in apex[make_edge(b, w)]
+                     for (a, b), pair in apex.items() for w in pair)
+    if not consistent or not all(c >= 0 and (d < 0) == (e in hull) for e, (c, d) in apex.items()):
+        pts, ordered = ps.points, sorted(edges)
         for i, e1 in enumerate(ordered):
             seg1 = (pts[e1[0]], pts[e1[1]])
             for e2 in ordered[i + 1:]:
@@ -188,8 +185,11 @@ def _flips_into(pts: Sequence[Point], apex: ApexMap, e: Edge) -> Optional[Edge]:
     c, d = apex[e]
     if d < 0:
         return None
-    a, b = e
-    return (c, d) if strictly_convex_quad(pts[a], pts[c], pts[b], pts[d]) else None
+    pa, pb, pc, pd = pts[e[0]], pts[e[1]], pts[c], pts[d]
+    dx, dy = pd.x - pc.x, pd.y - pc.y
+    # c, d lie on opposite sides of e: convex iff e's ends lie strictly on opposite sides of cd
+    cross = (dx * (pa.y - pc.y) - dy * (pa.x - pc.x)) * (dx * (pb.y - pc.y) - dy * (pb.x - pc.x))
+    return (c, d) if cross < 0 else None
 
 
 def is_flippable(tri: Triangulation, e: Edge) -> bool:

@@ -348,19 +348,21 @@ class TestAgainstReference:
         end = random_walk_triangulation(start, steps=8, seed=5)
         tests, flips = [], []
 
-        def counting(*quad):
-            tests.append(quad)
-            return strictly_convex_quad(*quad)
+        flips_into = triangulation._flips_into  # tests the quadrilateral of an interior edge
+
+        def counting(pts, apex, e):
+            if apex[e][1] >= 0:  # a hull edge is answered before any test
+                tests.append(e)
+            return flips_into(pts, apex, e)
 
         def uncounted_flip(tri, e):
             flips.append(e)
             with monkeypatch.context() as m:
-                m.setattr(triangulation, "strictly_convex_quad", strictly_convex_quad)
+                m.setattr(triangulation, "_flips_into", flips_into)
                 return flip(tri, e)
 
         for module in (oracle, triangulation):  # count a test wherever the oracle makes it
-            if hasattr(module, "strictly_convex_quad"):
-                monkeypatch.setattr(module, "strictly_convex_quad", counting)
+            monkeypatch.setattr(module, "_flips_into", counting)
         monkeypatch.setattr(oracle, "flip", uncounted_flip)
         d, seq = bfs_distance(start, end, 12)
         assert d == 6 and replay(seq) == end

@@ -1,12 +1,14 @@
 """Input validation against the cubic reference checks it replaced.
 
-``PointSet`` finds collinear triples by reduced directions, ``build``
-accepts an edge set by a local certificate and ``gen_random_points`` tests a
-candidate against one set of directions.  The reference functions below are
-the earlier all-triples, all-pairs and all-pairs-per-candidate versions,
-kept verbatim as oracles: on every input both must raise the same exception
-type with the same message, or return equal values.  The guards at the end
-fail if a cubic loop comes back on valid inputs.
+``PointSet`` finds collinear triples by float slopes with an exact
+fallback, ``build`` accepts an edge set by a local certificate and
+``gen_random_points`` tests a candidate against one set of slopes.  The
+reference functions below are the earlier all-triples, all-pairs and
+all-pairs-per-candidate versions, kept verbatim as oracles: on every input
+both must raise the same exception type with the same message, or return
+equal values.  The guards at the end fail if a cubic loop, the exact
+collinearity fallback or an orientation test per face comes back on valid
+inputs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from flipdist.geometry import (
     Point,
     PointSet,
     convex_hull_edges,
+    direction,
     orient,
     segments_properly_cross,
 )
@@ -245,6 +248,56 @@ class TestPointSetDifferential:
             PointSet(points)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("coords,want", [
+        # from (0, 0) both slopes round to the float 1 - 2^-30, but no three
+        # points are collinear
+        ([(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 ** 30 - 2)], None),
+        # the same collision at 0, then a triple on the line y = x - 1
+        ([(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 ** 30 - 2), (2 ** 30 - 2, 2 ** 30 - 3)],
+         (ValidationError, "points 1, 2, 3 are collinear")),
+    ])
+    def test_slopes_that_round_to_one_float(self, coords, want):
+        assert (2 ** 30 - 1) / 2 ** 30 == (2 ** 30 - 2) / (2 ** 30 - 1)
+        points = [Point(i, x, y) for i, (x, y) in enumerate(coords)]
+        assert outcome(reference_pointset, points) == want
+        got = outcome(PointSet, points)
+        if want is None:
+            assert isinstance(got, PointSet) and got.points == tuple(points)
+        else:
+            assert got == want
+
+    def test_non_integer_coordinates(self):
+        # the slope proof needs exact differences: a float is refused, as math.gcd refuses it
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            PointSet([Point(0, 0, 0), Point(1, 1, 0.5), Point(2, 2, 3)])
+
+    def test_coordinate_bound(self, monkeypatch):
+        # the origin and points a few units from a corner (+-2^30, +-2^30):
+        # their slopes from the origin round to few floats, so the exact
+        # fallback runs often; some sets get a triple planted on a line
+        exact = []
+        monkeypatch.setattr(geometry, "direction", lambda *d: exact.append(d) or direction(*d))
+        rng = random.Random(1)
+        fallback_accepted = collinear = 0
+        for n, _ in itertools.product(range(3, 9), range(60)):
+            sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+            coords = [(0, 0)] + [(COORD_BOUND - rng.randrange(12), COORD_BOUND - rng.randrange(12))
+                                 for _ in range(n - 1)]
+            if n > 3 and rng.random() < 0.5:
+                (qx, qy), (dx, dy) = coords[1], (rng.randrange(3), rng.randrange(1, 3))
+                coords[-2:] = [(qx - dx, qy - dy), (qx - 2 * dx, qy - 2 * dy)]
+            points = [Point(i, sx * x, sy * y) for i, (x, y) in enumerate(coords)]
+            want = outcome(reference_pointset, points)
+            exact.clear()
+            got = outcome(PointSet, points)
+            if want is None:
+                assert isinstance(got, PointSet) and got.points == tuple(points)
+                fallback_accepted += bool(exact)
+            else:
+                assert got == want, points
+                collinear += "collinear" in want[1]
+        assert fallback_accepted > 30 and collinear > 100
+
 
 class TestBuildDifferential:
     @pytest.mark.parametrize("bound", BOUNDS)
@@ -280,6 +333,21 @@ class TestBuildDifferential:
         assert outcome(build, ps, edges) == (NotPlanar, "edges (0, 4) and (1, 2) cross")
         assert not assert_same_build(ps, edges)
 
+    # Every edge has as many candidate faces as in a triangulation, but one
+    # candidate is the candidate of only two of its three sides.
+    @pytest.mark.parametrize("coords,edges,crossing", [
+        # (1, 2, 3), from (1, 2), is (1, 3)'s but not (2, 3)'s
+        ([(2, 4), (3, 3), (2, 6), (0, 0), (6, 3)],
+         [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], "(0, 4) and (1, 2)"),
+        # (1, 2, 4), from (2, 4), is (1, 4)'s but not (1, 2)'s
+        ([(1, 6), (6, 4), (4, 0), (5, 3), (2, 5)],
+         [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], "(0, 3) and (1, 4)"),
+    ])
+    def test_candidate_of_two_of_its_sides(self, coords, edges, crossing):
+        ps = PointSet.from_coords(coords)
+        assert outcome(build, ps, edges) == (NotPlanar, f"edges {crossing} cross")
+        assert not assert_same_build(ps, edges)
+
 
 class TestGenRandomPointsDifferential:
     def test_same_draws_and_decisions(self):
@@ -297,7 +365,8 @@ def _forbidden(*args, **kwargs):
 
 class TestComplexityGuards:
     """Deterministic stand-ins for timing: valid inputs must never reach the
-    cubic collinearity loop or the all-pairs crossing test."""
+    cubic collinearity loop, the exact fallback behind the float slopes, the
+    all-pairs crossing test or an orientation test per face in build."""
 
     @pytest.mark.parametrize("ps", [gen_convex(300), gen_random_points(300, 1, 1 << 20)],
                              ids=["convex", "random"])
@@ -310,12 +379,27 @@ class TestComplexityGuards:
         convex = gen_convex(300).coords()
         monkeypatch.setattr(geometry, "orient", _forbidden)
         monkeypatch.setattr(instances, "orient", _forbidden)
+        # distinct float slopes settle these sets without the exact fallback
+        monkeypatch.setattr(geometry, "direction", _forbidden)
         assert len(PointSet.from_coords(convex)) == 300
         assert len(gen_random_points(300, 1, 1 << 20)) == 300
 
+    @pytest.mark.parametrize("ps", [gen_convex(300), gen_random_points(300, 1, 1 << 20)],
+                             ids=["convex", "random"])
+    def test_build_orients_only_for_the_hull(self, ps, monkeypatch):
+        edges = sorted(initial_triangulation(ps).edges)
+        calls = []
+        for module in (geometry, triangulation):
+            if hasattr(module, "orient"):
+                monkeypatch.setattr(module, "orient", lambda *pqr: calls.append(pqr) or orient(*pqr))
+        convex_hull_edges(ps)
+        hull_calls = len(calls)
+        assert build(ps, edges).edges == frozenset(edges)
+        assert len(calls) == 2 * hull_calls  # none per edge or candidate face
+
 
 OPTIMIZED_SCRIPT = """
-from flipdist import NotPlanar, PointSet, build, triangulation
+from flipdist import NotPlanar, PointSet, ValidationError, build, triangulation
 assert False, "asserts are stripped"
 ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 edges = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
@@ -329,6 +413,12 @@ try:
     build(ps, edges)
 except AssertionError:
     print("AssertionError")
+try:
+    PointSet.from_coords([(0, 0), (3, 1), (1, 5), (6, 2)])
+except ValidationError as exc:
+    print("ValidationError:", exc)
+# two slopes from (0, 0) round to one float; the exact fallback accepts the set
+print(len(PointSet.from_coords([(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 ** 30 - 2)])), "points")
 """
 
 
@@ -337,4 +427,5 @@ def test_crossing_rejected_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], capture_output=True,
                           text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["NotPlanar: edges (0, 2) and (1, 3) cross", "AssertionError"]
+    assert proc.stdout.splitlines() == ["NotPlanar: edges (0, 2) and (1, 3) cross", "AssertionError",
+                                        "ValidationError: points 0, 1, 3 are collinear", "3 points"]
