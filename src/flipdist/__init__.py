@@ -30,7 +30,7 @@ from .flipdag import (
     to_dot,
     topological_sorts_sample,
 )
-from .geometry import COORD_BOUND, Point, PointSet, convex_hull_edges, orient, strictly_convex_quad
+from .geometry import COORD_BOUND, Point, PointSet, convex_hull_edges, orient
 from .instances import (
     Instance,
     gen_convex,

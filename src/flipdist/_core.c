@@ -75,13 +75,13 @@ static int flippable(const Search *s, int e)
         return 0;
     int a = e / s->n, b = e % s->n;
     const long long *xs = s->xs, *ys = s->ys;
-    /* quad corners in cyclic order a, c, b, d must turn consistently */
-    long long s1 = (xs[c] - xs[a]) * (ys[b] - ys[a]) - (ys[c] - ys[a]) * (xs[b] - xs[a]);
-    long long s2 = (xs[b] - xs[c]) * (ys[d] - ys[c]) - (ys[b] - ys[c]) * (xs[d] - xs[c]);
-    long long s3 = (xs[d] - xs[b]) * (ys[a] - ys[b]) - (ys[d] - ys[b]) * (xs[a] - xs[b]);
-    long long s4 = (xs[a] - xs[d]) * (ys[c] - ys[d]) - (ys[a] - ys[d]) * (xs[c] - xs[d]);
-    return (s1 > 0 && s2 > 0 && s3 > 0 && s4 > 0) ||
-           (s1 < 0 && s2 < 0 && s3 < 0 && s4 < 0);
+    long long dx = xs[d] - xs[c], dy = ys[d] - ys[c];
+    /* c, d lie on opposite sides of ab: convex iff a, b lie strictly on
+     * opposite sides of cd; each determinant can reach 2^62, so compare
+     * their signs and never multiply them */
+    long long sa = dx * (ys[a] - ys[c]) - dy * (xs[a] - xs[c]);
+    long long sb = dx * (ys[b] - ys[c]) - dy * (xs[b] - xs[c]);
+    return (sa < 0 && sb > 0) || (sa > 0 && sb < 0);
 }
 
 /* The pure kernel's reaction to an apex table that contradicts itself. */

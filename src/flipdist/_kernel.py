@@ -119,4 +119,4 @@ def make_prep(t_start: Triangulation, t_end: Triangulation) -> _searchpure.Prep:
     xs = tuple(p.x for p in ps)
     ys = tuple(p.y for p in ps)
     edges = tuple((a, b, c, d) for (a, b), (c, d) in sorted(t_start.apex.items()))
-    return (len(ps), xs, ys, edges, tuple(sorted(t_end.edges)))
+    return (len(ps), xs, ys, edges, tuple(sorted(t_end.apex)))

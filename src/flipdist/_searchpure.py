@@ -53,13 +53,10 @@ class _State:
             return False
         n, xs, ys = self.n, self.xs, self.ys
         a, b = divmod(eid, n)
-        # quad corners in cyclic order a, c, b, d must turn consistently
-        s1 = (xs[c] - xs[a]) * (ys[b] - ys[a]) - (ys[c] - ys[a]) * (xs[b] - xs[a])
-        s2 = (xs[b] - xs[c]) * (ys[d] - ys[c]) - (ys[b] - ys[c]) * (xs[d] - xs[c])
-        s3 = (xs[d] - xs[b]) * (ys[a] - ys[b]) - (ys[d] - ys[b]) * (xs[a] - xs[b])
-        s4 = (xs[a] - xs[d]) * (ys[c] - ys[d]) - (ys[a] - ys[d]) * (xs[c] - xs[d])
-        return (s1 > 0 and s2 > 0 and s3 > 0 and s4 > 0) or \
-               (s1 < 0 and s2 < 0 and s3 < 0 and s4 < 0)
+        dx, dy = xs[d] - xs[c], ys[d] - ys[c]
+        # c, d lie on opposite sides of ab: convex iff a, b lie strictly on opposite sides of cd
+        return (dx * (ys[a] - ys[c]) - dy * (xs[a] - xs[c])) * \
+               (dx * (ys[b] - ys[c]) - dy * (xs[b] - xs[c])) < 0
 
     def _swap_apex(self, u: int, v: int, old: int, new: int) -> None:
         sid = u * self.n + v if u < v else v * self.n + u

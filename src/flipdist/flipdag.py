@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidAt, ValidationError
 # flip is unused here but stays a module name: perfbench/tracing.py patches flipdag.flip
-from .triangulation import ApexMap, Edge, FlipRecord, Triangulation, _quad_sides, flip, flip_step  # noqa: F401
+from .triangulation import ApexMap, FlipRecord, Triangulation, _quad_sides, flip, flip_step  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,31 +49,30 @@ class FlipDag:
                 raise ValidationError(f"arc ({i}, {j}) not forward within {self.node_count} nodes")
 
 
-def _walk(start: Triangulation, flips: Iterable[FlipRecord]) -> Iterator[tuple[set[Edge], ApexMap]]:
-    """The (edges, apex) pairs of T_0..T_r, each live until the next: one
-    private copy of the start, flipped in place.  Raises InvalidAt(i) at the
-    first flip whose edge is not flippable or that inserts another edge."""
-    edges, apex = set(start.edges), dict(start.apex)
-    yield edges, apex
+def _walk(start: Triangulation, flips: Iterable[FlipRecord]) -> Iterator[ApexMap]:
+    """The apex maps of T_0..T_r, each live until the next: one private copy
+    of the start's, flipped in place.  Raises InvalidAt(i) at the first flip
+    whose edge is not flippable or that inserts another edge."""
+    apex = dict(start.apex)
+    yield apex
     for i, rec in enumerate(flips):
-        actual = flip_step(start.ps, edges, apex, rec.underlying)
+        actual = flip_step(start.ps, apex, rec.underlying)
         if actual is None:
             raise InvalidAt(i, f"edge {rec.underlying} not flippable")
         if actual != rec.resulting:
             raise InvalidAt(i, f"flip yields {actual}, record says {rec.resulting}")
-        yield edges, apex
+        yield apex
 
 
 def intermediates(seq: FlipSequence) -> list[Triangulation]:
     """All of T_0..T_r.  Raises InvalidAt as ``_walk`` does."""
-    return [Triangulation(seq.start.ps, frozenset(edges), dict(apex))
-            for edges, apex in _walk(seq.start, seq.flips)]
+    return [Triangulation(seq.start.ps, dict(apex)) for apex in _walk(seq.start, seq.flips)]
 
 
 def replay(seq: FlipSequence) -> Triangulation:
     """The endpoint after applying the whole sequence.  Raises InvalidAt as ``_walk`` does."""
-    *_, (edges, apex) = _walk(seq.start, seq.flips)
-    return Triangulation(seq.start.ps, frozenset(edges), apex)
+    *_, apex = _walk(seq.start, seq.flips)
+    return Triangulation(seq.start.ps, apex)
 
 
 def build_dag(seq: FlipSequence) -> FlipDag:
@@ -89,7 +88,7 @@ def build_dag(seq: FlipSequence) -> FlipDag:
                       r + 1) for i, rec in enumerate(seq.flips)]
 
     arcs = set()
-    for j, (_, apex) in enumerate(_walk(seq.start, seq.flips)):
+    for j, apex in enumerate(_walk(seq.start, seq.flips)):
         if j == r:
             break
         removed = seq.flips[j].underlying
@@ -136,12 +135,12 @@ def check_reordering(seq: FlipSequence, perm: list[int]) -> bool:
     InvalidAt if seq itself does not replay."""
     if sorted(perm) != list(range(len(seq.flips))):
         raise ValidationError("perm is not a permutation of the sequence indices")
-    *_, (target, _) = _walk(seq.start, seq.flips)
+    *_, target = _walk(seq.start, seq.flips)
     try:
-        *_, (edges, _) = _walk(seq.start, (seq.flips[idx] for idx in perm))
+        *_, apex = _walk(seq.start, (seq.flips[idx] for idx in perm))
     except InvalidAt:
         return False
-    return edges == target
+    return apex.keys() == target.keys()
 
 
 def to_dot(dag: FlipDag) -> str:

@@ -67,18 +67,6 @@ def _shared_line(x: int, y: int, coords: Sequence[tuple[int, int]]) -> Optional[
     return min(hits, default=None)
 
 
-def strictly_convex_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the quadrilateral a,b,c,d (given in cyclic order) is strictly convex.
-
-    All four consecutive orientation triples must agree on a nonzero sign;
-    any collinear triple disqualifies.
-    """
-    s = orient(a, b, c)
-    if s == 0:
-        return False
-    return orient(b, c, d) == s and orient(c, d, a) == s and orient(d, a, b) == s
-
-
 def segments_properly_cross(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
     """True iff the open segments intersect; touching at endpoints does not count."""
     a, b = e1
@@ -127,7 +115,7 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, coords: Sequence[tuple[int, int]]) -> "PointSet":
-        return cls(Point(i, int(x), int(y)) for i, (x, y) in enumerate(coords))
+        return cls(Point(i, index(x), index(y)) for i, (x, y) in enumerate(coords))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -43,7 +43,7 @@ class FlipGraphStats:
 def _move_table(tri: Triangulation) -> dict[Edge, Edge]:
     """The move table of tri: {flippable edge e: the edge g it flips into}."""
     pts, apex = tri.ps.points, tri.apex
-    return {e: g for e in tri.edges if (g := _flips_into(pts, apex, e)) is not None}
+    return {e: g for e in apex if (g := _flips_into(pts, apex, e)) is not None}
 
 
 def _flip_with_moves(tri: Triangulation, e: Edge,
@@ -142,14 +142,14 @@ def _witness(t_start: Triangulation, seen: tuple[_Seen, _Seen],
 
 def _closure(seed: Triangulation) -> dict[frozenset[Edge], Triangulation]:
     """Every triangulation reachable from seed, keyed by its edge set."""
-    out = {seed.edges: seed}
-    frontier = deque([seed])
+    out = {frozenset(seed.apex): seed}
+    frontier = deque(out.items())
     while frontier:
-        tri = frontier.popleft()
+        key, tri = frontier.popleft()
         for e, g in _move_table(tri).items():
-            if (nxt := tri.edges ^ {e, g}) not in out:
+            if (nxt := key ^ {e, g}) not in out:
                 out[nxt] = flip(tri, e)[0]
-                frontier.append(out[nxt])
+                frontier.append((nxt, out[nxt]))
     return out
 
 

@@ -1,10 +1,11 @@
 r"""Triangulations of a planar point set and the edge-flip primitive.
 
-A triangulation is stored as its canonical edge set plus the apex map: each
-edge (a, b) maps to (c, d), the third vertices of its two triangles, with
-c < d, or to (c, -1) when the edge is on the hull.  These are the
-(a, b, c, d) rows both search kernels read.  Flipping an interior edge
-replaces the diagonal of the strictly convex quadrilateral around it:
+A triangulation is stored as its apex map alone: each canonical edge (a, b)
+maps to (c, d), the third vertices of its two triangles, with c < d, or to
+(c, -1) when the edge is on the hull.  These are the (a, b, c, d) rows both
+search kernels read, and the edge set is the map's keys.  Flipping an
+interior edge replaces the diagonal of the strictly convex quadrilateral
+around it:
 
         c                 c
        / \               /|\
@@ -15,15 +16,17 @@ replaces the diagonal of the strictly convex quadrilateral around it:
         d                 d           (b for d, or a for c), no others.
 
 Triangulation values are immutable: ``flip`` applies ``flip_step``, the O(1)
-in-place change of an ``(edges, apex)`` pair, to C-level copies of the
-input's, so search code may branch freely without undo bookkeeping.
+in-place change of an apex map, to a C-level copy of the input's, so search
+code may branch freely without undo bookkeeping.  The map is the only stored
+state, and ``edges`` is a live view of its keys, so no code may mutate a
+triangulation's map or hand one map to two values.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, KeysView, Optional, Sequence
 
 from .errors import (
     BadIndex,
@@ -71,13 +74,16 @@ class Triangulation:
     """Immutable triangulation value.  Use :func:`build` to construct one
     from raw edges; ``flip`` produces derived values directly."""
 
-    __slots__ = ("ps", "edges", "apex", "_key")
+    __slots__ = ("ps", "apex")
 
-    def __init__(self, ps: PointSet, edges: frozenset[Edge], apex: ApexMap):
+    def __init__(self, ps: PointSet, apex: ApexMap):
         self.ps = ps
-        self.edges = edges
         self.apex = apex
-        self._key: Optional[bytes] = None
+
+    @property
+    def edges(self) -> KeysView[Edge]:
+        """The canonical edges, as a read-only set-like view of the apex map."""
+        return self.apex.keys()
 
     @property
     def triangles(self) -> frozenset[Triangle]:
@@ -87,7 +93,7 @@ class Triangulation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangulation):
             return NotImplemented
-        return self.ps == other.ps and self.edges == other.edges
+        return self.ps == other.ps and self.apex.keys() == other.apex.keys()
 
     def __repr__(self) -> str:
         return f"Triangulation({len(self.ps)} points, {len(self.edges)} edges)"
@@ -154,12 +160,12 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
                     raise NotPlanar(f"edges {e1} and {e2} cross")
         raise AssertionError("non-crossing maximal edge set failed the triangulation certificate")
     # each edge bounds its own candidates and, having passed, no others: apex holds the faces
-    return Triangulation(ps, frozenset(edges), apex)
+    return Triangulation(ps, apex)
 
 
 def _require_edge(tri: Triangulation, e: Edge) -> Edge:
     e = make_edge(*e)
-    if e not in tri.edges:
+    if e not in tri.apex:
         raise EdgeAbsent(f"edge {e} not in triangulation")
     return e
 
@@ -197,10 +203,10 @@ def is_flippable(tri: Triangulation, e: Edge) -> bool:
     return _flips_into(tri.ps.points, tri.apex, _require_edge(tri, e)) is not None
 
 
-def flip_step(ps: PointSet, edges: set[Edge], apex: ApexMap, e: Edge) -> Optional[Edge]:
-    """Flip edge e of an (edges, apex) pair in place, in O(1), and return
-    the edge inserted; or return None, changing nothing, when e is not a
-    canonical edge of the pair or does not flip (see ``is_flippable``)."""
+def flip_step(ps: PointSet, apex: ApexMap, e: Edge) -> Optional[Edge]:
+    """Flip edge e of an apex map in place, in O(1), and return the edge
+    inserted; or return None, changing nothing, when e is not a canonical
+    edge of the map or does not flip (see ``is_flippable``)."""
     if e not in apex or (g := _flips_into(ps.points, apex, e)) is None:
         return None
     a, b = e
@@ -212,19 +218,17 @@ def flip_step(ps: PointSet, edges: set[Edge], apex: ApexMap, e: Edge) -> Optiona
         apex[side] = (y, x) if x > y >= 0 else (x, y)
     del apex[e]
     apex[g] = e
-    edges.remove(e)
-    edges.add(g)
     return g
 
 
 def flip(tri: Triangulation, e: Edge) -> tuple[Triangulation, FlipRecord]:
     """Replace diagonal e with the opposite diagonal of its quadrilateral."""
     e = _require_edge(tri, e)
-    edges, apex = set(tri.edges), dict(tri.apex)
-    new_edge = flip_step(tri.ps, edges, apex, e)
+    apex = dict(tri.apex)
+    new_edge = flip_step(tri.ps, apex, e)
     if new_edge is None:
         raise NotFlippable(f"edge {e} is not flippable")
-    return Triangulation(tri.ps, frozenset(edges), apex), FlipRecord(e, new_edge)
+    return Triangulation(tri.ps, apex), FlipRecord(e, new_edge)
 
 
 def edge_neighbors(tri: Triangulation, e: Edge) -> list[Edge]:
@@ -244,12 +248,10 @@ def necessary_edges(tri: Triangulation, target: Triangulation) -> list[Edge]:
     Each of these must be flipped at some point to reach the target."""
     if tri.ps != target.ps:
         raise PointSetMismatch("triangulations are over different point sets")
-    return sorted(tri.edges - target.edges)
+    return sorted(tri.apex.keys() - target.apex.keys())
 
 
 def canonical_key(tri: Triangulation) -> bytes:
     """Content key: the sorted edge list packed to bytes.  Equal keys iff
-    equal edge sets; used for BFS deduplication."""
-    if tri._key is None:
-        tri._key = b"".join(struct.pack("<II", a, b) for a, b in sorted(tri.edges))
-    return tri._key
+    equal edge sets; used to list a flip graph's states in a fixed order."""
+    return b"".join(struct.pack("<II", a, b) for a, b in sorted(tri.apex))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flipdist.geometry import PointSet
+from flipdist.geometry import Point, PointSet, orient
 from flipdist.instances import gen_convex, initial_triangulation
 from flipdist.triangulation import Edge, Triangle, Triangulation, build, canonical_key, flip, is_flippable
 
@@ -54,6 +54,18 @@ def can_build_core() -> bool:
     cc = compiler_command()
     return (bool(cc) and shutil.which(cc[0]) is not None
             and (Path(sysconfig.get_paths()["include"]) / "Python.h").is_file())
+
+
+def strictly_convex_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True iff the quadrilateral a,b,c,d (given in cyclic order) is strictly convex.
+
+    All four consecutive orientation triples must agree on a nonzero sign;
+    any collinear triple disqualifies.
+    """
+    s = orient(a, b, c)
+    if s == 0:
+        return False
+    return orient(b, c, d) == s and orient(c, d, a) == s and orient(d, a, b) == s
 
 
 def convex_pair(n: int) -> tuple[PointSet, Triangulation]:

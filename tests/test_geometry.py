@@ -10,9 +10,10 @@ from flipdist.geometry import (
     convex_hull_edges,
     orient,
     segments_properly_cross,
-    strictly_convex_quad,
 )
 from flipdist.instances import gen_convex, gen_random_points
+
+from conftest import strictly_convex_quad
 
 
 def P(x, y, pid=0):
@@ -54,6 +55,9 @@ class TestOrient:
 
 
 class TestStrictlyConvexQuad:
+    """The reference predicate in conftest that the oracle and replay tests
+    check the library's flip rule against."""
+
     def test_unit_square(self):
         assert strictly_convex_quad(P(0, 0), P(1, 0), P(1, 1), P(0, 1))
 

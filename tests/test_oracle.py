@@ -26,7 +26,7 @@ import flipdist
 from flipdist import oracle, triangulation
 from flipdist.errors import PointSetMismatch
 from flipdist.flipdag import FlipSequence, replay
-from flipdist.geometry import convex_hull_edges, strictly_convex_quad
+from flipdist.geometry import convex_hull_edges
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance, enumerate_all, graph_stats
 from flipdist.solver import search_upto
@@ -41,7 +41,7 @@ from flipdist.triangulation import (
     is_flippable,
 )
 
-from conftest import convex_pair, flip_closure, tri_of
+from conftest import convex_pair, flip_closure, strictly_convex_quad, tri_of
 from test_prune import fan
 
 

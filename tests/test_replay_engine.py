@@ -31,8 +31,8 @@ from flipdist.flipdag import (
     replay,
     topological_sorts_sample,
 )
-from flipdist.geometry import convex_hull_edges, strictly_convex_quad
-from flipdist.instances import gen_convex, gen_random_points, initial_triangulation
+from flipdist.geometry import convex_hull_edges
+from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.triangulation import (
     FlipRecord,
     Triangulation,
@@ -44,7 +44,7 @@ from flipdist.triangulation import (
     make_triangle,
 )
 
-from conftest import tri_of
+from conftest import strictly_convex_quad, tri_of
 
 SIZES = range(6, 13)
 SEEDS = range(4)
@@ -259,6 +259,34 @@ def test_flip_step_leaves_inputs_alone(walk_cases):
         replay(FlipSequence(start=start, flips=flips))
         flip(start, next(e for e in sorted(start.edges) if is_flippable(start, e)))
         assert (start.edges, start.apex) == before
+
+
+def test_values_share_no_apex_map(walk_cases):
+    """``edges`` is a live view of the apex map, so two values sharing one
+    map would change together.  Each state keeps the edges it was made with
+    after every later state, and a reordering check, has been made."""
+    for label, start, flips in walk_cases:
+        made: list[tuple[Triangulation, list]] = []
+
+        def keep(tri, edges=None):
+            made.append((tri, sorted(tri.edges) if edges is None else edges))
+            return tri
+
+        tri = keep(start)
+        for rec in flips:
+            tri = keep(flip(tri, rec.underlying)[0])
+        chain = [edges for _, edges in made]
+        seq = FlipSequence(start=start, flips=flips)
+        for tri, edges in zip(intermediates(seq), chain):
+            keep(tri, edges)
+        keep(replay(seq), chain[-1])
+        for steps in range(1, len(flips) + 1):
+            keep(random_walk_triangulation(start, steps, seed=steps))
+        for perm in topological_sorts_sample(build_dag(seq), 3, len(flips)):
+            assert check_reordering(seq, perm)
+        for tri, edges in made:
+            want = build(start.ps, edges)
+            assert tri.edges == want.edges and tri.apex == want.apex, label
 
 
 def test_same_intermediates(walk_cases):

@@ -270,6 +270,12 @@ class TestPointSetDifferential:
         # the slope proof needs exact differences: a float is refused, as math.gcd refuses it
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
             PointSet([Point(0, 0, 0), Point(1, 1, 0.5), Point(2, 2, 3)])
+        # from_coords refuses the same values instead of truncating them
+        for coords, kind in [([(0.9, 0), (5, 0), (3, 7)], "float"),
+                             ([(0, 0), (5, 0.2), (3, 7)], "float"),
+                             ([(0, 0), (5, 0), ("3", 7)], "str")]:
+            with pytest.raises(TypeError, match=f"'{kind}' object cannot be interpreted as an integer"):
+                PointSet.from_coords(coords)
 
     def test_coordinate_bound(self, monkeypatch):
         # the origin and points a few units from a corner (+-2^30, +-2^30):
