@@ -89,7 +89,7 @@ class PointSet:
     quadrilaterals are undefined.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "_hull")
 
     def __init__(self, points: Iterable[Point]):
         pts = tuple(points)
@@ -112,6 +112,7 @@ class PointSet:
                 j, k = pair
                 raise ValidationError(f"points {i}, {i + 1 + j}, {i + 1 + k} are collinear")
         self.points = pts
+        self._hull: Optional[frozenset[tuple[int, int]]] = None  # filled by convex_hull_edges
 
     @classmethod
     def from_coords(cls, coords: Sequence[tuple[int, int]]) -> "PointSet":
@@ -141,16 +142,17 @@ class PointSet:
         return [(p.x, p.y) for p in self.points]
 
 
-def convex_hull_edges(ps: PointSet) -> set[tuple[int, int]]:
+def convex_hull_edges(ps: PointSet) -> frozenset[tuple[int, int]]:
     """Edges of the convex hull of ``ps`` as canonical ``(a, b)`` index pairs, a < b.
 
     Andrew's monotone chain on the exact orientation predicate.  General
     position means no collinear hull chains, so the hull is unambiguous.
+    A point set is immutable, so its hull is computed on the first call
+    only and kept on it.
     """
+    if ps._hull is not None:
+        return ps._hull
     pts = sorted(ps.points, key=lambda p: (p.x, p.y))
-    if len(pts) == 3:
-        ids = sorted(p.id for p in pts)
-        return {(ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2])}
 
     def half_chain(ordered: list[Point]) -> list[Point]:
         chain: list[Point] = []
@@ -167,4 +169,5 @@ def convex_hull_edges(ps: PointSet) -> set[tuple[int, int]]:
     for i, p in enumerate(hull):
         q = hull[(i + 1) % len(hull)]
         edges.add((p.id, q.id) if p.id < q.id else (q.id, p.id))
-    return edges
+    ps._hull = frozenset(edges)
+    return ps._hull

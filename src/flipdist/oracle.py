@@ -6,28 +6,29 @@ is connected, so BFS from any seed reaches everything; it is also
 combinatorially explosive, which is why ``bfs_distance`` takes a hard depth
 cap instead of running unbounded.
 
-A BFS state is keyed by the edges in which it differs from the start: each
-call gives an edge the next free bit of an int when it first sees the edge,
-and a key is the XOR of the bits of ``T Δ start``.  Flipping ``e`` into ``g``
-maps key ``k`` to ``k ^ bit(e) ^ bit(g)``, so a neighbour's key costs no
-``flip``, and keys grow with the edges the search touched, not with n^2.
+A BFS state is a bare apex map, keyed by the edges in which it differs from
+the start: each call gives an edge the next free bit of an int when it first
+sees the edge, and a key is the XOR of the bits of ``T Δ start``, so keys
+grow with the edges the search touched, not with n^2.
 
-Each state carries its move table, {flippable edge e: edge g it flips into}.
-A child copies its parent's, maps ``g`` back to ``e`` (the new diagonal
-always flips back) and tests again only the four sides of the flipped
-quadrilateral, the only edges whose triangles changed.
+Each state carries its move table, {flippable edge e: (edge g it flips into,
+mask bit(e) ^ bit(g))}, and a neighbour's key is ``key ^ mask``.  A child
+copies its parent's map and table, applies the known flip, maps ``g`` back to
+``e`` (the new diagonal always flips back) and tests again only the four
+sides of the flipped quadrilateral, the only edges whose triangles changed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .errors import PointSetMismatch
+from .errors import PointSetMismatch, ValidationError
 from .flipdag import FlipSequence
-from .geometry import PointSet
-from .triangulation import Edge, FlipRecord, Triangulation, _flips_into, _quad_sides, canonical_key, flip
+from .geometry import Point, PointSet
+from .triangulation import (ApexMap, Edge, FlipRecord, Triangulation, _apply_flip, _flips_into,
+                            canonical_key, flip)
 
 
 @dataclass(frozen=True)
@@ -40,32 +41,32 @@ class FlipGraphStats:
     distance_histogram: dict[int, int]
 
 
-def _move_table(tri: Triangulation) -> dict[Edge, Edge]:
-    """The move table of tri: {flippable edge e: the edge g it flips into}."""
-    pts, apex = tri.ps.points, tri.apex
-    return {e: g for e in apex if (g := _flips_into(pts, apex, e)) is not None}
+def _move_table(pts: Sequence[Point], apex: ApexMap, bits: dict[Edge, int]) -> _Moves:
+    """The move table of an apex map; an edge's bit is the next free one at first sight."""
+    return {e: (g, bits.setdefault(e, 1 << len(bits)) ^ bits.setdefault(g, 1 << len(bits)))
+            for e in apex if (g := _flips_into(pts, apex, e)) is not None}
 
 
-def _flip_with_moves(tri: Triangulation, e: Edge,
-                     moves: dict[Edge, Edge]) -> tuple[Triangulation, dict[Edge, Edge]]:
-    """flip(tri, e) and its move table, from tri's table ``moves``.  The new
-    diagonal g flips back into e, and only the four sides of the quadrilateral
-    change triangles, so only they are tested again."""
-    child = flip(tri, e)[0]
-    out = dict(moves)
-    g = out.pop(e)
-    out[g] = e
-    for side in _quad_sides(e, *g):
-        if (h := _flips_into(child.ps.points, child.apex, side)) is None:
-            out.pop(side, None)
+def _flip_with_moves(pts: Sequence[Point], apex: ApexMap, e: Edge, moves: _Moves,
+                     bits: dict[Edge, int]) -> tuple[ApexMap, _Moves]:
+    """A copy of ``apex`` with e flipped, and its move table from ``moves``,
+    the table of ``apex``: only the four sides of the quadrilateral change
+    triangles, so only they are tested again."""
+    child, out = dict(apex), dict(moves)
+    g, mask = out.pop(e)
+    out[g] = e, mask
+    for s in _apply_flip(child, e, g):  # the sides of the quadrilateral
+        if (h := _flips_into(pts, child, s)) is None:
+            out.pop(s, None)
         else:
-            out[side] = h
+            out[s] = h, bits.setdefault(s, 1 << len(bits)) ^ bits.setdefault(h, 1 << len(bits))
     return child, out
 
 
-# One BFS level entry: the state with ``key`` is flip(parent, edge) and moves is
-# parent's move table, or the root ``parent`` itself when edge and moves are None.
-_Entry = tuple[Triangulation, Optional[Edge], int, Optional[dict[Edge, Edge]]]
+_Moves = dict[Edge, tuple[Edge, int]]
+# One BFS level entry: the state with ``key`` is the flip of edge in the apex map
+# parent, whose move table is moves; or the root map itself when edge is None.
+_Entry = tuple[ApexMap, Optional[Edge], int, Optional[_Moves]]
 # key -> (parent key, edge flipped in the parent, edge it inserted); None at the root
 _Seen = dict[int, Optional[tuple[int, Edge, Edge]]]
 
@@ -91,14 +92,16 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     and d_t around the target were disjoint, so the distance exceeds
     d_s + d_t, while the path through the meeting key has length at most
     d_s + 1 + d_t: it is shortest.  The search gives up once d_s + d_t
-    reaches cap.  A state is built with ``flip``, and its move table updated
-    at the four sides of that flip, only when its level is expanded, so the
-    last level is never built.  The witness is the forward parent chain from
-    the start, then the backward chain to the target, read off the stored
-    (flipped, inserted) pairs.
+    reaches cap.  A state is made only when its level is expanded, and the
+    round that reaches cap stores only the key it meets at: the seen sets
+    are disjoint, so it is the first key the other side has seen.  The
+    witness is the forward parent chain from the start, then the backward
+    chain to the target, read off the stored (flipped, inserted) pairs.
     """
     if t_start.ps != t_end.ps:
         raise PointSetMismatch("triangulations are over different point sets")
+    if cap < 0:
+        raise ValidationError(f"negative depth cap {cap}")
     bits: dict[Edge, int] = {}  # edge -> its bit, the next free one at first sight
     end_key = 0
     for e in t_start.edges ^ t_end.edges:
@@ -106,26 +109,26 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     if end_key == 0:
         return 0, FlipSequence(start=t_start, flips=())
 
+    pts, depth = t_start.ps.points, [0, 0]
     seen: tuple[_Seen, _Seen] = ({0: None}, {end_key: None})
-    levels: list[list[_Entry]] = [[(t_start, None, 0, None)], [(t_end, None, end_key, None)]]
-    depth = [0, 0]
-    while depth[0] + depth[1] < cap:
+    levels = [[(t_start.apex, None, 0, None)], [(t_end.apex, None, end_key, None)]]
+    while (rounds_left := cap - depth[0] - depth[1]) > 0:
         side = 0 if len(levels[0]) <= len(levels[1]) else 1
         mine, other = seen[side], seen[1 - side]
         nxt_level: list[_Entry] = []
-        for parent, edge, key, moves in levels[side]:
+        for apex, edge, key, moves in levels[side]:
             if edge is None:
-                tri, moves = parent, _move_table(parent)
+                moves = _move_table(pts, apex, bits)
             else:
-                tri, moves = _flip_with_moves(parent, edge, moves)
+                apex, moves = _flip_with_moves(pts, apex, edge, moves, bits)
             for e in sorted(moves):  # the fixed order keeps witnesses deterministic
-                g = moves[e]
-                nxt = key ^ bits.setdefault(e, 1 << len(bits)) ^ bits.setdefault(g, 1 << len(bits))
-                if nxt not in mine:
+                g, mask = moves[e]
+                if (nxt := key ^ mask) in other:  # so not in mine: the seen sets stay disjoint
                     mine[nxt] = (key, e, g)
-                    if nxt in other:
-                        return _witness(t_start, seen, nxt)
-                    nxt_level.append((tri, e, nxt, moves))
+                    return _witness(t_start, seen, nxt)
+                if rounds_left > 1 and nxt not in mine:  # the last round expands nothing
+                    mine[nxt] = (key, e, g)
+                    nxt_level.append((apex, e, nxt, moves))
         levels[side] = nxt_level
         depth[side] += 1
     return None
@@ -146,7 +149,7 @@ def _closure(seed: Triangulation) -> dict[frozenset[Edge], Triangulation]:
     frontier = deque(out.items())
     while frontier:
         key, tri = frontier.popleft()
-        for e, g in _move_table(tri).items():
+        for e, (g, _) in _move_table(tri.ps.points, tri.apex, {}).items():
             if (nxt := key ^ {e, g}) not in out:
                 out[nxt] = flip(tri, e)[0]
                 frontier.append((nxt, out[nxt]))
@@ -168,7 +171,8 @@ def graph_stats(ps: PointSet, seed_tri: Triangulation) -> FlipGraphStats:
         raise PointSetMismatch("seed triangulation is over a different point set")
     nodes = _closure(seed_tri)
     index = {key: i for i, key in enumerate(nodes)}  # int vertices keep the all-pairs BFS cheap
-    adjacency = [[index[key ^ {e, g}] for e, g in _move_table(tri).items()]
+    adjacency = [[index[key ^ {e, g}]
+                  for e, (g, _) in _move_table(tri.ps.points, tri.apex, {}).items()]
                  for key, tri in nodes.items()]
 
     histogram: dict[int, int] = {}

@@ -115,14 +115,14 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     next to a hull edge: the candidates tile the hull, so no edges cross,
     and they are the faces.
     Only a rejected certificate runs the all-pairs crossing test, which
-    names the first crossing pair.
+    names the first crossing pair.  The map lists the edges in sorted order.
     """
     n = len(ps)
-    edges: set[Edge] = set()
+    edges: dict[Edge, None] = {}  # insertion order: a sorted input stays sorted, and sorts in O(n)
     for a, b in edge_list:
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise BadIndex(f"bad edge ({a}, {b}) for {n} points")
-        edges.add(make_edge(a, b))
+        edges[make_edge(a, b)] = None
 
     hull = convex_hull_edges(ps)
     expected = 3 * n - 3 - len(hull)
@@ -135,7 +135,7 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
         adj[a].add(b)
         adj[b].add(a)
     apex: ApexMap = {}
-    for a, b in edges:
+    for a, b in (ordered := sorted(edges)):
         (xa, ya), (xb, yb) = xy[a], xy[b]
         dx, dy = xb - xa, yb - ya
         nearest = {1: -1, -1: -1}
@@ -152,7 +152,7 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     consistent = all(w < 0 or b in apex[make_edge(a, w)] and a in apex[make_edge(b, w)]
                      for (a, b), pair in apex.items() for w in pair)
     if not consistent or not all(c >= 0 and (d < 0) == (e in hull) for e, (c, d) in apex.items()):
-        pts, ordered = ps.points, sorted(edges)
+        pts = ps.points
         for i, e1 in enumerate(ordered):
             seg1 = (pts[e1[0]], pts[e1[1]])
             for e2 in ordered[i + 1:]:
@@ -203,21 +203,27 @@ def is_flippable(tri: Triangulation, e: Edge) -> bool:
     return _flips_into(tri.ps.points, tri.apex, _require_edge(tri, e)) is not None
 
 
-def flip_step(ps: PointSet, apex: ApexMap, e: Edge) -> Optional[Edge]:
-    """Flip edge e of an apex map in place, in O(1), and return the edge
-    inserted; or return None, changing nothing, when e is not a canonical
-    edge of the map or does not flip (see ``is_flippable``)."""
-    if e not in apex or (g := _flips_into(ps.points, apex, e)) is None:
-        return None
+def _apply_flip(apex: ApexMap, e: Edge, g: Edge) -> list[Edge]:
+    """Flip e into g, its ``_flips_into`` result, in place and untested; return the four sides."""
     a, b = e
     c, d = g
     # side ac's triangle abc becomes acd, so its apex b becomes d; likewise bc, ad, bd
-    for side, old, new in zip(_quad_sides(e, c, d), (b, a, b, a), (d, d, c, c)):
+    for side, old, new in zip(sides := _quad_sides(e, c, d), (b, a, b, a), (d, d, c, c)):
         x, y = apex[side]
         x, y = (new, y) if x == old else (x, new)
         apex[side] = (y, x) if x > y >= 0 else (x, y)
     del apex[e]
     apex[g] = e
+    return sides
+
+
+def flip_step(ps: PointSet, apex: ApexMap, e: Edge) -> Optional[Edge]:
+    """Flip edge e of an apex map in place, in O(1), and return the edge
+    inserted; or return None, changing nothing, when e is not a canonical
+    edge of the map or does not flip (``_flips_into``, then ``_apply_flip``)."""
+    if e not in apex or (g := _flips_into(ps.points, apex, e)) is None:
+        return None
+    _apply_flip(apex, e, g)
     return g
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipdist import geometry
 from flipdist.errors import ValidationError
 from flipdist.geometry import (
     COORD_BOUND,
@@ -145,6 +146,21 @@ class TestConvexHullEdges:
     def test_triangle(self):
         ps = PointSet.from_coords([(0, 0), (3, 0), (1, 2)])
         assert convex_hull_edges(ps) == {(0, 1), (0, 2), (1, 2)}
+
+    @pytest.mark.parametrize("coords", [[(0, 0), (1, -2), (3, 0)], [(3, 0), (0, 0), (1, 2)],
+                                        [(1, 2), (1, -2), (0, 0)]])
+    def test_triangles_either_way_round(self, coords):
+        assert convex_hull_edges(PointSet.from_coords(coords)) == {(0, 1), (0, 2), (1, 2)}
+
+    def test_computed_once_per_point_set(self, monkeypatch):
+        ps = gen_random_points(30, 2, 1000)
+        calls = []
+        monkeypatch.setattr(geometry, "orient", lambda *pqr: calls.append(pqr) or orient(*pqr))
+        hull = convex_hull_edges(ps)
+        assert isinstance(hull, frozenset) and hull == hull_oracle(ps) and calls
+        first = len(calls)
+        assert convex_hull_edges(ps) is hull and len(calls) == first
+        assert convex_hull_edges(PointSet(ps.points)) == hull and len(calls) == 2 * first
 
     def test_square(self):
         ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])

@@ -7,6 +7,7 @@ composition, since the solver's determinism guarantee rests on that.
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sysconfig
 from pathlib import Path
@@ -24,6 +25,7 @@ from flipdist._kernel import (
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
 from flipdist.solver import compositions, search_exact, search_upto
+from flipdist.triangulation import build
 
 from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
 
@@ -128,6 +130,18 @@ class TestMakePrep:
         by_edge = {e[:2]: e[2:] for e in edges}
         assert by_edge[(0, 2)] == (1, 3)   # interior edge, two apexes
         assert by_edge[(0, 1)] == (2, -1)  # hull edge, one apex
+
+    def test_build_lists_edges_sorted(self):
+        # build's apex map is in sorted key order whatever the input order,
+        # so make_prep's sorts run on sorted data; its output is unchanged
+        for ps in (gen_convex(9), gen_random_points(40, 3, 1000)):
+            edges = sorted(initial_triangulation(ps).edges)
+            for seed in range(3):
+                shuffled = edges[:]
+                random.Random(seed).shuffle(shuffled)
+                tri = build(ps, [(b, a) if seed % 2 else (a, b) for a, b in shuffled])
+                assert list(tri.apex) == edges
+                assert make_prep(tri, tri) == reference_make_prep(tri, tri)
 
     def test_round_trip_pickles(self, square_tris):
         import pickle

@@ -24,10 +24,18 @@ import pytest
 
 import flipdist
 from flipdist import oracle, triangulation
-from flipdist.errors import PointSetMismatch
+from flipdist.errors import PointSetMismatch, ValidationError
 from flipdist.flipdag import FlipSequence, replay
 from flipdist.geometry import convex_hull_edges
-from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
+from flipdist.instances import (
+    Instance,
+    gen_convex,
+    gen_random_points,
+    initial_triangulation,
+    parse,
+    random_walk_triangulation,
+    serialize,
+)
 from flipdist.oracle import bfs_distance, enumerate_all, graph_stats
 from flipdist.solver import search_upto
 from flipdist.triangulation import (
@@ -322,7 +330,25 @@ def assert_shortest(start, end, cap):
         assert assert_same_as_bitmask(start, end, below) is None
 
 
+def benchmark_pairs():
+    """The oracle calls of the benchmark's random-cross and convex-fans
+    workloads: (start, end, cap), on triangulations read back from files."""
+    for s in range(24):
+        n, walk = 10 + s % 3, 7 + s % 4
+        ps = gen_random_points(n, s, 1000)
+        start = initial_triangulation(ps)
+        inst = parse(serialize(Instance(ps, start, random_walk_triangulation(start, walk, s))))
+        yield inst.t_start, inst.t_end, walk
+    ps = gen_convex(12)
+    for v in range(1, 7):
+        yield fan(ps, 0), fan(ps, v), 4
+
+
 class TestAgainstReference:
+    def test_benchmark_pairs(self):
+        found = sum(assert_same_as_bitmask(*pair) is not None for pair in benchmark_pairs())
+        assert found == 24  # every walk is reached within its length; no fan pair within 4
+
     def test_all_convex_pairs(self):
         for a, b in convex_pairs():
             assert_shortest(a, b, 10)
@@ -335,39 +361,44 @@ class TestAgainstReference:
         # the depth-1 states are discovered as keys but never built
         ps, start = convex_pair(8)
         end = fan(ps, 3)
-        assert bfs_distance(start, end, 5)[0] > 1
         calls = []
-        monkeypatch.setattr(oracle, "flip", lambda *args: calls.append(args))
+        flip_with_moves = oracle._flip_with_moves
+        monkeypatch.setattr(oracle, "_flip_with_moves",
+                            lambda *args: calls.append(args) or flip_with_moves(*args))
         assert bfs_distance(start, end, 1) is None
         assert calls == []
+        assert bfs_distance(start, end, 5)[0] > 1
+        assert calls  # the seam is the one that builds states
 
     def test_convexity_tests_four_per_built_state(self, monkeypatch):
-        # roots test every interior edge once; a built state tests only the
-        # four sides of its flip (flip's own test inside flip_step not counted)
+        # each root tests every edge once; a built state tests only the four
+        # sides of its flip, and its flip tests nothing
         start = initial_triangulation(gen_convex(11))
         end = random_walk_triangulation(start, steps=8, seed=5)
-        tests, flips = [], []
+        tests, built = [], []
 
-        flips_into = triangulation._flips_into  # tests the quadrilateral of an interior edge
+        flips_into, flip_with_moves = triangulation._flips_into, oracle._flip_with_moves
 
         def counting(pts, apex, e):
-            if apex[e][1] >= 0:  # a hull edge is answered before any test
-                tests.append(e)
+            tests.append(e)
             return flips_into(pts, apex, e)
 
-        def uncounted_flip(tri, e):
-            flips.append(e)
-            with monkeypatch.context() as m:
-                m.setattr(triangulation, "_flips_into", flips_into)
-                return flip(tri, e)
+        def building(*args):
+            built.append(args)
+            return flip_with_moves(*args)
 
         for module in (oracle, triangulation):  # count a test wherever the oracle makes it
             monkeypatch.setattr(module, "_flips_into", counting)
-        monkeypatch.setattr(oracle, "flip", uncounted_flip)
+        monkeypatch.setattr(oracle, "_flip_with_moves", building)
         d, seq = bfs_distance(start, end, 12)
+        assert built and len(tests) == len(start.edges) + len(end.edges) + 4 * len(built)
         assert d == 6 and replay(seq) == end
-        interior = sum(len(tri.edges) - len(convex_hull_edges(tri.ps)) for tri in (start, end))
-        assert flips and len(tests) <= interior + 4 * len(flips)
+
+    def test_negative_cap_rejected(self, square_tris):
+        for a in square_tris:
+            for b in square_tris:
+                with pytest.raises(ValidationError, match="negative depth cap -1"):
+                    bfs_distance(a, b, -1)
 
     def test_peak_memory_at_cap_one(self):
         # keys hold a bit per edge the call has seen, not one per point pair
@@ -385,21 +416,27 @@ class TestAgainstReference:
 class TestMoveTables:
     def test_flip_with_moves_along_walks(self):
         # each child holds the apex map build gives its edges and the move
-        # table computed from scratch, also after flips next to the hull
+        # table computed from scratch, masks included, also after flips next
+        # to the hull
         next_to_hull = flips = 0
         for seed in range(6):
             ps = gen_convex(9) if seed == 0 else gen_random_points(8 + seed, seed, 1000)
             hull = set(convex_hull_edges(ps))
             rng = random.Random(seed)
-            tri = initial_triangulation(ps)
-            moves = oracle._move_table(tri)
+            bits = {}
+            apex = initial_triangulation(ps).apex
+            moves = oracle._move_table(ps.points, apex, bits)
             for _ in range(3 * len(ps)):
                 e = rng.choice(sorted(moves))
-                next_to_hull += not hull.isdisjoint(edge_neighbors(tri, e))
-                tri, moves = oracle._flip_with_moves(tri, e, moves)
+                next_to_hull += not hull.isdisjoint(edge_neighbors(Triangulation(ps, apex), e))
+                parent = dict(apex), dict(moves)
+                child = oracle._flip_with_moves(ps.points, apex, e, moves, bits)
+                assert (apex, moves) == parent  # the parent's map and table are left alone
+                apex, moves = child
                 flips += 1
-                assert tri.apex == build(ps, tri.edges).apex
-                assert moves == oracle._move_table(tri)
+                assert apex == build(ps, apex).apex
+                assert moves == oracle._move_table(ps.points, apex, bits)
+                assert all(mask == bits[e] ^ bits[g] for e, (g, mask) in moves.items())
         assert flips > next_to_hull > flips // 4
 
 

@@ -42,7 +42,16 @@ from flipdist.geometry import (
     orient,
     segments_properly_cross,
 )
-from flipdist.instances import _RETRY_BUDGET, gen_convex, gen_random_points, initial_triangulation
+from flipdist.instances import (
+    _RETRY_BUDGET,
+    Instance,
+    gen_convex,
+    gen_random_points,
+    initial_triangulation,
+    parse,
+    random_walk_triangulation,
+    serialize,
+)
 from flipdist.triangulation import (
     Edge,
     Triangle,
@@ -393,15 +402,30 @@ class TestComplexityGuards:
     @pytest.mark.parametrize("ps", [gen_convex(300), gen_random_points(300, 1, 1 << 20)],
                              ids=["convex", "random"])
     def test_build_orients_only_for_the_hull(self, ps, monkeypatch):
+        # fresh copies: a point set keeps its hull once computed
         edges = sorted(initial_triangulation(ps).edges)
         calls = []
         for module in (geometry, triangulation):
             if hasattr(module, "orient"):
                 monkeypatch.setattr(module, "orient", lambda *pqr: calls.append(pqr) or orient(*pqr))
-        convex_hull_edges(ps)
+        convex_hull_edges(PointSet(ps.points))
         hull_calls = len(calls)
-        assert build(ps, edges).edges == frozenset(edges)
+        assert hull_calls >= len(ps)
+        assert build(PointSet(ps.points), edges).edges == frozenset(edges)
         assert len(calls) == 2 * hull_calls  # none per edge or candidate face
+
+    def test_parse_computes_the_hull_once(self, monkeypatch):
+        ps = gen_random_points(300, 1, 1 << 20)
+        start = initial_triangulation(ps)
+        text = serialize(Instance(ps, start, random_walk_triangulation(start, 6, 1)))
+        calls = []
+        monkeypatch.setattr(geometry, "orient", lambda *pqr: calls.append(pqr) or orient(*pqr))
+        convex_hull_edges(PointSet(ps.points))
+        hull_calls = len(calls)
+        inst = parse(text)  # builds the start and the target on one point set
+        assert hull_calls > 0 and len(calls) == 2 * hull_calls
+        assert convex_hull_edges(inst.ps) is convex_hull_edges(inst.ps)
+        assert len(calls) == 2 * hull_calls
 
 
 OPTIMIZED_SCRIPT = """
