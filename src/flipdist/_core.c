@@ -1,14 +1,16 @@
 /* Compiled search kernel, a CPython extension in C99.
  *
- * Same contract as _searchpure.run_composition and behaviorally identical to
- * it; see that module for the semantics.  Edges are ids a * n + b into flat
+ * Same contract as _searchpure.run_budget and behaviorally identical to it;
+ * see that module for the semantics.  Edges are ids a * n + b into flat
  * arrays, which caps point sets at 1024 (the selection layer falls back to the
  * pure kernel above that).  Coordinates are bounded by 2^30, so every
  * orientation determinant fits in a signed 64-bit product.
  *
+ * One call parses prep once and steps comp through the compositions of k; a
+ * rejected one undoes all its flips, so the next starts from the same state.
  * The n*n arrays live in module buffers grown to the largest n seen, so a
- * scan does not page-fault them in again for every composition.  That makes
- * run_composition non-reentrant: a nested call raises RuntimeError.
+ * scan over k does not page-fault them in again for every budget.  That
+ * makes run_budget non-reentrant: a nested call raises RuntimeError.
  *
  * Build: setup.py compiles this file as flipdist._core; without an installed
  * build, flipdist._kernel compiles it on first import into a per-user cache.
@@ -36,20 +38,18 @@ typedef struct {
     char *present, *targ;
     int *cur_edges;  /* the E current edge ids, unsorted */
     int *pos_of;     /* eid -> index in cur_edges */
-    int *comp;
+    int *comp;       /* the current composition, t parts of k slots */
     int *stack;
     int *olex0;
-    int *opool;      /* t rows of E ints: rebuilt orderings, one row per depth */
+    int *opool;      /* k rows of E ints: rebuilt orderings, one row per depth */
     int *wflips;     /* witness buffers, only valid on accept */
     int *wstarts;
     int *wacts;
     int *act_off;
-    int *targ_ids;   /* the target edge ids, to clear targ on exit */
-    int targ_cnt;
 } Search;
 
-/* ap0, ap1 and pos_of are read only where present is set.  present and targ
- * are all zero between calls: each call clears what it set. */
+/* ap0, ap1 and pos_of are read only where present is set; each call clears
+ * present and targ before it loads prep. */
 static struct {
     size_t cap;
     int busy;
@@ -265,23 +265,6 @@ static void shared_free(void)
     shared.cap = 0;
 }
 
-/* Restore the all-zero invariant of present and targ.  After a run that left
- * the state consistent (accept or reject) only the current and the target
- * edges can be set; after a failed init or a corrupt table, clear it all. */
-static void shared_release(Search *s, int consistent)
-{
-    int i;
-    if (consistent) {
-        for (i = 0; i < s->E; i++)
-            s->present[s->cur_edges[i]] = 0;
-        for (i = 0; i < s->targ_cnt; i++)
-            s->targ[s->targ_ids[i]] = 0;
-    } else if (s->present != NULL) {
-        memset(s->present, 0, (size_t)s->n * s->n);
-        memset(s->targ, 0, (size_t)s->n * s->n);
-    }
-}
-
 static void search_free(Search *s)
 {
     free(s->xs);
@@ -295,7 +278,6 @@ static void search_free(Search *s)
     free(s->wstarts);
     free(s->wacts);
     free(s->act_off);
-    free(s->targ_ids);
 }
 
 static void *xmalloc(size_t count, size_t size)
@@ -341,15 +323,20 @@ static int get_int(PyObject *seq, Py_ssize_t i, long long lo, long long hi, long
     return 0;
 }
 
-/* Fill s from prep and parts; -1 with an exception set on bad input.  Every
- * index is range-checked because the search writes through it. */
-static int search_init(Search *s, PyObject *prep, PyObject *parts)
+/* Fill s from prep and k, with comp at (1, ..., 1); -1 with an exception set
+ * on bad input.  Every index is range-checked because the search writes
+ * through it. */
+static int search_init(Search *s, PyObject *prep, long long k)
 {
     PyObject *n_obj, *xs_obj, *ys_obj, *edges_obj, *target_obj;
-    Py_ssize_t E, nt, t, i;
-    long long n, v, a, b, c, d, k_total = 0;
+    Py_ssize_t E, nt, i;
+    long long n, a, b, c, d;
     int nn;
 
+    if (k < 1 || k >= INT_MAX / 4) {
+        PyErr_Format(PyExc_ValueError, "flip budget %lld outside [1, %d)", k, INT_MAX / 4);
+        return -1;
+    }
     if (!PyArg_ParseTuple(prep, "OOOOO;prep must be (n, xs, ys, edges, target)",
                           &n_obj, &xs_obj, &ys_obj, &edges_obj, &target_obj))
         return -1;
@@ -368,8 +355,7 @@ static int search_init(Search *s, PyObject *prep, PyObject *parts)
     nn = (int)(n * n);
     E = PySequence_Size(edges_obj);
     nt = PySequence_Size(target_obj);
-    t = PySequence_Size(parts);
-    if (E < 0 || nt < 0 || t < 0)
+    if (E < 0 || nt < 0)
         return -1;
     if (E > nn) {
         PyErr_SetString(PyExc_ValueError, "more edges than the point set allows");
@@ -377,47 +363,32 @@ static int search_init(Search *s, PyObject *prep, PyObject *parts)
     }
     s->n = (int)n;
     s->E = (int)E;
-    s->t = (int)t;
-    s->comp = xmalloc(t, sizeof(int));
-    if (s->comp == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < t; i++) {
-        if (get_int(parts, i, 1, INT_MAX / 4, &v) < 0)
-            return -1;
-        s->comp[i] = (int)v;
-        k_total += v;
-        if (k_total >= INT_MAX / 4) {
-            PyErr_SetString(PyExc_ValueError, "composition total too large");
-            return -1;
-        }
-    }
-    s->k_total = (int)k_total;
-
+    s->t = s->k_total = (int)k;
+    s->comp = xmalloc(k, sizeof(int));
     s->xs = xmalloc(n, sizeof(long long));
     s->ys = xmalloc(n, sizeof(long long));
     s->cur_edges = xmalloc(E, sizeof(int));
-    s->targ_ids = xmalloc(nt, sizeof(int));
-    s->stack = xmalloc(k_total + 2, sizeof(int));
+    s->stack = xmalloc(k + 2, sizeof(int));
     s->olex0 = xmalloc(E, sizeof(int));
-    s->opool = xmalloc((size_t)t * E, sizeof(int));
-    s->wflips = xmalloc(4 * k_total, sizeof(int));
-    s->wstarts = xmalloc(t, sizeof(int));
-    s->wacts = xmalloc(2 * k_total, sizeof(int));
-    s->act_off = xmalloc(t, sizeof(int));
-    if (!s->xs || !s->ys || !s->cur_edges || !s->targ_ids || !s->stack || !s->olex0 ||
+    s->opool = xmalloc((size_t)k * E, sizeof(int));
+    s->wflips = xmalloc(4 * k, sizeof(int));
+    s->wstarts = xmalloc(k, sizeof(int));
+    s->wacts = xmalloc(2 * k, sizeof(int));
+    s->act_off = xmalloc(k, sizeof(int));
+    if (!s->comp || !s->xs || !s->ys || !s->cur_edges || !s->stack || !s->olex0 ||
         !s->opool || !s->wflips || !s->wstarts || !s->wacts || !s->act_off) {
         PyErr_NoMemory();
         return -1;
     }
+    for (i = 0; i < k; i++)
+        s->comp[i] = 1;
     if (shared_reserve((size_t)nn) < 0)
         return -1;
     s->ap0 = shared.ap0;
     s->ap1 = shared.ap1;
     s->pos_of = shared.pos_of;
-    s->present = shared.present;
-    s->targ = shared.targ;
+    s->present = memset(shared.present, 0, (size_t)nn);
+    s->targ = memset(shared.targ, 0, (size_t)nn);
 
     for (i = 0; i < n; i++) /* the bound keeps every orientation in 64 bits */
         if (get_int(xs_obj, i, -COORD_BOUND, COORD_BOUND + 1, &s->xs[i]) < 0 ||
@@ -458,7 +429,6 @@ static int search_init(Search *s, PyObject *prep, PyObject *parts)
             return -1;
         }
         s->targ[a * n + b] = 1;
-        s->targ_ids[s->targ_cnt++] = (int)(a * n + b);
     }
     for (i = 0; i < E; i++) { /* input edges are sorted, so this is ascending */
         int eid = s->cur_edges[i];
@@ -511,38 +481,54 @@ fail:
     return NULL;
 }
 
-static PyObject *run_composition(PyObject *self, PyObject *args)
+/* Step comp to the next composition in lexicographic order: drop the last
+ * part, add one to the part before it, append ones.  0 after (k). */
+static int next_composition(Search *s)
 {
-    PyObject *prep, *parts, *result = NULL;
+    int last;
+    if (s->t == 1)
+        return 0;
+    last = s->comp[--s->t];
+    s->comp[s->t - 1] += 1;
+    while (--last > 0)
+        s->comp[s->t++] = 1;
+    return 1;
+}
+
+static PyObject *run_budget(PyObject *self, PyObject *args)
+{
+    PyObject *prep, *result = NULL;
+    long long k;
     Search s;
-    int r = CORRUPT;
+    int r;
     (void)self;
-    if (!PyArg_ParseTuple(args, "O!O:run_composition", &PyTuple_Type, &prep, &parts))
+    if (!PyArg_ParseTuple(args, "O!L:run_budget", &PyTuple_Type, &prep, &k))
         return NULL;
     /* init reads Python objects, whose methods could call back in */
     if (shared.busy) {
-        PyErr_SetString(PyExc_RuntimeError, "run_composition is not reentrant");
+        PyErr_SetString(PyExc_RuntimeError, "run_budget is not reentrant");
         return NULL;
     }
     shared.busy = 1;
     memset(&s, 0, sizeof s);
-    if (search_init(&s, prep, parts) == 0) {
-        r = iterate(&s, 0, s.olex0, s.olex0_len, 0);
+    if (search_init(&s, prep, k) == 0) {
+        do
+            r = iterate(&s, 0, s.olex0, s.olex0_len, 0);
+        while (r == REJECT && next_composition(&s));
         if (r == ACCEPT)
             result = witness(&s);
         else if (r == REJECT)
             result = Py_NewRef(Py_None);
     }
-    shared_release(&s, r != CORRUPT);
     search_free(&s);
     shared.busy = 0;
     return result;
 }
 
 static PyMethodDef core_methods[] = {
-    {"run_composition", run_composition, METH_VARARGS,
-     "run_composition(prep, parts)\n--\n\n"
-     "Drop-in replacement for _searchpure.run_composition (see its doc)."},
+    {"run_budget", run_budget, METH_VARARGS,
+     "run_budget(prep, k)\n--\n\n"
+     "Drop-in replacement for _searchpure.run_budget (see its doc)."},
     {NULL, NULL, 0, NULL},
 };
 

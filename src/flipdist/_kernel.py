@@ -89,7 +89,7 @@ except ImportError:
 
 COMPILED_MAX_POINTS = 1024
 
-RunFn = Callable[[_searchpure.Prep, tuple[int, ...]], Optional[_searchpure.Accept]]
+RunFn = Callable[[_searchpure.Prep, int], Optional[_searchpure.Accept]]
 
 
 def compiled_available() -> bool:
@@ -105,9 +105,9 @@ def kernel_for(name: str) -> RunFn:
     if name == "compiled":
         if _core is None:
             raise RuntimeError("compiled backend is not built")
-        return _core.run_composition
+        return _core.run_budget
     if name == "pure":
-        return _searchpure.run_composition
+        return _searchpure.run_budget
     raise ValueError(f"unknown backend {name!r}")
 
 

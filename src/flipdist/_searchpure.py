@@ -1,6 +1,6 @@
 """Pure-Python search kernel.
 
-Runs the branch-and-prune walk search for one composition against a compact
+Runs the branch-and-prune walk search for one flip budget against a compact
 mutable state: edges keyed by ``a * n + b`` mapping to their one or two apex
 vertices.  This is the reference kernel; the C extension ``_core`` (source
 ``_core.c``, built by ``setup.py`` or on first import by ``_kernel``)
@@ -8,19 +8,22 @@ implements the identical contract and must stay behaviorally indistinguishable
 from it (the test suite diffs the two).  A corrupt apex table raises
 AssertionError in both.
 
-Kernel contract: ``run_composition(prep, parts)`` returns None when no action
-sequence for this composition transforms start into target, else a triple
+Kernel contract: ``run_budget(prep, k)`` tries the compositions of k >= 1 in
+the order ``compositions`` yields them and returns None when none of them
+transforms start into target, else the first accept as a triple
 
     flips   list of (a, b, c, d): edge (a, b) was flipped, creating (c, d)
     starts  list of (a, b): each iteration's start edge
     actions list per iteration of action codes, 0..3 = move direction, 4 = flip
 
+Part i of the accepting composition is len(actions[i]) // 2 + 1.  A rejected
+composition undoes every flip it made, so each one starts from the same state.
 ``prep`` comes from ``_kernel.make_prep`` and is plain tuple data.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 Prep = tuple[int, tuple[int, ...], tuple[int, ...],
              tuple[tuple[int, int, int, int], ...], tuple[tuple[int, int], ...]]
@@ -103,11 +106,24 @@ class _State:
         return (e1, e2, e3, e4)
 
 
-def run_composition(prep: Prep, parts: tuple[int, ...]) -> Optional[Accept]:
+def compositions(k: int) -> Iterator[tuple[int, ...]]:
+    """The 2^(k-1) compositions of k >= 1 in lexicographic order: drop the
+    last part, add one to the part before it, append ones."""
+    if k < 1:
+        raise ValueError(f"flip budget {k} below 1")
+    parts = [1] * k
+    yield tuple(parts)
+    while len(parts) > 1:
+        last = parts.pop()
+        parts[-1] += 1
+        parts += [1] * (last - 1)
+        yield tuple(parts)
+
+
+def run_budget(prep: Prep, k: int) -> Optional[Accept]:
     st = _State(prep)
     n = st.n
     olex0 = tuple(sorted(e for e in st.apex if e not in st.target))
-    k_total = sum(parts)
     flips: list[tuple[int, int, int, int]] = []
     starts: list[int] = []
     actions: list[list[int]] = []
@@ -159,7 +175,7 @@ def run_composition(prep: Prep, parts: tuple[int, ...]) -> Optional[Accept]:
             stack.pop()
             # pruned when the pop exposes an edge the flips have destroyed,
             # or when more target edges are missing than flips remain
-            if (not stack or stack[-1] in st.apex) and st.nec_cnt <= k_total - len(flips):
+            if (not stack or stack[-1] in st.apex) and st.nec_cnt <= k - len(flips):
                 if descend(it, olex, pos, ki, m, f + 1, stack):
                     return True
             stack.append(cur)
@@ -169,9 +185,9 @@ def run_composition(prep: Prep, parts: tuple[int, ...]) -> Optional[Accept]:
         return False
 
     try:
-        accepted = iterate(0, olex0, 0)
+        for parts in compositions(k):  # iterate reads parts from this binding
+            if iterate(0, olex0, 0):
+                return flips, [divmod(e, n) for e in starts], actions
     except KeyError as exc:  # an apex names an edge the table does not hold
         raise AssertionError("apex table corrupted") from exc
-    if not accepted:
-        return None
-    return list(flips), [divmod(e, n) for e in starts], [list(t) for t in actions]
+    return None

@@ -1,11 +1,13 @@
 """Deciding "can T_start become T_end in exactly k flips", parameterized by k.
 
-The search splits k into compositions (k_1, ..., k_t).  Each part k_i is one
-iteration: pick a start edge, then execute 2k_i - 1 actions against a stack of
-edges (the walk).  A Move(d) pushes the d-th neighbor of the current top edge;
-a FlipBack flips the top and pops.  Iterations perform exactly k_i flips, the
-last action is always a FlipBack, and no prefix before the final action may
-contain more FlipBacks than Moves, so the stack never underflows.
+The search splits k into compositions (k_1, ..., k_t).  One kernel call,
+``run_budget(prep, k)``, tries them in lexicographic order, and the first
+accepting run is the witness.  Each part k_i is one iteration: pick a start
+edge, then execute 2k_i - 1 actions against a stack of edges (the walk).  A
+Move(d) pushes the d-th neighbor of the current top edge; a FlipBack flips the
+top and pops.  Iterations perform exactly k_i flips, the last action is always
+a FlipBack, and no prefix before the final action may contain more FlipBacks
+than Moves, so the stack never underflows.
 
 Start edges are not branched over.  Each iteration takes the next edge from a
 cursor over the lexicographically ordered "necessary" edges (edges of the
@@ -31,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from . import _kernel
-from ._searchpure import Accept as _Accept
+from . import _kernel, _searchpure
 from .errors import EdgeAbsent, ValidationError
 from .flipdag import FlipSequence, replay
 from .triangulation import (
@@ -120,20 +121,11 @@ class Composition:
 
 
 def compositions(k: int) -> Iterator[Composition]:
-    """All 2^(k-1) compositions of k, lexicographic by parts."""
+    """All 2^(k-1) compositions of k, lexicographic by parts: the order in
+    which both kernels try them."""
     if k < 1:
         raise ValidationError(f"compositions need k >= 1, got {k}")
-
-    def rec(rest: int):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(1, rest + 1):
-            for tail in rec(rest - first):
-                yield (first,) + tail
-
-    for parts in rec(k):
-        yield Composition(parts)
+    return map(Composition, _searchpure.compositions(k))
 
 
 def iteration_shapes(k_i: int) -> Iterator[IterationShape]:
@@ -210,10 +202,11 @@ def _code_action(code: int) -> Action:
 
 
 def _package(t_start: Triangulation, t_end: Triangulation, k: int,
-             comp: Composition, accept: _Accept) -> SolveResult:
+             accept: _searchpure.Accept) -> SolveResult:
     raw_flips, raw_starts, raw_actions = accept
     recs = tuple(FlipRecord(underlying=(a, b), resulting=(c, d)) for a, b, c, d in raw_flips)
     shapes = tuple(IterationShape(tuple(_code_action(c) for c in acts)) for acts in raw_actions)
+    comp = Composition(tuple(s.k for s in shapes))
     result = SolveResult(
         k=k,
         composition=comp,
@@ -224,6 +217,8 @@ def _package(t_start: Triangulation, t_end: Triangulation, k: int,
     # accept-time invariants, raised explicitly so they hold under python -O
     if len(recs) != k:
         raise AssertionError("accepting run must flip exactly k times")
+    if comp.k != k:
+        raise AssertionError("composition parts must sum to k")
     if sum(len(s.actions) for s in shapes) > 2 * k:
         raise AssertionError("action budget exceeded")
     if replay(result.sequence) != t_end:
@@ -236,8 +231,8 @@ def search_exact(t_start: Triangulation, t_end: Triangulation, k: int) -> Option
 
     Sound for every k.  Complete when k is the true flip distance, so scan
     k upward (see flip_distance_upto) to compute distances.  None without
-    searching when k is below the missing-edge lower bound.  Compositions
-    are drawn lazily, in order, and the scan stops at the first accept.
+    searching when k is below the missing-edge lower bound.  One kernel call
+    tries the compositions of k in order and stops at the first accept.
     """
     bound = len(necessary_edges(t_start, t_end))
     if k < 0:
@@ -251,11 +246,8 @@ def search_exact(t_start: Triangulation, t_end: Triangulation, k: int) -> Option
 
     prep = _kernel.make_prep(t_start, t_end)
     run = _kernel.kernel_for(_kernel.resolve_backend(len(t_start.ps)))
-    for comp in compositions(k):
-        accept = run(prep, comp.parts)
-        if accept is not None:
-            return _package(t_start, t_end, k, comp, accept)
-    return None
+    accept = run(prep, k)
+    return None if accept is None else _package(t_start, t_end, k, accept)
 
 
 def search_upto(t_start: Triangulation, t_end: Triangulation, k_max: int) -> Optional[SolveResult]:

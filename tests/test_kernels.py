@@ -1,19 +1,23 @@
 """Backend parity tests.
 
 The compiled kernel must be bit-for-bit interchangeable with the pure Python
-one: same accept/reject answer and the same witness triple for every
-composition, since the solver's determinism guarantee rests on that.
+one: same accept/reject answer and the same witness triple for every flip
+budget, since the solver's determinism guarantee rests on that.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
+import sys
 import sysconfig
+from collections import deque
 from pathlib import Path
 
 import pytest
 
+import flipdist
 from flipdist import _kernel
 from flipdist._kernel import (
     COMPILED_MAX_POINTS,
@@ -24,8 +28,8 @@ from flipdist._kernel import (
 )
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
-from flipdist.solver import compositions, search_exact, search_upto
-from flipdist.triangulation import build
+from flipdist.solver import search_exact, search_upto
+from flipdist.triangulation import build, flip, is_flippable, necessary_edges
 
 from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
 
@@ -149,33 +153,39 @@ class TestMakePrep:
         assert pickle.loads(pickle.dumps(prep)) == prep
 
 
+def parity_pairs():
+    """Every ordered pair of the convex 6-gon's triangulations, then the three
+    random pairs of instance_pairs, each with its BFS distance."""
+    tris = flip_closure(convex_pair(6)[1])
+    out = [(start, end, bfs_distance(start, end, cap=10)[0]) for start in tris for end in tris]
+    return out + instance_pairs()[-3:]
+
+
 @needs_compiled
 class TestBackendParity:
-    def test_identical_accepts_per_composition(self):
+    def test_identical_results_per_budget(self):
         pure = kernel_for("pure")
         compiled = kernel_for("compiled")
         exercised = accepts = 0
-        for start, end, d in instance_pairs():
+        for start, end, d in parity_pairs():
             prep = make_prep(start, end)
-            for k in range(max(d, 1), d + 2):
-                for comp in compositions(k):
-                    a = pure(prep, comp.parts)
-                    b = compiled(prep, comp.parts)
-                    assert a == b, (comp.parts, a, b)
-                    exercised += 1
-                    accepts += a is not None
-        assert exercised > 100
-        assert accepts > 0
+            for k in range(1, d + 2):
+                a = pure(prep, k)
+                b = compiled(prep, k)
+                assert a == b, (k, a, b)
+                exercised += 1
+                accepts += a is not None
+        assert exercised == 604
+        assert accepts == 314
 
     def test_identical_rejects_below_distance(self):
         pure = kernel_for("pure")
         compiled = kernel_for("compiled")
-        for start, end, d in instance_pairs():
+        for start, end, d in parity_pairs():
             prep = make_prep(start, end)
             for k in range(1, d):
-                for comp in compositions(k):
-                    assert pure(prep, comp.parts) is None
-                    assert compiled(prep, comp.parts) is None
+                assert pure(prep, k) is None
+                assert compiled(prep, k) is None
 
     def test_solver_results_agree(self, monkeypatch):
         pairs = instance_pairs()[:8]
@@ -188,7 +198,7 @@ class TestBackendParity:
         prep = make_prep(*convex_pair(4)[1:] * 2)
         big = (2000,) + prep[1:]
         with pytest.raises(ValueError):
-            _core.run_composition(big, (1,))
+            _core.run_budget(big, 1)
 
     def test_out_of_range_prep_rejected(self, square_tris):
         # the compiled kernel writes through every index, so it checks them
@@ -196,13 +206,37 @@ class TestBackendParity:
         n, xs, ys, edges, target = make_prep(*square_tris)
         for bad in [(0, 1, n, -1), (1, 0, 2, -1), (0, 1, 2, -2)]:
             with pytest.raises(ValueError):
-                _core.run_composition((n, xs, ys, (bad,) + edges[1:], target), (1,))
+                _core.run_budget((n, xs, ys, (bad,) + edges[1:], target), 1)
         with pytest.raises(ValueError):
-            _core.run_composition((n, xs, ys, edges, ((0, n),)), (1,))
+            _core.run_budget((n, xs, ys, edges, ((0, n),)), 1)
         with pytest.raises(ValueError):
-            _core.run_composition((n, (2**30 + 1,) + xs[1:], ys, edges, target), (1,))
-        with pytest.raises(ValueError):
-            _core.run_composition((n, xs, ys, edges, target), (0,))
+            _core.run_budget((n, (2**30 + 1,) + xs[1:], ys, edges, target), 1)
+        for k in (0, -1, (2**31 - 1) // 4):
+            with pytest.raises(ValueError):
+                _core.run_budget((n, xs, ys, edges, target), k)
+
+
+# Runs the two corrupt apex tables of TestCorruptState through every loaded
+# kernel and prints what each call raised.
+_CORRUPT_TABLES = """
+from flipdist import _kernel
+from flipdist.geometry import PointSet
+from flipdist.triangulation import build
+
+ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
+hull = [(0, 1), (1, 2), (2, 3), (0, 3)]
+n, xs, ys, edges, target = _kernel.make_prep(build(ps, hull + [(0, 2)]), build(ps, hull + [(1, 3)]))
+tables = {
+    "wrong apex": tuple((0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges),
+    "missing side edge": tuple(e for e in edges if e[:2] != (0, 1)),
+}
+for backend in ["pure"] + (["compiled"] if _kernel.compiled_available() else []):
+    for name, table in tables.items():
+        try:
+            _kernel.kernel_for(backend)((n, xs, ys, table, target), 1)
+        except Exception as exc:
+            print(f"{backend} {name}: {type(exc).__name__}: {exc}")
+"""
 
 
 class TestCorruptState:
@@ -220,13 +254,23 @@ class TestCorruptState:
         prep = self.corrupted(square_tris, lambda edges: [
             (0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges])
         with pytest.raises(AssertionError, match="apex table corrupted"):
-            kernel_for(backend)(prep, (1,))
+            kernel_for(backend)(prep, 1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_missing_side_edge(self, square_tris, backend):
         prep = self.corrupted(square_tris, lambda edges: [e for e in edges if e[:2] != (0, 1)])
         with pytest.raises(AssertionError, match="apex table corrupted"):
-            kernel_for(backend)(prep, (1,))
+            kernel_for(backend)(prep, 1)
+
+    def test_corrupt_tables_raise_under_optimize(self):
+        src = str(Path(flipdist.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TABLES],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        backends = ["pure"] + (["compiled"] if compiled_available() else [])
+        assert proc.stdout.splitlines() == [
+            f"{backend} {table}: AssertionError: apex table corrupted"
+            for backend in backends for table in ("wrong apex", "missing side edge")]
 
 
 @needs_compiled
@@ -236,21 +280,19 @@ class TestSharedBuffers:
 
     def test_reentrant_call_raises(self, square_tris):
         from flipdist import _core
-        prep = make_prep(*square_tris)
+        n, xs, ys, edges, target = prep = make_prep(*square_tris)
 
         class CallsBack:
             def __len__(self):
-                return 1
+                return n
 
             def __getitem__(self, i):
-                if i > 0:
-                    raise IndexError(i)
-                _core.run_composition(prep, (1,))
-                return 1
+                _core.run_budget(prep, 1)
+                return xs[i]
 
         with pytest.raises(RuntimeError, match="not reentrant"):
-            _core.run_composition(prep, CallsBack())
-        assert _core.run_composition(prep, (1,)) == kernel_for("pure")(prep, (1,))
+            _core.run_budget((n, CallsBack(), ys, edges, target), 1)
+        assert _core.run_budget(prep, 1) == kernel_for("pure")(prep, 1)
 
     def test_failed_calls_leave_no_state(self, square_tris):
         from flipdist import _core
@@ -261,18 +303,78 @@ class TestSharedBuffers:
         for start, end, d in instance_pairs()[::3]:
             n, xs, ys, edges, target = prep = make_prep(start, end)
             with pytest.raises(AssertionError, match="apex table corrupted"):
-                _core.run_composition(wrong_apex, (1,))
+                _core.run_budget(wrong_apex, 1)
             # init fails after marking every start edge as a target
             with pytest.raises(ValueError):
-                _core.run_composition((n, xs, ys, edges, tuple(e[:2] for e in edges) + ((0, n),)),
-                                      (1,))
+                _core.run_budget((n, xs, ys, edges, tuple(e[:2] for e in edges) + ((0, n),)), 1)
             # init fails after loading a few edges
             with pytest.raises(ValueError):
-                _core.run_composition((n, xs, ys, edges[:3] + ((0, 1, n, -1),) + edges[3:], target),
-                                      (1,))
+                _core.run_budget((n, xs, ys, edges[:3] + ((0, 1, n, -1),) + edges[3:], target), 1)
             for k in range(max(d, 1), d + 2):
-                for comp in compositions(k):
-                    assert _core.run_composition(prep, comp.parts) == pure(prep, comp.parts)
+                assert _core.run_budget(prep, k) == pure(prep, k)
+        # a rejected run leaves (0, 1) with apex 2, as the square's table
+        # has it: the next table, which lacks (0, 1), must still be caught
+        missing_side = (n4, xs4, ys4, tuple(e for e in edges4 if e[:2] != (0, 1)), target4)
+        assert _core.run_budget(make_prep(square_tris[0], square_tris[0]), 1) is None
+        with pytest.raises(AssertionError, match="apex table corrupted"):
+            _core.run_budget(missing_side, 1)
+
+
+def flip_graph_distances(tris):
+    """All-pairs flip distances over a whole flip graph, by a plain BFS from
+    every vertex; shares no code with oracle.bfs_distance."""
+    index = {frozenset(t.edges): i for i, t in enumerate(tris)}
+    adj = [[index[frozenset(flip(t, e)[0].edges)] for e in sorted(t.edges) if is_flippable(t, e)]
+           for t in tris]
+    dist = []
+    for src in range(len(tris)):
+        row = [-1] * len(tris)
+        row[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if row[v] < 0:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        dist.append(row)
+    return dist
+
+
+def gap_pairs(ps):
+    """(start, end, distance, bound) for every ordered pair of ps's
+    triangulations, in closure order, whose distance exceeds the missing-edge
+    bound by 2 or more."""
+    tris = flip_closure(initial_triangulation(ps))
+    dist = flip_graph_distances(tris)
+    out = []
+    for i, start in enumerate(tris):
+        for j, end in enumerate(tris):
+            bound = len(necessary_edges(start, end))
+            if dist[i][j] - bound >= 2:
+                out.append((start, end, dist[i][j], bound))
+    return out
+
+
+class TestAboveTheBound:
+    """Completeness where it is in question: at a gap (distance minus bound)
+    of 2 or more, a witness must spend flips that add no target edge.  The
+    pairs are fixed by a rule, never by outcome: every gap->=2 ordered pair of
+    gen_random_points(8, 2, 1000) and every 4th one, in closure order, of the
+    convex 8-gon.  At every k from the bound to the distance d, each kernel
+    must answer NO below d and YES at d, and both must return the same triple."""
+
+    def test_no_below_distance_yes_at_it(self):
+        random_pairs = gap_pairs(gen_random_points(8, 2, 1000))
+        convex_pairs = gap_pairs(gen_convex(8))[::4]
+        assert (len(random_pairs), len(convex_pairs)) == (40, 60)
+        runs = [kernel_for("pure")] + ([kernel_for("compiled")] if compiled_available() else [])
+        for start, end, d, bound in random_pairs + convex_pairs:
+            prep = make_prep(start, end)
+            for k in range(bound, d + 1):
+                results = [run(prep, k) for run in runs]
+                assert (results[0] is None) == (k < d), (k, d)
+                assert all(r == results[0] for r in results), k
 
 
 class TestBackendThroughSolver:

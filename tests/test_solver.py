@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import flipdist
-from flipdist import solver
+from flipdist import _kernel, _searchpure
 from flipdist.errors import EdgeAbsent, PointSetMismatch, ValidationError
 from flipdist.flipdag import replay
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
@@ -111,6 +111,10 @@ class TestCompositions:
 
     def test_parts_sum_to_k(self):
         assert all(c.k == 7 for c in compositions(7))
+
+    def test_budget_above_the_recursion_limit(self):
+        # each composition is stepped from the one before, never recursed
+        assert next(compositions(5000)).parts == (1,) * 5000
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
@@ -305,13 +309,15 @@ class TestDistanceScan:
         start, target = fan(ps, 0), fan(ps, 4)
         order = list(compositions(8))
         drawn = []
+        draw = _searchpure.compositions
 
         def counting(k):
-            for comp in compositions(k):
-                drawn.append(comp)
-                yield comp
+            for parts in draw(k):
+                drawn.append(parts)
+                yield parts
 
-        monkeypatch.setattr(solver, "compositions", counting)
+        monkeypatch.setattr(_kernel, "_core", None)
+        monkeypatch.setattr(_searchpure, "compositions", counting)
         res = search_exact(start, target, 8)
         i = order.index(res.composition)
         assert 0 < i < len(order) - 1
@@ -322,7 +328,7 @@ class TestDistanceScan:
 # diagonal 0-2, target diagonal 1-3) and prints which ones raised.
 _CORRUPT_ACCEPTS = """
 from flipdist.geometry import PointSet
-from flipdist.solver import Composition, _package
+from flipdist.solver import _package
 from flipdist.triangulation import build
 
 ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -330,9 +336,10 @@ hull = [(0, 1), (1, 2), (2, 3), (0, 3)]
 a, b = build(ps, hull + [(0, 2)]), build(ps, hull + [(1, 3)])
 flip = [(0, 2, 1, 3)]
 cases = {
-    "flip count": (a, b, 2, Composition((2,)), (flip, [(0, 2)], [[4]])),
-    "action budget": (a, b, 1, Composition((1,)), (flip, [(0, 2)], [[0, 4, 4]])),
-    "replay": (a, a, 1, Composition((1,)), (flip, [(0, 2)], [[4]])),
+    "flip count": (a, b, 2, (flip, [(0, 2)], [[4]])),
+    "composition": (a, b, 2, (flip + [(1, 3, 0, 2)], [(0, 2)], [[4]])),
+    "action budget": (a, b, 1, (flip, [(0, 2)], [[0, 4, 4]])),
+    "replay": (a, a, 1, (flip, [(0, 2)], [[4]])),
 }
 for name, args in cases.items():
     try:
@@ -349,4 +356,4 @@ class TestPackageInvariants:
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "raised flip count", "raised action budget", "raised replay"]
+            "raised flip count", "raised composition", "raised action budget", "raised replay"]
