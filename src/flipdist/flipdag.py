@@ -12,7 +12,9 @@ DAG replays to the same endpoint, which is what ``check_reordering`` verifies.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InvalidAt, ValidationError
@@ -33,6 +35,14 @@ class FlipSequence:
     def __len__(self) -> int:
         return len(self.flips)
 
+    @cached_property
+    def _endpoint(self) -> ApexMap:
+        """The apex map after the sequence's own walk, computed on first use
+        and kept, since neither field changes; never handed out, only copied.
+        A walk that raises InvalidAt stores nothing, so it raises again."""
+        *_, apex = _walk(self.start, self.flips)
+        return apex
+
 
 @dataclass(frozen=True)
 class FlipDag:
@@ -52,8 +62,12 @@ class FlipDag:
 def _walk(start: Triangulation, flips: Iterable[FlipRecord]) -> Iterator[ApexMap]:
     """The apex maps of T_0..T_r, each live until the next: one private copy
     of the start's, flipped in place.  Raises InvalidAt(i) at the first flip
-    whose edge is not flippable or that inserts another edge."""
-    apex = dict(start.apex)
+    whose edge is not flippable or that inserts another edge.
+
+    Maps are copied with ``.copy()``: CPython's ``dict(m)`` re-inserts every
+    entry once m has had a deletion, as every flipped map has, while
+    ``m.copy()`` clones the table (about 3x faster at 880 edges)."""
+    apex = start.apex.copy()
     yield apex
     for i, rec in enumerate(flips):
         actual = flip_step(start.ps, apex, rec.underlying)
@@ -66,13 +80,13 @@ def _walk(start: Triangulation, flips: Iterable[FlipRecord]) -> Iterator[ApexMap
 
 def intermediates(seq: FlipSequence) -> list[Triangulation]:
     """All of T_0..T_r.  Raises InvalidAt as ``_walk`` does."""
-    return [Triangulation(seq.start.ps, dict(apex)) for apex in _walk(seq.start, seq.flips)]
+    return [Triangulation(seq.start.ps, apex.copy()) for apex in _walk(seq.start, seq.flips)]
 
 
 def replay(seq: FlipSequence) -> Triangulation:
-    """The endpoint after applying the whole sequence.  Raises InvalidAt as ``_walk`` does."""
-    *_, apex = _walk(seq.start, seq.flips)
-    return Triangulation(seq.start.ps, apex)
+    """The endpoint after applying the whole sequence, as a value with its own
+    copy of the memoised map.  Raises InvalidAt as ``_walk`` does."""
+    return Triangulation(seq.start.ps, seq._endpoint.copy())
 
 
 def build_dag(seq: FlipSequence) -> FlipDag:
@@ -105,17 +119,18 @@ def topological_sorts_sample(dag: FlipDag, count: int, seed: int) -> list[list[i
     """`count` seeded random topological orders of the DAG (repeats allowed)."""
     if count < 0:
         raise ValidationError(f"negative sample count {count}")
-    succs: dict[int, list[int]] = {i: [] for i in range(dag.node_count)}
+    succs: list[list[int]] = [[] for _ in range(dag.node_count)]
     base_indeg = [0] * dag.node_count
     for i, j in sorted(dag.arcs):
         succs[i].append(j)
         base_indeg[j] += 1
+    roots = [i for i, deg in enumerate(base_indeg) if deg == 0]
 
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         indeg = list(base_indeg)
-        ready = sorted(i for i in range(dag.node_count) if indeg[i] == 0)
+        ready = list(roots)  # kept sorted, so a pick depends only on the seed and the DAG
         order = []
         while ready:
             pick = ready.pop(rng.randrange(len(ready)))
@@ -123,8 +138,7 @@ def topological_sorts_sample(dag: FlipDag, count: int, seed: int) -> list[list[i
             for j in succs[pick]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
-                    ready.append(j)
-            ready.sort()
+                    insort(ready, j)
         out.append(order)
     return out
 
@@ -132,10 +146,20 @@ def topological_sorts_sample(dag: FlipDag, count: int, seed: int) -> list[list[i
 def check_reordering(seq: FlipSequence, perm: list[int]) -> bool:
     """True iff replaying the flips in `perm` order (matching each step by its
     underlying edge) is valid throughout and lands on replay(seq).  Raises
-    InvalidAt if seq itself does not replay."""
+    InvalidAt if seq itself does not replay, before the permuted walk.
+
+    A permuted walk that flips every record as written ends on replay(seq)'s
+    edge set: each step removes a present edge and adds an absent one, so an
+    edge ends present iff it starts present plus its additions minus its
+    removals, a count that does not depend on the order.  So the answer rests
+    on each step being valid, and the final comparison with seq's endpoint
+    confirms it.  That endpoint is memoised on seq (``replay`` and every
+    check share one walk of seq); a seq that fails is walked, and raises,
+    on every call.
+    """
     if sorted(perm) != list(range(len(seq.flips))):
         raise ValidationError("perm is not a permutation of the sequence indices")
-    *_, target = _walk(seq.start, seq.flips)
+    target = seq._endpoint
     try:
         *_, apex = _walk(seq.start, (seq.flips[idx] for idx in perm))
     except InvalidAt:

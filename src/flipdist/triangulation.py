@@ -203,18 +203,41 @@ def is_flippable(tri: Triangulation, e: Edge) -> bool:
     return _flips_into(tri.ps.points, tri.apex, _require_edge(tri, e)) is not None
 
 
-def _apply_flip(apex: ApexMap, e: Edge, g: Edge) -> list[Edge]:
-    """Flip e into g, its ``_flips_into`` result, in place and untested; return the four sides."""
+def _apply_flip(apex: ApexMap, e: Edge, g: Edge) -> tuple[Edge, Edge, Edge, Edge]:
+    """Flip e into g, its ``_flips_into`` result, in place and untested; return
+    the four sides in ``_quad_sides`` order.  Written out side by side, as
+    this step runs for every flip of every replay and oracle child."""
     a, b = e
     c, d = g
-    # side ac's triangle abc becomes acd, so its apex b becomes d; likewise bc, ad, bd
-    for side, old, new in zip(sides := _quad_sides(e, c, d), (b, a, b, a), (d, d, c, c)):
-        x, y = apex[side]
-        x, y = (new, y) if x == old else (x, new)
-        apex[side] = (y, x) if x > y >= 0 else (x, y)
+    ac = (a, c) if a < c else (c, a)
+    bc = (b, c) if b < c else (c, b)
+    ad = (a, d) if a < d else (d, a)
+    bd = (b, d) if b < d else (d, b)
+    # side ac's triangle abc becomes acd, so its apex b becomes d; likewise bc, ad, bd.
+    # The replaced apex is the first of the pair, or the second, which is then not -1.
+    x, y = apex[ac]
+    if x == b:
+        apex[ac] = (d, y) if y < 0 or d < y else (y, d)
+    else:
+        apex[ac] = (x, d) if x < d else (d, x)
+    x, y = apex[bc]
+    if x == a:
+        apex[bc] = (d, y) if y < 0 or d < y else (y, d)
+    else:
+        apex[bc] = (x, d) if x < d else (d, x)
+    x, y = apex[ad]
+    if x == b:
+        apex[ad] = (c, y) if y < 0 or c < y else (y, c)
+    else:
+        apex[ad] = (x, c) if x < c else (c, x)
+    x, y = apex[bd]
+    if x == a:
+        apex[bd] = (c, y) if y < 0 or c < y else (y, c)
+    else:
+        apex[bd] = (x, c) if x < c else (c, x)
     del apex[e]
     apex[g] = e
-    return sides
+    return ac, bc, ad, bd
 
 
 def flip_step(ps: PointSet, apex: ApexMap, e: Edge) -> Optional[Edge]:

@@ -13,6 +13,13 @@ walk, and keeps it up to date itself.  On seeded random walks both must give
 the same states, arcs and answers, and on corrupted sequences the same
 ``InvalidAt`` index and message.  Every state, whether made by ``flip`` or by
 in-place replay, must also hold the apex map that ``build`` gives its edges.
+
+Two more references are kept verbatim for the same purpose: the ``_apply_flip``
+that looped over ``_quad_sides`` and the ``topological_sorts_sample`` that
+re-sorted its ready list after every pick.  The flip step that replaced the
+first must give the same maps and sides, and the sampler that replaced the
+second the same orders for every seed.  A sequence's endpoint is memoised, so
+``replay`` and ``check_reordering`` walk the sequence's own flips once.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import random
 
 import pytest
 
+from flipdist import flipdag
 from flipdist.errors import EdgeAbsent, FlipDistError, InvalidAt, NotFlippable, ValidationError
 from flipdist.flipdag import (
     FlipSequence,
@@ -36,6 +44,8 @@ from flipdist.instances import gen_convex, gen_random_points, initial_triangulat
 from flipdist.triangulation import (
     FlipRecord,
     Triangulation,
+    _apply_flip,
+    _quad_sides,
     build,
     edge_neighbors,
     flip,
@@ -185,6 +195,48 @@ def reference_check_reordering(seq, perm) -> bool:
     return cur == target
 
 
+def reference_apply_flip(apex, e, g):
+    """Flip e into g, its ``_flips_into`` result, in place and untested; return the four sides."""
+    a, b = e
+    c, d = g
+    # side ac's triangle abc becomes acd, so its apex b becomes d; likewise bc, ad, bd
+    for side, old, new in zip(sides := _quad_sides(e, c, d), (b, a, b, a), (d, d, c, c)):
+        x, y = apex[side]
+        x, y = (new, y) if x == old else (x, new)
+        apex[side] = (y, x) if x > y >= 0 else (x, y)
+    del apex[e]
+    apex[g] = e
+    return sides
+
+
+def reference_topological_sorts_sample(dag, count: int, seed: int) -> list[list[int]]:
+    """`count` seeded random topological orders of the DAG (repeats allowed)."""
+    if count < 0:
+        raise ValidationError(f"negative sample count {count}")
+    succs: dict[int, list[int]] = {i: [] for i in range(dag.node_count)}
+    base_indeg = [0] * dag.node_count
+    for i, j in sorted(dag.arcs):
+        succs[i].append(j)
+        base_indeg[j] += 1
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        indeg = list(base_indeg)
+        ready = sorted(i for i in range(dag.node_count) if indeg[i] == 0)
+        order = []
+        while ready:
+            pick = ready.pop(rng.randrange(len(ready)))
+            order.append(pick)
+            for j in succs[pick]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    ready.append(j)
+            ready.sort()
+        out.append(order)
+    return out
+
+
 def outcome(fn, *args):
     """fn's result, or the type, index and message of the flipdist error it raised."""
     try:
@@ -297,12 +349,19 @@ def test_same_intermediates(walk_cases):
         assert [state(t) for t in got] == [state(t) for t in want]
         assert state(replay(seq)) == state(want[-1])
         hull = set(convex_hull_edges(start.ps))
-        for tri, rec in zip(got, flips):
+        for tri, nxt, rec in zip(got, got[1:], flips):
             assert_built_apexes(tri)
             next_to_hull += not hull.isdisjoint(edge_neighbors(tri, rec.underlying))
+            # the written-out flip step against the loop over _quad_sides it replaced
+            e, g = rec.underlying, rec.resulting
+            apex, ref_apex = dict(tri.apex), dict(tri.apex)
+            sides = _apply_flip(apex, e, g)
+            assert list(sides) == _quad_sides(e, *g) == reference_apply_flip(ref_apex, e, g)
+            assert apex == ref_apex == nxt.apex
+            assert list(apex) == list(ref_apex)
         assert_built_apexes(got[-1])
         assert_built_apexes(replay(seq))
-    # the apex maps were checked after flips that change a hull edge's apex
+    # the apex maps were checked after flips that change a hull edge's apex (c, -1)
     assert next_to_hull > len(walk_cases)
 
 
@@ -389,3 +448,66 @@ def test_pinned_messages(square_tris, rec, message):
             fn(*args)
         assert exc.value.index == 0
         assert str(exc.value) == f"flip sequence invalid at step 0: {message}"
+
+
+def test_topological_samples_match_reference(walk_cases):
+    """Inserting each newly ready node in order picks exactly as re-sorting did."""
+    branching = 0
+    for label, start, flips in walk_cases:
+        dag = build_dag(FlipSequence(start=start, flips=flips))
+        for seed in range(25):
+            got = topological_sorts_sample(dag, 4, seed)
+            assert got == reference_topological_sorts_sample(dag, 4, seed), (label, seed)
+        branching += len({tuple(order) for order in got}) > 1
+    assert branching > len(walk_cases) // 2
+
+
+def counting_flip_step(monkeypatch) -> list[int]:
+    """Route flipdag's flip steps through a counter; the list holds the count."""
+    calls = [0]
+    step = flipdag.flip_step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(flipdag, "flip_step", counted)
+    return calls
+
+
+def test_endpoint_walked_once(walk_cases, monkeypatch):
+    """replay plus four reorderings walk the sequence's own flips once, plus
+    one walk per permutation; each replay is a value with its own map."""
+    calls = counting_flip_step(monkeypatch)
+    for label, start, flips in walk_cases:
+        seq = FlipSequence(start=start, flips=flips)
+        perms = topological_sorts_sample(build_dag(seq), 4, len(flips))
+        calls[0] = 0
+        end = replay(seq)
+        assert all(check_reordering(seq, perm) for perm in perms)
+        assert calls[0] == len(flips) * (1 + len(perms)), label
+
+        again = replay(seq)
+        assert again == end and again.apex == end.apex and again.apex is not end.apex
+        edges = sorted(end.edges)
+        e = next(e for e in edges if is_flippable(end, e))
+        end.apex[e[::-1]] = end.apex.pop(e)  # a corrupting edit of one value's map
+        assert sorted(again.edges) == edges == sorted(replay(seq).edges), label
+        assert replay(seq).apex == again.apex
+
+
+def test_failed_walk_is_not_memoised(walk_cases, monkeypatch):
+    """A sequence that does not replay walks up to its bad flip, and raises
+    the same InvalidAt, on every call, before any permuted walk."""
+    calls = counting_flip_step(monkeypatch)
+    for label, start, flips in walk_cases:
+        p = len(flips) // 2
+        bad = FlipRecord(underlying=flips[p].underlying[::-1], resulting=flips[p].resulting)
+        seq = FlipSequence(start=start, flips=flips[:p] + (bad,) + flips[p + 1:])
+        perm = list(range(len(flips)))
+        first = outcome(replay, seq)
+        assert first[:2] == (InvalidAt, p), label
+        for fn, args in ((replay, (seq,)), (check_reordering, (seq, perm)), (replay, (seq,))):
+            calls[0] = 0
+            assert outcome(fn, *args) == first
+            assert calls[0] == p + 1, label
