@@ -8,6 +8,8 @@
  *
  * One call parses prep once and steps comp through the compositions of k; a
  * rejected one undoes all its flips, so the next starts from the same state.
+ * walk searches one composition in a single loop, with no recursion, so the
+ * C stack does not grow with k.
  * The n*n arrays live in module buffers grown to the largest n seen, so a
  * scan over k does not page-fault them in again for every budget.  That
  * makes run_budget non-reentrant: a nested call raises RuntimeError.
@@ -26,12 +28,20 @@
 #define MAX_POINTS 1024
 #define COORD_BOUND (1LL << 30)
 
-/* Search results of iterate/descend: accept, reject, or a corrupt apex table
- * (a Python exception is set). */
+/* Search results of walk: accept, reject, or a corrupt apex table (a Python
+ * exception is set). */
 enum { REJECT = 0, ACCEPT = 1, CORRUPT = -1 };
 
+/* One iteration's cursor: the ordering its start edge came from and the
+ * position just past that edge. */
 typedef struct {
-    int n, t, k_total, E, nec_cnt, stack_len, olex0_len, wf_cnt, wact_cnt;
+    const int *olex;
+    int len, pos;
+} Cursor;
+
+typedef struct {
+    int n, t, k_total, E, nec_cnt;
+    unsigned long long inv; /* floor(2^32 / n) + 1, see div_n */
     long long *xs, *ys;
     int *ap0;        /* smaller apex per present edge */
     int *ap1;        /* larger apex, -1 on the hull */
@@ -40,12 +50,11 @@ typedef struct {
     int *pos_of;     /* eid -> index in cur_edges */
     int *comp;       /* the current composition, t parts of k slots */
     int *stack;
-    int *olex0;
-    int *opool;      /* k rows of E ints: rebuilt orderings, one row per depth */
-    int *wflips;     /* witness buffers, only valid on accept */
-    int *wstarts;
-    int *wacts;
-    int *act_off;
+    int *opool;      /* k + 1 rows of E ints: the start's ordering, then one
+                      * rebuilt ordering per iteration */
+    Cursor *cursors; /* k + 1 records, see walk */
+    int *wflips;     /* (flipped, created) edge ids per flip, and */
+    int *wacts;      /* action codes: the walk's undo log, and the witness */
 } Search;
 
 /* ap0, ap1 and pos_of are read only where present is set; each call clears
@@ -63,6 +72,14 @@ static int cmp_int(const void *x, const void *y)
     return *(const int *)x - *(const int *)y;
 }
 
+/* e / n by a multiply, since the walk splits an edge id at every step:
+ * e * inv / 2^32 overshoots e / n by less than e / 2^32 < 1 / n for
+ * e < 2^20 and n <= 2^10, so its floor is exact. */
+static int div_n(const Search *s, int e)
+{
+    return (int)((unsigned long long)e * s->inv >> 32);
+}
+
 static int eid2(const Search *s, int u, int v)
 {
     return u < v ? u * s->n + v : v * s->n + u;
@@ -73,7 +90,7 @@ static int flippable(const Search *s, int e)
     int c = s->ap0[e], d = s->ap1[e];
     if (d < 0)
         return 0;
-    int a = e / s->n, b = e % s->n;
+    int a = div_n(s, e), b = e - a * s->n;
     const long long *xs = s->xs, *ys = s->ys;
     long long dx = xs[d] - xs[c], dy = ys[d] - ys[c];
     /* c, d lie on opposite sides of ab: convex iff a, b lie strictly on
@@ -118,7 +135,7 @@ static int swap_apex(Search *s, int u, int v, int old, int new_)
 static int do_flip(Search *s, int e)
 {
     int n = s->n;
-    int a = e / n, b = e % n;
+    int a = div_n(s, e), b = e - a * n;
     int c = s->ap0[e], d = s->ap1[e];
     int g = c * n + d;
     int idx, last;
@@ -144,113 +161,98 @@ static int do_flip(Search *s, int e)
     return g;
 }
 
-static int descend(Search *s, int it, const int *olex, int olen, int pos, int ki,
-                   int m, int f);
-
-static int iterate(Search *s, int it, const int *olex, int olen, int pos)
+/* One composition's search: _searchpure._walk, line for line, so see there.
+ * it counts the iterations begun, cs[i + 1] is iteration i's cursor, and
+ * cs[0] holds the start's ordering. */
+static int walk(Search *s)
 {
-    int p, e, chosen, i, cnt, r;
-    int *row;
-    if (it == s->t)
-        return s->nec_cnt == 0 ? ACCEPT : REJECT;
-    /* cursor rule: next surviving necessary edge, else rebuild and restart */
-    chosen = -1;
-    p = pos;
-    while (p < olen) {
-        e = olex[p];
-        p += 1;
-        if (s->present[e] && !s->targ[e]) {
-            chosen = e;
-            break;
+    Cursor *cs = s->cursors, *cc;
+    int *stack = s->stack, *row;
+    int it = 0, ki = 0, m = 0, f = 0, code = 0, top = 0, nf = 0, na = 0;
+    int i, cur, nb, g;
+    const int n = s->n, k_total = s->k_total;
+    for (;;) {
+        if (f == ki) { /* the iteration is complete, or none has begun */
+            if (it == s->t) {
+                if (s->nec_cnt == 0)
+                    return ACCEPT;
+            } else {
+                /* cursor rule: next surviving necessary edge, else rebuild and restart */
+                cc = cs + it + 1;
+                *cc = cs[it];
+                while (cc->pos < cc->len &&
+                       (!s->present[cc->olex[cc->pos]] || s->targ[cc->olex[cc->pos]]))
+                    cc->pos += 1;
+                if (cc->pos == cc->len) {
+                    cc->olex = row = s->opool + (size_t)(it + 1) * s->E;
+                    cc->len = cc->pos = 0;
+                    for (i = 0; i < s->E; i++)
+                        if (!s->targ[s->cur_edges[i]])
+                            row[cc->len++] = s->cur_edges[i];
+                    qsort(row, cc->len, sizeof(int), cmp_int);
+                }
+                if (cc->pos < cc->len) {
+                    stack[top++] = cc->olex[cc->pos++];
+                    ki = s->comp[it++];
+                    m = f = code = 0;
+                    continue;
+                }
+            }
+            if (it == 0)
+                return REJECT;
+        } else {
+            cur = stack[top - 1];
+            if (code < 4 && m < ki - 1 && (code < 2 || s->ap1[cur] >= 0)) {
+                nb = eid2(s, code & 1 ? cur - div_n(s, cur) * n : div_n(s, cur),
+                          code & 2 ? s->ap1[cur] : s->ap0[cur]);
+                /* the pure kernel looks up the edge a Move walks to right away */
+                if (!s->present[nb])
+                    return corrupt();
+                stack[top++] = nb;
+                s->wacts[na++] = code;
+                m += 1;
+                code = 0;
+                continue;
+            }
+            if ((f < m || (m == ki - 1 && f == ki - 1)) && flippable(s, cur)) {
+                if ((g = do_flip(s, cur)) < 0)
+                    return CORRUPT;
+                s->wflips[2 * nf] = cur;
+                s->wflips[2 * nf + 1] = g;
+                nf += 1;
+                s->wacts[na++] = 4;
+                top -= 1;
+                f += 1;
+                /* prune: the pop exposes a destroyed edge, or too few flips remain */
+                if ((top == 0 || s->present[stack[top - 1]]) && s->nec_cnt <= k_total - nf) {
+                    code = 0;
+                    continue;
+                }
+            }
         }
+        do { /* retreat past every FlipBack, which has no next action */
+            if (m + f == 0) { /* drop an iteration whose start edge has nothing left */
+                top -= 1;
+                if (--it == 0)
+                    return REJECT;
+                ki = s->comp[it - 1];
+                m = ki - 1;
+                f = ki;
+            }
+            code = s->wacts[--na];
+            if (code < 4) {
+                top -= 1;
+                m -= 1;
+            } else {
+                nf -= 1;
+                if (do_flip(s, s->wflips[2 * nf + 1]) < 0)
+                    return CORRUPT;
+                stack[top++] = s->wflips[2 * nf];
+                f -= 1;
+            }
+        } while (code == 4);
+        code += 1;
     }
-    if (chosen < 0) {
-        row = s->opool + (size_t)it * s->E;
-        cnt = 0;
-        for (i = 0; i < s->E; i++) {
-            e = s->cur_edges[i];
-            if (!s->targ[e])
-                row[cnt++] = e;
-        }
-        if (cnt == 0)
-            return REJECT;
-        qsort(row, cnt, sizeof(int), cmp_int);
-        olex = row;
-        olen = cnt;
-        chosen = row[0];
-        p = 1;
-    }
-    s->wstarts[it] = chosen;
-    s->act_off[it] = s->wact_cnt;
-    s->stack[0] = chosen;
-    s->stack_len = 1;
-    r = descend(s, it, olex, olen, p, s->comp[it], 0, 0);
-    if (r != REJECT)
-        return r;
-    s->stack_len = 0;
-    return REJECT;
-}
-
-static int descend(Search *s, int it, const int *olex, int olen, int pos, int ki,
-                   int m, int f)
-{
-    int cur, a, b, c, d, dd, nb, g, nbcnt, r, may_flip;
-    if (f == ki)
-        return iterate(s, it + 1, olex, olen, pos);
-    cur = s->stack[s->stack_len - 1];
-    may_flip = f < m || (m == ki - 1 && f == ki - 1);
-    /* an absent edge fails only where the pure kernel would look it up */
-    if ((m < ki - 1 || may_flip) && !s->present[cur])
-        return corrupt();
-    if (m < ki - 1) {
-        a = cur / s->n;
-        b = cur % s->n;
-        c = s->ap0[cur];
-        d = s->ap1[cur];
-        nbcnt = d < 0 ? 2 : 4;
-        for (dd = 0; dd < nbcnt; dd++) {
-            if (dd == 0)
-                nb = eid2(s, a, c);
-            else if (dd == 1)
-                nb = eid2(s, b, c);
-            else if (dd == 2)
-                nb = eid2(s, a, d);
-            else
-                nb = eid2(s, b, d);
-            s->wacts[s->wact_cnt++] = dd;
-            s->stack[s->stack_len++] = nb;
-            r = descend(s, it, olex, olen, pos, ki, m + 1, f);
-            if (r != REJECT)
-                return r;
-            s->stack_len -= 1;
-            s->wact_cnt -= 1;
-        }
-    }
-    if (may_flip && flippable(s, cur)) {
-        g = do_flip(s, cur);
-        if (g < 0)
-            return CORRUPT;
-        s->wflips[4 * s->wf_cnt] = cur / s->n;
-        s->wflips[4 * s->wf_cnt + 1] = cur % s->n;
-        s->wflips[4 * s->wf_cnt + 2] = g / s->n;
-        s->wflips[4 * s->wf_cnt + 3] = g % s->n;
-        s->wf_cnt += 1;
-        s->wacts[s->wact_cnt++] = 4;
-        /* prune: the pop exposes a destroyed edge, or too few flips remain */
-        s->stack_len -= 1;
-        if ((s->stack_len == 0 || s->present[s->stack[s->stack_len - 1]]) &&
-            s->nec_cnt <= s->k_total - s->wf_cnt) {
-            r = descend(s, it, olex, olen, pos, ki, m, f + 1);
-            if (r != REJECT)
-                return r;
-        }
-        s->stack[s->stack_len++] = cur;
-        s->wact_cnt -= 1;
-        s->wf_cnt -= 1;
-        if (do_flip(s, g) < 0)
-            return CORRUPT;
-    }
-    return REJECT;
 }
 
 static void shared_free(void)
@@ -265,35 +267,15 @@ static void shared_free(void)
     shared.cap = 0;
 }
 
-static void search_free(Search *s)
-{
-    free(s->xs);
-    free(s->ys);
-    free(s->cur_edges);
-    free(s->comp);
-    free(s->stack);
-    free(s->olex0);
-    free(s->opool);
-    free(s->wflips);
-    free(s->wstarts);
-    free(s->wacts);
-    free(s->act_off);
-}
-
-static void *xmalloc(size_t count, size_t size)
-{
-    return malloc(count > 0 ? count * size : 1);
-}
-
 /* Grow the shared buffers to nn entries; -1 with MemoryError on failure. */
 static int shared_reserve(size_t nn)
 {
     if (nn <= shared.cap)
         return 0;
     shared_free();
-    shared.ap0 = xmalloc(nn, sizeof(int));
-    shared.ap1 = xmalloc(nn, sizeof(int));
-    shared.pos_of = xmalloc(nn, sizeof(int));
+    shared.ap0 = malloc(nn * sizeof(int));
+    shared.ap1 = malloc(nn * sizeof(int));
+    shared.pos_of = malloc(nn * sizeof(int));
     shared.present = calloc(nn, 1);
     shared.targ = calloc(nn, 1);
     if (!shared.ap0 || !shared.ap1 || !shared.pos_of || !shared.present || !shared.targ) {
@@ -362,24 +344,25 @@ static int search_init(Search *s, PyObject *prep, long long k)
         return -1;
     }
     s->n = (int)n;
+    s->inv = (1ULL << 32) / (unsigned long long)n + 1;
     s->E = (int)E;
     s->t = s->k_total = (int)k;
-    s->comp = xmalloc(k, sizeof(int));
-    s->xs = xmalloc(n, sizeof(long long));
-    s->ys = xmalloc(n, sizeof(long long));
-    s->cur_edges = xmalloc(E, sizeof(int));
-    s->stack = xmalloc(k + 2, sizeof(int));
-    s->olex0 = xmalloc(E, sizeof(int));
-    s->opool = xmalloc((size_t)k * E, sizeof(int));
-    s->wflips = xmalloc(4 * k, sizeof(int));
-    s->wstarts = xmalloc(k, sizeof(int));
-    s->wacts = xmalloc(2 * k, sizeof(int));
-    s->act_off = xmalloc(k, sizeof(int));
-    if (!s->comp || !s->xs || !s->ys || !s->cur_edges || !s->stack || !s->olex0 ||
-        !s->opool || !s->wflips || !s->wstarts || !s->wacts || !s->act_off) {
+    /* one block per call, freed through xs: the coordinates, the cursors,
+     * then comp, cur_edges, stack, opool, wflips and wacts */
+    s->xs = malloc(2 * n * sizeof(long long) + (k + 1) * sizeof(Cursor) +
+                   ((size_t)(k + 1) * E + E + 6 * k + 2) * sizeof(int));
+    if (s->xs == NULL) {
         PyErr_NoMemory();
         return -1;
     }
+    s->ys = s->xs + n;
+    s->cursors = (Cursor *)(s->ys + n);
+    s->comp = (int *)(s->cursors + k + 1);
+    s->cur_edges = s->comp + k;
+    s->stack = s->cur_edges + E;
+    s->opool = s->stack + k + 2;
+    s->wflips = s->opool + (size_t)(k + 1) * E;
+    s->wacts = s->wflips + 2 * k;
     for (i = 0; i < k; i++)
         s->comp[i] = 1;
     if (shared_reserve((size_t)nn) < 0)
@@ -430,34 +413,33 @@ static int search_init(Search *s, PyObject *prep, long long k)
         }
         s->targ[a * n + b] = 1;
     }
-    for (i = 0; i < E; i++) { /* input edges are sorted, so this is ascending */
-        int eid = s->cur_edges[i];
-        if (!s->targ[eid])
-            s->olex0[s->olex0_len++] = eid;
-    }
-    s->nec_cnt = s->olex0_len;
+    for (i = 0; i < E; i++) /* input edges are sorted, so this is ascending */
+        if (!s->targ[s->cur_edges[i]])
+            s->opool[s->nec_cnt++] = s->cur_edges[i];
+    s->cursors[0] = (Cursor){s->opool, s->nec_cnt, 0};
     return 0;
 }
 
 /* The accept triple (flips, starts, actions) from the witness buffers. */
 static PyObject *witness(const Search *s)
 {
-    PyObject *flips = PyList_New(s->wf_cnt);
+    PyObject *flips = PyList_New(s->k_total);
     PyObject *starts = PyList_New(s->t);
     PyObject *actions = PyList_New(s->t);
-    int i, j, n = s->n;
+    int i, j, n = s->n, off = 0;
     if (flips == NULL || starts == NULL || actions == NULL)
         goto fail;
-    for (i = 0; i < s->wf_cnt; i++) {
-        const int *w = s->wflips + 4 * i;
-        PyObject *item = Py_BuildValue("(iiii)", w[0], w[1], w[2], w[3]);
+    for (i = 0; i < s->k_total; i++) {
+        int e = s->wflips[2 * i], g = s->wflips[2 * i + 1];
+        PyObject *item = Py_BuildValue("(iiii)", e / n, e % n, g / n, g % n);
         if (item == NULL)
             goto fail;
         PyList_SET_ITEM(flips, i, item);
     }
     for (i = 0; i < s->t; i++) {
-        int len = 2 * s->comp[i] - 1;
-        PyObject *item = Py_BuildValue("(ii)", s->wstarts[i] / n, s->wstarts[i] % n);
+        const Cursor *cc = s->cursors + i + 1;
+        int len = 2 * s->comp[i] - 1, e = cc->olex[cc->pos - 1];
+        PyObject *item = Py_BuildValue("(ii)", e / n, e % n);
         PyObject *acts = PyList_New(len);
         if (item == NULL || acts == NULL) {
             Py_XDECREF(item);
@@ -467,7 +449,7 @@ static PyObject *witness(const Search *s)
         PyList_SET_ITEM(starts, i, item);
         PyList_SET_ITEM(actions, i, acts);
         for (j = 0; j < len; j++) {
-            PyObject *code = PyLong_FromLong(s->wacts[s->act_off[i] + j]);
+            PyObject *code = PyLong_FromLong(s->wacts[off++]);
             if (code == NULL)
                 goto fail;
             PyList_SET_ITEM(acts, j, code);
@@ -513,14 +495,14 @@ static PyObject *run_budget(PyObject *self, PyObject *args)
     memset(&s, 0, sizeof s);
     if (search_init(&s, prep, k) == 0) {
         do
-            r = iterate(&s, 0, s.olex0, s.olex0_len, 0);
+            r = walk(&s);
         while (r == REJECT && next_composition(&s));
         if (r == ACCEPT)
             result = witness(&s);
         else if (r == REJECT)
             result = Py_NewRef(Py_None);
     }
-    search_free(&s);
+    free(s.xs);
     shared.busy = 0;
     return result;
 }

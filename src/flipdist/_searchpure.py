@@ -2,7 +2,9 @@
 
 Runs the branch-and-prune walk search for one flip budget against a compact
 mutable state: edges keyed by ``a * n + b`` mapping to their one or two apex
-vertices.  This is the reference kernel; the C extension ``_core`` (source
+vertices.  Each composition is searched by one loop over an explicit stack
+(``_walk``), never by recursion, so no budget runs into Python's recursion
+limit.  This is the reference kernel; the C extension ``_core`` (source
 ``_core.c``, built by ``setup.py`` or on first import by ``_kernel``)
 implements the identical contract and must stay behaviorally indistinguishable
 from it (the test suite diffs the two).  A corrupt apex table raises
@@ -23,6 +25,7 @@ composition undoes every flip it made, so each one starts from the same state.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Optional
 
 Prep = tuple[int, tuple[int, ...], tuple[int, ...],
@@ -91,20 +94,6 @@ class _State:
         self._swap_apex(b, d, a, c)
         return gid
 
-    def neighbors(self, eid: int) -> tuple[int, ...]:
-        """Edge ids of the incident triangles' other edges, in the canonical
-        direction order (2 entries on the hull, else 4)."""
-        n = self.n
-        a, b = divmod(eid, n)
-        c, d = self.apex[eid]
-        e1 = a * n + c if a < c else c * n + a
-        e2 = b * n + c if b < c else c * n + b
-        if d < 0:
-            return (e1, e2)
-        e3 = a * n + d if a < d else d * n + a
-        e4 = b * n + d if b < d else d * n + b
-        return (e1, e2, e3, e4)
-
 
 def compositions(k: int) -> Iterator[tuple[int, ...]]:
     """The 2^(k-1) compositions of k >= 1 in lexicographic order: drop the
@@ -120,74 +109,96 @@ def compositions(k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
+def _walk(st: _State, olex0: tuple[int, ...], parts: tuple[int, ...], k: int,
+          flips: list[tuple[int, int]], acts: list[int]) -> Optional[list[tuple[tuple[int, ...], int]]]:
+    """One composition's search, the paper's walk as one loop, with no
+    recursion.  code is the next action to try at the current node: 0..3 =
+    Move, 4 = FlipBack.  flips (flipped edge, created edge) and acts are the
+    undo log, so retreating pops the last action and tries the one after it.
+    Returns the cursors on accept, else None with everything undone: cursor
+    i + 1 is iteration i's ordering and the position just past its start
+    edge, and cursor 0 holds olex0, the start's ordering."""
+    n, apex, target = st.n, st.apex, st.target
+    cursors = [(olex0, 0)]
+    stack: list[int] = []
+    ki = m = f = code = 0
+    while True:
+        if f == ki:  # the iteration is complete, or none has begun
+            it = len(cursors) - 1
+            if it == len(parts):
+                if st.nec_cnt == 0:
+                    return cursors
+            else:
+                # cursor rule: next surviving necessary edge, else rebuild and restart
+                olex, p = cursors[-1]
+                while p < len(olex) and (olex[p] not in apex or olex[p] in target):
+                    p += 1
+                if p == len(olex):
+                    olex, p = tuple(sorted(e for e in apex if e not in target)), 0
+                if olex:
+                    cursors.append((olex, p + 1))
+                    stack.append(olex[p])
+                    ki, m, f, code = parts[it], 0, 0, 0
+                    continue
+            if it == 0:
+                return None
+        else:
+            cur = stack[-1]
+            if code < 4 and m < ki - 1:
+                c, d = apex[cur]
+                if code < 2 or d >= 0:  # a hull edge has no directions 2 and 3
+                    a, b = divmod(cur, n)
+                    u, v = b if code & 1 else a, d if code & 2 else c
+                    stack.append(u * n + v if u < v else v * n + u)
+                    acts.append(code)
+                    m += 1
+                    code = 0
+                    continue
+            if (f < m or (m == ki - 1 and f == ki - 1)) and st.flippable(cur):
+                gid = st.do_flip(cur)
+                flips.append((cur, gid))
+                acts.append(4)
+                stack.pop()
+                f += 1
+                # pruned when the pop exposes an edge the flips have destroyed,
+                # or when more target edges are missing than flips remain
+                if (not stack or stack[-1] in apex) and st.nec_cnt <= k - len(flips):
+                    code = 0
+                    continue
+        while True:  # retreat past every FlipBack, which has no next action
+            if m + f == 0:  # drop an iteration whose start edge has nothing left
+                stack.pop()
+                cursors.pop()
+                if len(cursors) == 1:
+                    return None
+                ki = parts[len(cursors) - 2]
+                m, f = ki - 1, ki
+            code = acts.pop()
+            if code < 4:
+                stack.pop()
+                m -= 1
+                break
+            cur, gid = flips.pop()
+            st.do_flip(gid)
+            stack.append(cur)
+            f -= 1
+        code += 1
+
+
 def run_budget(prep: Prep, k: int) -> Optional[Accept]:
     st = _State(prep)
     n = st.n
     olex0 = tuple(sorted(e for e in st.apex if e not in st.target))
-    flips: list[tuple[int, int, int, int]] = []
-    starts: list[int] = []
-    actions: list[list[int]] = []
-
-    def iterate(it: int, olex: tuple[int, ...], pos: int) -> bool:
-        if it == len(parts):
-            return st.nec_cnt == 0
-        # cursor rule: next surviving necessary edge, else rebuild and restart
-        chosen = -1
-        p = pos
-        while p < len(olex):
-            e = olex[p]
-            p += 1
-            if e in st.apex and e not in st.target:
-                chosen = e
-                break
-        if chosen < 0:
-            olex = tuple(sorted(e for e in st.apex if e not in st.target))
-            if not olex:
-                return False
-            chosen, p = olex[0], 1
-        starts.append(chosen)
-        actions.append([])
-        if descend(it, olex, p, parts[it], 0, 0, [chosen]):
-            return True
-        starts.pop()
-        actions.pop()
-        return False
-
-    def descend(it: int, olex: tuple[int, ...], pos: int, ki: int,
-                m: int, f: int, stack: list[int]) -> bool:
-        if f == ki:
-            return iterate(it + 1, olex, pos)
-        cur = stack[-1]
-        trace = actions[-1]
-        if m < ki - 1:
-            nbrs = st.neighbors(cur)
-            for d in range(len(nbrs)):
-                trace.append(d)
-                stack.append(nbrs[d])
-                if descend(it, olex, pos, ki, m + 1, f, stack):
-                    return True
-                stack.pop()
-                trace.pop()
-        if (f < m or (m == ki - 1 and f == ki - 1)) and st.flippable(cur):
-            gid = st.do_flip(cur)
-            flips.append((*divmod(cur, n), *divmod(gid, n)))
-            trace.append(4)
-            stack.pop()
-            # pruned when the pop exposes an edge the flips have destroyed,
-            # or when more target edges are missing than flips remain
-            if (not stack or stack[-1] in st.apex) and st.nec_cnt <= k - len(flips):
-                if descend(it, olex, pos, ki, m, f + 1, stack):
-                    return True
-            stack.append(cur)
-            trace.pop()
-            flips.pop()
-            st.do_flip(gid)
-        return False
-
+    flips: list[tuple[int, int]] = []
+    acts: list[int] = []
     try:
-        for parts in compositions(k):  # iterate reads parts from this binding
-            if iterate(0, olex0, 0):
-                return flips, [divmod(e, n) for e in starts], actions
+        for parts in compositions(k):
+            cursors = _walk(st, olex0, parts, k, flips, acts)
+            if cursors is not None:
+                codes = iter(acts)
+                return ([(*divmod(e, n), *divmod(g, n)) for e, g in flips],
+                        [divmod(olex[p - 1], n) for olex, p in cursors[1:]],
+                        [list(islice(codes, 2 * ki - 1)) for ki in parts])
     except KeyError as exc:  # an apex names an edge the table does not hold
         raise AssertionError("apex table corrupted") from exc
     return None

@@ -52,7 +52,7 @@ def _flip_with_moves(pts: Sequence[Point], apex: ApexMap, e: Edge, moves: _Moves
     """A copy of ``apex`` with e flipped, and its move table from ``moves``,
     the table of ``apex``: only the four sides of the quadrilateral change
     triangles, so only they are tested again."""
-    child, out = dict(apex), dict(moves)
+    child, out = apex.copy(), moves.copy()
     g, mask = out.pop(e)
     out[g] = e, mask
     for s in _apply_flip(child, e, g):  # the sides of the quadrilateral

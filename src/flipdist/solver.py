@@ -226,6 +226,28 @@ def _package(t_start: Triangulation, t_end: Triangulation, k: int,
     return result
 
 
+def _scan(t_start: Triangulation, t_end: Triangulation, k_lo: int, k_hi: int) -> Optional[SolveResult]:
+    """The witness for the smallest k in k_lo..k_hi with a YES, or None.  The
+    bound and prep depend only on the pair, so they are computed once."""
+    bound = len(necessary_edges(t_start, t_end))
+    if k_hi < 0:
+        raise ValidationError(f"negative flip budget {k_hi}")
+    budgets = range(max(k_lo, bound), k_hi + 1)
+    if not budgets:
+        return None
+    if budgets[0] == 0:  # a bound of 0 means the two are equal
+        return SolveResult(k=0, composition=Composition(()),
+                           sequence=FlipSequence(start=t_start, flips=()),
+                           starts=(), shapes=())
+    prep = _kernel.make_prep(t_start, t_end)
+    run = _kernel.kernel_for(_kernel.resolve_backend(len(t_start.ps)))
+    for k in budgets:
+        accept = run(prep, k)
+        if accept is not None:
+            return _package(t_start, t_end, k, accept)
+    return None
+
+
 def search_exact(t_start: Triangulation, t_end: Triangulation, k: int) -> Optional[SolveResult]:
     """A witness using exactly k flips, or None if this search finds none.
 
@@ -234,33 +256,13 @@ def search_exact(t_start: Triangulation, t_end: Triangulation, k: int) -> Option
     searching when k is below the missing-edge lower bound.  One kernel call
     tries the compositions of k in order and stops at the first accept.
     """
-    bound = len(necessary_edges(t_start, t_end))
-    if k < 0:
-        raise ValidationError(f"negative flip budget {k}")
-    if k < bound:
-        return None
-    if k == 0:  # a bound of 0 means the two are equal
-        return SolveResult(k=0, composition=Composition(()),
-                           sequence=FlipSequence(start=t_start, flips=()),
-                           starts=(), shapes=())
-
-    prep = _kernel.make_prep(t_start, t_end)
-    run = _kernel.kernel_for(_kernel.resolve_backend(len(t_start.ps)))
-    accept = run(prep, k)
-    return None if accept is None else _package(t_start, t_end, k, accept)
+    return _scan(t_start, t_end, k, k)
 
 
 def search_upto(t_start: Triangulation, t_end: Triangulation, k_max: int) -> Optional[SolveResult]:
     """The witness for the smallest k' <= k_max with a YES, or None.  The
     scan starts at the missing-edge lower bound; every k' below it is a NO."""
-    bound = len(necessary_edges(t_start, t_end))
-    if k_max < 0:
-        raise ValidationError(f"negative flip budget {k_max}")
-    for k in range(bound, k_max + 1):
-        res = search_exact(t_start, t_end, k)
-        if res is not None:
-            return res
-    return None
+    return _scan(t_start, t_end, 0, k_max)
 
 
 def flip_distance_upto(t_start: Triangulation, t_end: Triangulation, k_max: int) -> Optional[int]:

@@ -253,7 +253,7 @@ def flip_step(ps: PointSet, apex: ApexMap, e: Edge) -> Optional[Edge]:
 def flip(tri: Triangulation, e: Edge) -> tuple[Triangulation, FlipRecord]:
     """Replace diagonal e with the opposite diagonal of its quadrilateral."""
     e = _require_edge(tri, e)
-    apex = dict(tri.apex)
+    apex = tri.apex.copy()
     new_edge = flip_step(tri.ps, apex, e)
     if new_edge is None:
         raise NotFlippable(f"edge {e} is not flippable")

@@ -14,6 +14,7 @@ import sys
 import sysconfig
 from collections import deque
 from pathlib import Path
+from typing import Iterator, Optional
 
 import pytest
 
@@ -26,12 +27,14 @@ from flipdist._kernel import (
     make_prep,
     resolve_backend,
 )
+from flipdist._searchpure import Accept, Prep
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
 from flipdist.solver import search_exact, search_upto
 from flipdist.triangulation import build, flip, is_flippable, necessary_edges
 
 from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
+from test_prune import fan
 
 needs_compiled = pytest.mark.skipif(not compiled_available(),
                                     reason="compiled extension not built")
@@ -341,19 +344,19 @@ def flip_graph_distances(tris):
     return dist
 
 
-def gap_pairs(ps):
+def ordered_pairs(ps):
     """(start, end, distance, bound) for every ordered pair of ps's
-    triangulations, in closure order, whose distance exceeds the missing-edge
-    bound by 2 or more."""
+    triangulations, in closure order."""
     tris = flip_closure(initial_triangulation(ps))
     dist = flip_graph_distances(tris)
-    out = []
-    for i, start in enumerate(tris):
-        for j, end in enumerate(tris):
-            bound = len(necessary_edges(start, end))
-            if dist[i][j] - bound >= 2:
-                out.append((start, end, dist[i][j], bound))
-    return out
+    return [(start, end, dist[i][j], len(necessary_edges(start, end)))
+            for i, start in enumerate(tris) for j, end in enumerate(tris)]
+
+
+def gap_pairs(ps):
+    """The ordered pairs whose distance exceeds the missing-edge bound by 2 or
+    more."""
+    return [pair for pair in ordered_pairs(ps) if pair[2] - pair[3] >= 2]
 
 
 class TestAboveTheBound:
@@ -375,6 +378,215 @@ class TestAboveTheBound:
                 results = [run(prep, k) for run in runs]
                 assert (results[0] is None) == (k < d), (k, d)
                 assert all(r == results[0] for r in results), k
+
+
+# The pure kernel as it was while it recursed through iterate/descend, kept
+# verbatim (the entry point renamed) as the reference for the order in which
+# the one-loop kernels must find witnesses.
+
+class _State:
+    """Current triangulation as eid -> [apex_lo, apex_hi] (hi -1 on the hull),
+    plus the count of edges still missing from the target."""
+
+    __slots__ = ("n", "xs", "ys", "apex", "target", "nec_cnt")
+
+    def __init__(self, prep: Prep):
+        n, xs, ys, edges, target = prep
+        self.n = n
+        self.xs = xs
+        self.ys = ys
+        self.target = {a * n + b for a, b in target}
+        self.apex: dict[int, list[int]] = {}
+        self.nec_cnt = 0
+        for a, b, c, d in edges:
+            eid = a * n + b
+            self.apex[eid] = [c, d]
+            if eid not in self.target:
+                self.nec_cnt += 1
+
+    def flippable(self, eid: int) -> bool:
+        c, d = self.apex[eid]
+        if d < 0:
+            return False
+        n, xs, ys = self.n, self.xs, self.ys
+        a, b = divmod(eid, n)
+        dx, dy = xs[d] - xs[c], ys[d] - ys[c]
+        # c, d lie on opposite sides of ab: convex iff a, b lie strictly on opposite sides of cd
+        return (dx * (ys[a] - ys[c]) - dy * (xs[a] - xs[c])) * \
+               (dx * (ys[b] - ys[c]) - dy * (xs[b] - xs[c])) < 0
+
+    def _swap_apex(self, u: int, v: int, old: int, new: int) -> None:
+        sid = u * self.n + v if u < v else v * self.n + u
+        pair = self.apex[sid]
+        if pair[0] == old:
+            pair[0] = new
+        elif pair[1] == old:
+            pair[1] = new
+        else:
+            raise AssertionError("apex table corrupted")
+        if pair[1] >= 0 and pair[0] > pair[1]:
+            pair[0], pair[1] = pair[1], pair[0]
+
+    def do_flip(self, eid: int) -> int:
+        """Flip a (flippable) edge in place; returns the created edge's id.
+        Calling again on the returned id undoes the flip exactly."""
+        n = self.n
+        a, b = divmod(eid, n)
+        c, d = self.apex.pop(eid)
+        if eid not in self.target:
+            self.nec_cnt -= 1
+        gid = c * n + d
+        self.apex[gid] = [a, b]
+        if gid not in self.target:
+            self.nec_cnt += 1
+        self._swap_apex(a, c, b, d)
+        self._swap_apex(b, c, a, d)
+        self._swap_apex(a, d, b, c)
+        self._swap_apex(b, d, a, c)
+        return gid
+
+    def neighbors(self, eid: int) -> tuple[int, ...]:
+        """Edge ids of the incident triangles' other edges, in the canonical
+        direction order (2 entries on the hull, else 4)."""
+        n = self.n
+        a, b = divmod(eid, n)
+        c, d = self.apex[eid]
+        e1 = a * n + c if a < c else c * n + a
+        e2 = b * n + c if b < c else c * n + b
+        if d < 0:
+            return (e1, e2)
+        e3 = a * n + d if a < d else d * n + a
+        e4 = b * n + d if b < d else d * n + b
+        return (e1, e2, e3, e4)
+
+
+def compositions(k: int) -> Iterator[tuple[int, ...]]:
+    """The 2^(k-1) compositions of k >= 1 in lexicographic order: drop the
+    last part, add one to the part before it, append ones."""
+    if k < 1:
+        raise ValueError(f"flip budget {k} below 1")
+    parts = [1] * k
+    yield tuple(parts)
+    while len(parts) > 1:
+        last = parts.pop()
+        parts[-1] += 1
+        parts += [1] * (last - 1)
+        yield tuple(parts)
+
+
+def reference_run_budget(prep: Prep, k: int) -> Optional[Accept]:
+    st = _State(prep)
+    n = st.n
+    olex0 = tuple(sorted(e for e in st.apex if e not in st.target))
+    flips: list[tuple[int, int, int, int]] = []
+    starts: list[int] = []
+    actions: list[list[int]] = []
+
+    def iterate(it: int, olex: tuple[int, ...], pos: int) -> bool:
+        if it == len(parts):
+            return st.nec_cnt == 0
+        # cursor rule: next surviving necessary edge, else rebuild and restart
+        chosen = -1
+        p = pos
+        while p < len(olex):
+            e = olex[p]
+            p += 1
+            if e in st.apex and e not in st.target:
+                chosen = e
+                break
+        if chosen < 0:
+            olex = tuple(sorted(e for e in st.apex if e not in st.target))
+            if not olex:
+                return False
+            chosen, p = olex[0], 1
+        starts.append(chosen)
+        actions.append([])
+        if descend(it, olex, p, parts[it], 0, 0, [chosen]):
+            return True
+        starts.pop()
+        actions.pop()
+        return False
+
+    def descend(it: int, olex: tuple[int, ...], pos: int, ki: int,
+                m: int, f: int, stack: list[int]) -> bool:
+        if f == ki:
+            return iterate(it + 1, olex, pos)
+        cur = stack[-1]
+        trace = actions[-1]
+        if m < ki - 1:
+            nbrs = st.neighbors(cur)
+            for d in range(len(nbrs)):
+                trace.append(d)
+                stack.append(nbrs[d])
+                if descend(it, olex, pos, ki, m + 1, f, stack):
+                    return True
+                stack.pop()
+                trace.pop()
+        if (f < m or (m == ki - 1 and f == ki - 1)) and st.flippable(cur):
+            gid = st.do_flip(cur)
+            flips.append((*divmod(cur, n), *divmod(gid, n)))
+            trace.append(4)
+            stack.pop()
+            # pruned when the pop exposes an edge the flips have destroyed,
+            # or when more target edges are missing than flips remain
+            if (not stack or stack[-1] in st.apex) and st.nec_cnt <= k - len(flips):
+                if descend(it, olex, pos, ki, m, f + 1, stack):
+                    return True
+            stack.append(cur)
+            trace.pop()
+            flips.pop()
+            st.do_flip(gid)
+        return False
+
+    try:
+        for parts in compositions(k):  # iterate reads parts from this binding
+            if iterate(0, olex0, 0):
+                return flips, [divmod(e, n) for e in starts], actions
+    except KeyError as exc:  # an apex names an edge the table does not hold
+        raise AssertionError("apex table corrupted") from exc
+    return None
+
+
+class TestRecursiveReference:
+    """Both kernels walk the action strings in the recursive kernel's order,
+    so they return its triple for every budget: every ordered pair of the
+    convex 4..7-gons and of gen_random_points(7, 2, 1000), at each k from
+    max(bound, 1) to d + 1."""
+
+    def test_witnesses_match_the_recursive_kernel(self):
+        pairs = [pair for n in range(4, 8) for pair in ordered_pairs(gen_convex(n))]
+        pairs += ordered_pairs(gen_random_points(7, 2, 1000))
+        runs = [kernel_for("pure")] + ([kernel_for("compiled")] if compiled_available() else [])
+        calls = accepts = 0
+        for start, end, d, bound in pairs:
+            prep = make_prep(start, end)
+            for k in range(max(bound, 1), d + 2):
+                want = reference_run_budget(prep, k)
+                for run in runs:
+                    assert run(prep, k) == want, (k, d)
+                calls += 1
+                accepts += want is not None
+        assert (len(pairs), calls, accepts) == (2518, 5192, 4300)
+
+
+class TestLargeBudgets:
+    """Neither kernel recurses, so a budget far above Python's default
+    recursion limit needs no more than that limit."""
+
+    def test_pure_kernel_answers_on_the_1100_gon(self):
+        # above the compiled kernel's cap, so the solver runs the pure one
+        ps = gen_convex(1100)
+        assert resolve_backend(len(ps)) == "pure"
+        res = search_exact(fan(ps, 0), fan(ps, 1), 1097)
+        assert res is not None and res.k == 1097
+
+    @needs_compiled
+    def test_kernels_agree_on_the_1024_gon(self):
+        ps = gen_convex(1024)
+        prep = make_prep(fan(ps, 0), fan(ps, 1))
+        want = kernel_for("pure")(prep, 1021)
+        assert want is not None
+        assert kernel_for("compiled")(prep, 1021) == want
 
 
 class TestBackendThroughSolver:

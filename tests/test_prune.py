@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from flipdist import _kernel, solver
+from flipdist import _kernel
 from flipdist.flipdag import replay
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.solver import flip_distance_upto, search_exact, search_upto
@@ -144,19 +144,30 @@ def test_below_bound_skips_the_kernel(monkeypatch):
 
 
 def test_scan_starts_at_the_bound(monkeypatch):
-    asked = []
-    real = solver.search_exact
+    # the budgets the kernel is asked, and one prep for the whole scan
+    asked, preps = [], []
+    real_prep, real_kernel_for = _kernel.make_prep, _kernel.kernel_for
 
-    def recording(t_start, t_end, k):
-        asked.append(k)
-        return real(t_start, t_end, k)
+    def recording_prep(t_start, t_end):
+        preps.append(real_prep(t_start, t_end))
+        return preps[-1]
 
-    monkeypatch.setattr(solver, "search_exact", recording)
+    def recording_kernel_for(name):
+        run = real_kernel_for(name)
+
+        def recording(prep, k):
+            asked.append(k)
+            return run(prep, k)
+        return recording
+
+    monkeypatch.setattr(_kernel, "make_prep", recording_prep)
+    monkeypatch.setattr(_kernel, "kernel_for", recording_kernel_for)
     n, seed, walk, lower, _, flips = WALK_WITNESSES[0]
     start, end = walk_pair(n, seed, walk)
     assert flip_distance_upto(start, end, walk) == len(flips)
     assert asked == list(range(lower, len(flips) + 1))
+    assert len(preps) == 1
     asked.clear()
     assert flip_distance_upto(start, end, lower - 1) is None
-    assert asked == []
+    assert asked == [] and len(preps) == 1
 
