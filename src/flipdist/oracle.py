@@ -16,6 +16,12 @@ mask bit(e) ^ bit(g))}, and a neighbour's key is ``key ^ mask``.  A child
 copies its parent's map and table, applies the known flip, maps ``g`` back to
 ``e`` (the new diagonal always flips back) and tests again only the four
 sides of the flipped quadrilateral, the only edges whose triangles changed.
+
+Keys also give a free lower bound.  All triangulations of a point set have
+the same number of edges and a flip removes exactly one, so a state with key
+K is at least ``popcount(K ^ root_key) / 2`` flips from either root.  The
+search runs once per distance bound, from the start's count of missing
+edges up, and drops every state that the bound rules out.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ def _flip_with_moves(pts: Sequence[Point], apex: ApexMap, e: Edge, moves: _Moves
 
 _Moves = dict[Edge, tuple[Edge, int]]
 # One BFS level entry: the state with ``key`` is the flip of edge in the apex map
-# parent, whose move table is moves; or the root map itself when edge is None.
+# parent, whose move table is moves; or a root map, with its table once computed,
+# when edge is None.
 _Entry = tuple[ApexMap, Optional[Edge], int, Optional[_Moves]]
 # key -> (parent key, edge flipped in the parent, edge it inserted); None at the root
 _Seen = dict[int, Optional[tuple[int, Edge, Edge]]]
@@ -85,16 +92,23 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
                  cap: int) -> Optional[tuple[int, FlipSequence]]:
     """Exact flip distance with one shortest witness, or None if it exceeds cap.
 
-    Bidirectional, level-synchronous BFS over the keys and move tables of
-    the module docstring.  Each round expands every state of the smaller
-    frontier (the start side on a tie) and stops at the first key the other
-    side has seen.  Before the round the balls of radius d_s around the start
-    and d_t around the target were disjoint, so the distance exceeds
-    d_s + d_t, while the path through the meeting key has length at most
-    d_s + 1 + d_t: it is shortest.  The search gives up once d_s + d_t
-    reaches cap.  A state is made only when its level is expanded, and the
-    round that reaches cap stores only the key it meets at: the seen sets
-    are disjoint, so it is the first key the other side has seen.  The
+    One bidirectional, level-synchronous BFS over the keys and move tables
+    of the module docstring for each bound from the start's missing-edge
+    count up to cap.  Within a bound, each round expands every state of the
+    smaller frontier (the start side on a tie) and stops at the first key the
+    other side has seen; the path through it has length at most d_s + 1 + d_t,
+    and the bound gives up once d_s + d_t reaches it or a frontier is empty.
+    A child at depth g is stored only if g plus its missing-edge count
+    against the far root is at most the bound.  Every state of a path of
+    length at most the bound passes that test at its depth on that path, so
+    the bound meets whenever the distance is at most the bound: the first
+    bound that meets is the distance, and the meeting path is shortest.  A
+    cap below the start's count returns None before any move table exists.
+
+    A state is made only when its level is expanded, and the round that
+    reaches the bound stores only the key it meets at: the seen sets are
+    disjoint, so it is the first key the other side has seen.  Each root's
+    move table is computed once per call and shared by every bound.  The
     witness is the forward parent chain from the start, then the backward
     chain to the target, read off the stored (flipped, inserted) pairs.
     """
@@ -109,28 +123,35 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     if end_key == 0:
         return 0, FlipSequence(start=t_start, flips=())
 
-    pts, depth = t_start.ps.points, [0, 0]
-    seen: tuple[_Seen, _Seen] = ({0: None}, {end_key: None})
-    levels = [[(t_start.apex, None, 0, None)], [(t_end.apex, None, end_key, None)]]
-    while (rounds_left := cap - depth[0] - depth[1]) > 0:
-        side = 0 if len(levels[0]) <= len(levels[1]) else 1
-        mine, other = seen[side], seen[1 - side]
-        nxt_level: list[_Entry] = []
-        for apex, edge, key, moves in levels[side]:
-            if edge is None:
-                moves = _move_table(pts, apex, bits)
-            else:
-                apex, moves = _flip_with_moves(pts, apex, edge, moves, bits)
-            for e in sorted(moves):  # the fixed order keeps witnesses deterministic
-                g, mask = moves[e]
-                if (nxt := key ^ mask) in other:  # so not in mine: the seen sets stay disjoint
-                    mine[nxt] = (key, e, g)
-                    return _witness(t_start, seen, nxt)
-                if rounds_left > 1 and nxt not in mine:  # the last round expands nothing
-                    mine[nxt] = (key, e, g)
-                    nxt_level.append((apex, e, nxt, moves))
-        levels[side] = nxt_level
-        depth[side] += 1
+    pts, far = t_start.ps.points, (end_key, 0)  # the key of each side's far root
+    roots: list[_Entry] = [(t_start.apex, None, 0, None), (t_end.apex, None, end_key, None)]
+    for bound in range(end_key.bit_count() // 2, cap + 1):
+        depth = [0, 0]
+        seen: tuple[_Seen, _Seen] = ({0: None}, {end_key: None})
+        levels = [[roots[0]], [roots[1]]]
+        while all(levels) and (rounds_left := bound - depth[0] - depth[1]) > 0:
+            side = 0 if len(levels[0]) <= len(levels[1]) else 1
+            mine, other, far_key = seen[side], seen[1 - side], far[side]
+            # a child at depth g stays if g + popcount(key ^ far_key) / 2 <= bound
+            spare = 2 * (bound - depth[side] - 1)
+            nxt_level: list[_Entry] = []
+            for apex, edge, key, moves in levels[side]:
+                if edge is not None:
+                    apex, moves = _flip_with_moves(pts, apex, edge, moves, bits)
+                elif moves is None:  # a root, expanded for the first time in this call
+                    moves = _move_table(pts, apex, bits)
+                    roots[side] = apex, None, key, moves
+                for e in sorted(moves):  # the fixed order keeps witnesses deterministic
+                    g, mask = moves[e]
+                    if (nxt := key ^ mask) in other:  # so not in mine: the seen sets stay disjoint
+                        mine[nxt] = (key, e, g)
+                        return _witness(t_start, seen, nxt)
+                    if (rounds_left > 1 and nxt not in mine  # the last round expands nothing
+                            and (nxt ^ far_key).bit_count() <= spare):
+                        mine[nxt] = (key, e, g)
+                        nxt_level.append((apex, e, nxt, moves))
+            levels[side] = nxt_level
+            depth[side] += 1
     return None
 
 

@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Union
 
 from . import _kernel, _searchpure
 from .errors import EdgeAbsent, ValidationError
-from .flipdag import FlipSequence, replay
+from .flipdag import FlipSequence
 from .triangulation import (
     Edge,
     FlipRecord,
@@ -131,25 +131,35 @@ def compositions(k: int) -> Iterator[Composition]:
 def iteration_shapes(k_i: int) -> Iterator[IterationShape]:
     """Every valid shape for one iteration of k_i flips, in the search's
     deterministic order: Move(0) < Move(1) < Move(2) < Move(3) < FlipBack at
-    each position.  There are Catalan(k_i - 1) * 4^(k_i - 1) of them."""
+    each position.  There are Catalan(k_i - 1) * 4^(k_i - 1) of them.  The
+    strings are walked on an explicit stack, as the kernels walk them, so no
+    k_i meets the recursion limit."""
     if k_i < 1:
         raise ValidationError(f"iteration shapes need k_i >= 1, got {k_i}")
 
-    def rec(m: int, f: int, prefix: list[Action]):
+    # prefix is the walk's undo log: retreating pops its last action and tries
+    # the one after it, with code 0..3 = Move(code) and 4 = FlipBack
+    prefix: list[Action] = []
+    m = f = code = 0
+    while True:
         if f == k_i:
             yield IterationShape(tuple(prefix))
-            return
-        if m < k_i - 1:
-            for mv in _MOVES:
-                prefix.append(mv)
-                yield from rec(m + 1, f, prefix)
-                prefix.pop()
-        if f < m or (m == k_i - 1 and f == k_i - 1):
+        elif code < 4 and m < k_i - 1:
+            prefix.append(_MOVES[code])
+            m, code = m + 1, 0
+            continue
+        elif f < m or (m == k_i - 1 and f == k_i - 1):
             prefix.append(FLIP_BACK)
-            yield from rec(m, f + 1, prefix)
-            prefix.pop()
-
-    yield from rec(0, 0, [])
+            f, code = f + 1, 0
+            continue
+        while True:  # retreat past every FlipBack, which has no next action
+            if not prefix:
+                return
+            last = prefix.pop()
+            if last is not FLIP_BACK:
+                m, code = m - 1, last.direction + 1
+                break
+            f -= 1
 
 
 def transform(tri: Triangulation, start: Edge,
@@ -221,7 +231,8 @@ def _package(t_start: Triangulation, t_end: Triangulation, k: int,
         raise AssertionError("composition parts must sum to k")
     if sum(len(s.actions) for s in shapes) > 2 * k:
         raise AssertionError("action budget exceeded")
-    if replay(result.sequence) != t_end:
+    # the memoised endpoint, compared in place: replay would copy it first
+    if result.sequence._endpoint.keys() != t_end.apex.keys():
         raise AssertionError("witness does not replay to the target")
     return result
 

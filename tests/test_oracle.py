@@ -6,7 +6,11 @@ plus an independently coded closure from conftest.  The bidirectional
 ``bfs_distance`` is also compared with the one-sided BFS it replaced, kept
 below verbatim as ``reference_bfs_distance``, and with the bidirectional BFS
 over ``a*n + b`` edge-bitmask keys that rebuilt every move of every state,
-kept verbatim as ``bitmask_bfs_distance``: the witnesses must be identical.
+kept verbatim as ``bitmask_bfs_distance``.  At every cap all three must agree
+on whether the target is within reach and on the distance.  The witnesses may
+differ: the bound-pruned search keeps smaller frontiers and so may meet at
+another state, and its witness is only required to be shortest, to replay to
+the target and to repeat on a second call.
 """
 
 from __future__ import annotations
@@ -304,27 +308,28 @@ def walk_pairs():
 
 
 def assert_same_as_bitmask(start, end, cap):
+    """bfs_distance finds the target within cap exactly when the bitmask and
+    the one-sided reference BFS do, at the same distance; its witness has
+    that length, replays to the target and repeats on a second call."""
     got = bfs_distance(start, end, cap)
     want = bitmask_bfs_distance(start, end, cap)
-    assert (got is None) == (want is None)
+    ref = reference_bfs_distance(start, end, cap)
+    assert (got is None) == (want is None) == (ref is None)
     if got is not None:
-        assert (got[0], got[1].flips) == (want[0], want[1].flips)
+        d, seq = got
+        assert d == want[0] == ref[0] == len(seq)
+        assert replay(seq) == end
+        assert bfs_distance(start, end, cap) == got
     return got
 
 
 def assert_shortest(start, end, cap):
-    """bfs_distance agrees with the reference at cap, gives the distance d at
-    cap d and None at every cap below; the witness has length d, replays and
-    repeats.  At every cap it returns the bitmask BFS's distance and witness."""
-    want = reference_bfs_distance(start, end, cap)
+    """bfs_distance agrees with both kept BFSes at cap, gives the distance d
+    at cap d and None at every cap below."""
     got = assert_same_as_bitmask(start, end, cap)
-    assert (got is None) == (want is None)
     if got is None:
         return
-    d, seq = got
-    assert d == want[0] == len(seq)
-    assert replay(seq) == end
-    assert bfs_distance(start, end, cap) == got
+    d = got[0]
     assert assert_same_as_bitmask(start, end, d)[0] == d
     for below in range(d):
         assert assert_same_as_bitmask(start, end, below) is None
@@ -356,6 +361,38 @@ class TestAgainstReference:
     def test_random_walks(self):
         for start, end in walk_pairs():
             assert_shortest(start, end, 8)
+
+    @pytest.mark.parametrize("n,s,d", [(11, 0, 11), (12, 39, 12)])
+    def test_hard_pairs_above_the_bound(self, n, s, d):
+        # far-apart convex pairs: the first bounds from the missing-edge
+        # count up fail before the one that answers
+        base = initial_triangulation(gen_convex(n))
+        start = random_walk_triangulation(base, steps=40, seed=s)
+        end = random_walk_triangulation(base, steps=40, seed=1000 + s)
+        assert len(start.edges - end.edges) + 3 <= d
+        for cap in range(d - 2, d + 2):
+            got, want = bfs_distance(start, end, cap), bitmask_bfs_distance(start, end, cap)
+            assert (got is None) == (want is None) == (cap < d)
+            if got is not None:
+                assert got[0] == want[0] == len(got[1]) == d
+                assert replay(got[1]) == end
+
+    def test_cap_below_the_bound_builds_nothing(self, monkeypatch):
+        # the missing-edge count alone answers None: no move table, no state
+        calls = []
+        for name in ("_move_table", "_flip_with_moves"):
+            real = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        ps = gen_convex(12)
+        walk_start = initial_triangulation(gen_random_points(300, 1, 2 ** 20))
+        walk_end = random_walk_triangulation(walk_start, steps=6, seed=1)
+        for start, end, cap in ((fan(ps, 0), fan(ps, 1), 4), (walk_start, walk_end, 1)):
+            assert len(start.edges - end.edges) > cap
+            assert bfs_distance(start, end, cap) is None
+        assert calls == []
+        assert bfs_distance(fan(ps, 0), fan(ps, 1), 9)[0] == 9
+        assert calls  # the seams are the ones that make tables and states
 
     def test_no_state_built_at_cap_one(self, monkeypatch):
         # the depth-1 states are discovered as keys but never built

@@ -24,6 +24,7 @@ from flipdist.flipdag import replay
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
 from flipdist.solver import (
+    _MOVES,
     FLIP_BACK,
     Composition,
     FlipBack,
@@ -162,6 +163,39 @@ class TestIterationShapes:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             list(iteration_shapes(0))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_same_order_as_recursive_version(self, k):
+        assert list(iteration_shapes(k)) == list(recursive_iteration_shapes(k))
+
+    def test_large_k_needs_no_recursion(self):
+        # the recursive version went two frames deep per action
+        first = next(iteration_shapes(1000))
+        assert first.k == 1000
+        assert str(first) == " ".join(["M0"] * 999 + ["F"] * 1000)
+
+
+def recursive_iteration_shapes(k_i: int):
+    """iteration_shapes as a recursive generator, kept verbatim from before it
+    walked an explicit stack."""
+    if k_i < 1:
+        raise ValidationError(f"iteration shapes need k_i >= 1, got {k_i}")
+
+    def rec(m: int, f: int, prefix: list):
+        if f == k_i:
+            yield IterationShape(tuple(prefix))
+            return
+        if m < k_i - 1:
+            for mv in _MOVES:
+                prefix.append(mv)
+                yield from rec(m + 1, f, prefix)
+                prefix.pop()
+        if f < m or (m == k_i - 1 and f == k_i - 1):
+            prefix.append(FLIP_BACK)
+            yield from rec(m, f + 1, prefix)
+            prefix.pop()
+
+    yield from rec(0, 0, [])
 
 
 class TestTransform:
