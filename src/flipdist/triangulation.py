@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, KeysView, Optional, Sequence
 
 from .errors import (
@@ -102,64 +103,63 @@ class Triangulation:
 def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     """Validate an edge set and assemble the full triangulation value.
 
-    Raises BadIndex for out-of-range endpoints and NotMaximal if the edge
-    count differs from 3n - 3 - h.  With the count right, the edges form a
-    triangulation iff no two properly cross, so NotPlanar is the only error
-    left, and a local certificate decides it.  For each edge and side, the
-    common neighbour of its endpoints angularly nearest to the edge gives a
-    candidate face.  The edges are accepted iff every hull edge has one
-    candidate and every other edge two, and each candidate abw is also the
-    candidate of aw and bw on its side.  Then every edge bounds only its own
-    candidates, so each point of the hull is covered equally often
-    (crossing an edge leaves one candidate and enters one), and once, as
-    next to a hull edge: the candidates tile the hull, so no edges cross,
-    and they are the faces.
-    Only a rejected certificate runs the all-pairs crossing test, which
-    names the first crossing pair.  The map lists the edges in sorted order.
+    Raises BadIndex for out-of-range endpoints and NotMaximal unless there
+    are m = 3n - 3 - h edges; then they form a triangulation iff no two
+    cross, and a local certificate decides it.  Each side of an edge lists
+    its candidate face, from its ends' common neighbour angularly nearest to
+    it there, or a placeholder no other side lists; a hull edge's outer side
+    lists nothing.  A real face is listed at most once by each of its sides
+    and by no other edge, so with h' hull edges present and p placeholders,
+    3 * |faces| >= 2m - h' + 2p, with equality iff all three sides list each
+    real face.  So the certificate, 3 * |faces| == 2m - h, holds iff h' = h,
+    p = 0 and that equality hold, as in a triangulation.  Then the candidates
+    cover the hull once (crossing an edge leaves one and enters one), so
+    they are the faces and no edges cross.  Only a failed certificate runs
+    the all-pairs crossing test, which names the first crossing pair.  The
+    map lists the edges in sorted order.
     """
     n = len(ps)
     edges: dict[Edge, None] = {}  # insertion order: a sorted input stays sorted, and sorts in O(n)
+    adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in edge_list:
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise BadIndex(f"bad edge ({a}, {b}) for {n} points")
-        edges[make_edge(a, b)] = None
-
-    hull = convex_hull_edges(ps)
-    expected = 3 * n - 3 - len(hull)
-    if len(edges) != expected:
-        raise NotMaximal(f"{len(edges)} edges, expected 3n-3-h = {expected}")
-
-    xy = ps.coords()
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in edges:
+        edges[(a, b) if a < b else (b, a)] = None
         adj[a].add(b)
         adj[b].add(a)
+
+    hull = convex_hull_edges(ps)
+    if len(edges) != (expected := 3 * n - 3 - len(hull)):
+        raise NotMaximal(f"{len(edges)} edges, expected 3n-3-h = {expected}")
+    xs, ys = [p.x for p in ps.points], [p.y for p in ps.points]
     apex: ApexMap = {}
+    faces: set[Triangle] = set()  # and placeholders: (-1, a, b) if c < 0, (-2, a, b) if d < 0
     for a, b in (ordered := sorted(edges)):
-        (xa, ya), (xb, yb) = xy[a], xy[b]
-        dx, dy = xb - xa, yb - ya
-        nearest = {1: -1, -1: -1}
+        xa, ya = xs[a], ys[a]
+        dx, dy = xs[b] - xa, ys[b] - ya
+        c = d = -1  # the nearest common neighbours left and right of a -> b so far
         for w in adj[a] & adj[b]:
-            xw, yw = xy[w]
-            side = 1 if dx * (yw - ya) > dy * (xw - xa) else -1  # never 0 in general position
-            c = nearest[side]
+            ux, uy = xs[w] - xa, ys[w] - ya
             # w is nearer to ab than the apex so far iff that apex lies past w around a
-            if c < 0 or ((xw - xa) * (xy[c][1] - ya) - (yw - ya) * (xy[c][0] - xa)) * side > 0:
-                nearest[side] = w
-        c, d = sorted(nearest.values())
-        apex[a, b] = (d, c) if c < 0 else (c, d)
-    # candidate abw is aw's and bw's on its side iff they list b and a as apexes
-    consistent = all(w < 0 or b in apex[make_edge(a, w)] and a in apex[make_edge(b, w)]
-                     for (a, b), pair in apex.items() for w in pair)
-    if not consistent or not all(c >= 0 and (d < 0) == (e in hull) for e, (c, d) in apex.items()):
+            if dx * uy > dy * ux:  # left; never collinear in general position
+                if c < 0 or ux * cy > uy * cx:
+                    c, cx, cy = w, ux, uy
+            elif d < 0 or ux * ey < uy * ex:
+                d, ex, ey = w, ux, uy
+        if c < 0 or 0 <= d < c:
+            c, d = d, c
+        apex[a, b] = (c, d)
+        faces.add((a, b, c) if b < c else (a, c, b) if a < c else (c, a, b))
+        if d >= 0:
+            faces.add((a, b, d) if b < d else (a, d, b) if a < d else (d, a, b))
+        elif (a, b) not in hull:
+            faces.add((-2, a, b))
+    if 3 * len(faces) != 2 * len(edges) - len(hull):
         pts = ps.points
-        for i, e1 in enumerate(ordered):
-            seg1 = (pts[e1[0]], pts[e1[1]])
-            for e2 in ordered[i + 1:]:
-                if segments_properly_cross(seg1, (pts[e2[0]], pts[e2[1]])):
-                    raise NotPlanar(f"edges {e1} and {e2} cross")
+        for e1, e2 in combinations(ordered, 2):
+            if segments_properly_cross((pts[e1[0]], pts[e1[1]]), (pts[e2[0]], pts[e2[1]])):
+                raise NotPlanar(f"edges {e1} and {e2} cross")
         raise AssertionError("non-crossing maximal edge set failed the triangulation certificate")
-    # each edge bounds its own candidates and, having passed, no others: apex holds the faces
     return Triangulation(ps, apex)
 
 

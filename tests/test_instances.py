@@ -1,17 +1,22 @@
+import itertools
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from flipdist.errors import (
+    BadIndex,
     ExhaustedRetries,
+    FlipDistError,
     InstanceSyntaxError,
     NoFlippableEdge,
     NotMaximal,
+    NotPlanar,
     PointSetMismatch,
     TooLarge,
     ValidationError,
 )
-from flipdist.geometry import convex_hull_edges
+from flipdist.geometry import PointSet, convex_hull_edges
 from flipdist.instances import (
     Instance,
     gen_convex,
@@ -22,9 +27,145 @@ from flipdist.instances import (
     serialize,
 )
 from flipdist.oracle import bfs_distance
-from flipdist.triangulation import build
+from flipdist.triangulation import Edge, Triangulation, build
 
 GOLDEN = Path(__file__).parent / "data" / "pentagon.flipdist"
+
+
+# The reader and parse as they were when the error corpus below was written,
+# verbatim but for the name reference_parse.  Every text must give parse and
+# reference_parse the same instance or the same error, line and message.
+
+
+class _Reader:
+    """Data lines of an instance file, skipping blanks and '#' comments."""
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.pos = 0
+
+    def next(self) -> tuple[int, str]:
+        while self.pos < len(self.lines):
+            self.pos += 1
+            data = self.lines[self.pos - 1].strip()
+            if data and not data.startswith("#"):
+                return self.pos, data
+        raise InstanceSyntaxError(len(self.lines) + 1, "unexpected end of file")
+
+    def leftover(self) -> Optional[int]:
+        try:
+            lineno, _ = self.next()
+            return lineno
+        except InstanceSyntaxError:
+            return None
+
+
+def _int(lineno: int, token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InstanceSyntaxError(lineno, f"expected integer {what}, got {token!r}") from None
+
+
+def _header(reader: _Reader, keyword: str) -> int:
+    lineno, line = reader.next()
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != keyword:
+        raise InstanceSyntaxError(lineno, f"expected '{keyword} <count>', got {line!r}")
+    count = _int(lineno, parts[1], "count")
+    if count < 0:
+        raise InstanceSyntaxError(lineno, f"negative count {count}")
+    return count
+
+
+def reference_parse(text: str) -> Instance:
+    """Inverse of :func:`serialize`.  Raises InstanceSyntaxError with the
+    offending line number on malformed text and lets PointSet/Triangulation
+    validation errors propagate."""
+    reader = _Reader(text)
+    lineno, line = reader.next()
+    if line != "flipdist 1":
+        raise InstanceSyntaxError(lineno, f"expected 'flipdist 1' header, got {line!r}")
+
+    n = _header(reader, "points")
+    coords: list[tuple[int, int]] = []
+    for i in range(n):
+        lineno, line = reader.next()
+        parts = line.split()
+        if len(parts) != 3:
+            raise InstanceSyntaxError(lineno, f"expected '<id> <x> <y>', got {line!r}")
+        pid = _int(lineno, parts[0], "point id")
+        if pid != i:
+            raise InstanceSyntaxError(lineno, f"point id {pid} out of order, expected {i}")
+        coords.append((_int(lineno, parts[1], "x"), _int(lineno, parts[2], "y")))
+    ps = PointSet.from_coords(coords)
+
+    tris: list[Triangulation] = []
+    for tag in ("tstart", "tend"):
+        m = _header(reader, tag)
+        edges: list[Edge] = []
+        for _ in range(m):
+            lineno, line = reader.next()
+            parts = line.split()
+            if len(parts) != 2:
+                raise InstanceSyntaxError(lineno, f"expected '<a> <b>', got {line!r}")
+            a, b = _int(lineno, parts[0], "endpoint"), _int(lineno, parts[1], "endpoint")
+            if a >= b:
+                raise InstanceSyntaxError(lineno, f"edge endpoints not increasing: {a} {b}")
+            edges.append((a, b))
+        tris.append(build(ps, edges))
+
+    k: Optional[int] = None
+    try:
+        lineno, line = reader.next()
+    except InstanceSyntaxError:
+        lineno, line = -1, ""
+    if line:
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "k":
+            raise InstanceSyntaxError(lineno, f"expected 'k <value>' or end of file, got {line!r}")
+        k = _int(lineno, parts[1], "k")
+        if k < 0:
+            raise InstanceSyntaxError(lineno, f"negative k {k}")
+        trailing = reader.leftover()
+        if trailing is not None:
+            raise InstanceSyntaxError(trailing, "trailing content after 'k' line")
+
+    return Instance(ps=ps, t_start=tris[0], t_end=tris[1], k=k)
+
+
+def golden_mutations() -> list[str]:
+    """The golden file and edits of it: each line deleted, duplicated, or
+    preceded by a comment, a blank or a whitespace line; each token replaced
+    by 'x', '0' or '9'; each count and k one up and one down; variants of the
+    k line and of what follows it."""
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    texts = ["\n".join(lines) + "\n", "\n".join(lines)]
+    for i, line in enumerate(lines):
+        head, tail = lines[:i], lines[i + 1:]
+        texts += ["\n".join(head + tail), "\n".join(head + [line, line] + tail)]
+        texts += ["\n".join(head + [extra, line] + tail) for extra in ("# note", "", "   ")]
+        tokens = line.split()
+        for j, new in itertools.product(range(len(tokens)), ("x", "0", "9")):
+            texts.append("\n".join(head + [" ".join(tokens[:j] + [new] + tokens[j + 1:])] + tail))
+        if tokens[0] in ("points", "tstart", "tend", "k"):
+            texts += ["\n".join(head + [f"{tokens[0]} {int(tokens[1]) + d}"] + tail) for d in (-1, 1)]
+    body = lines[:-1]  # without "k 2"
+    for k_lines in ([], ["k"], ["k 2 3"], ["K 2"], ["k -1"], ["k 0"], ["k +2"], ["k 2.0"], ["k2"],
+                    ["kk 2"], ["k 2", "k 2"], ["k 2", "# end"], ["k 2", ""], ["k 2", "junk"],
+                    ["# k 2"], ["junk"], ["", "k 2"], ["k 2", "0 1"]):
+        texts += ["\n".join(body + k_lines), "\n".join(body + k_lines) + "\n"]
+    return texts
+
+
+def parse_outcome(fn, text):
+    """The instance's points, apex maps in order and k, or the error's type,
+    line and message."""
+    try:
+        inst = fn(text)
+    except FlipDistError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return inst.ps.coords(), list(inst.t_start.apex.items()), list(inst.t_end.apex.items()), inst.k
 
 
 class TestGenConvex:
@@ -216,3 +357,14 @@ class TestSerializeParse:
         text = GOLDEN.read_text(encoding="utf-8").replace("k 2", "k -2")
         with pytest.raises(InstanceSyntaxError):
             parse(text)
+
+    def test_errors_match_reference_parse(self):
+        outcomes = [parse_outcome(parse, text) for text in golden_mutations()]
+        assert outcomes == [parse_outcome(reference_parse, text) for text in golden_mutations()]
+        errors = [o for o in outcomes if isinstance(o[0], type)]
+        # every line number of the 24-line file and its end is named by some
+        # syntax error, and the corpus reaches the point set and build errors
+        assert {o[1] for o in errors if o[0] is InstanceSyntaxError} >= set(range(1, 26))
+        assert {o[0] for o in errors} == {InstanceSyntaxError, BadIndex, NotMaximal, NotPlanar,
+                                          ValidationError}
+        assert len(outcomes) - len(errors) > 100

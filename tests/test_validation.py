@@ -6,9 +6,11 @@ fallback, ``build`` accepts an edge set by a local certificate and
 reference functions below are the earlier all-triples, all-pairs and
 all-pairs-per-candidate versions, kept verbatim as oracles: on every input
 both must raise the same exception type with the same message, or return
-equal values.  The guards at the end fail if a cubic loop, the exact
-collinearity fallback or an orientation test per face comes back on valid
-inputs.
+equal values.  ``build`` is also held to its own earlier version, which
+checked each candidate face at its sides one lookup at a time: the apex
+maps must be equal item for item, in order.  The guards at the end fail if
+a cubic loop, the exact collinearity fallback or an orientation test per
+face comes back on valid inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -53,6 +56,7 @@ from flipdist.instances import (
     serialize,
 )
 from flipdist.triangulation import (
+    ApexMap,
     Edge,
     Triangle,
     Triangulation,
@@ -158,6 +162,55 @@ def reference_build(ps: PointSet, edge_list) -> tuple[frozenset, frozenset, dict
     return frozenset(edges), frozenset(triangles), frozen
 
 
+def reference_certificate_build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
+    """build with the per-face consistency lookups it had before the face
+    count, verbatim."""
+    n = len(ps)
+    edges: dict[Edge, None] = {}  # insertion order: a sorted input stays sorted, and sorts in O(n)
+    for a, b in edge_list:
+        if not (0 <= a < n and 0 <= b < n) or a == b:
+            raise BadIndex(f"bad edge ({a}, {b}) for {n} points")
+        edges[make_edge(a, b)] = None
+
+    hull = convex_hull_edges(ps)
+    expected = 3 * n - 3 - len(hull)
+    if len(edges) != expected:
+        raise NotMaximal(f"{len(edges)} edges, expected 3n-3-h = {expected}")
+
+    xy = ps.coords()
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    apex: ApexMap = {}
+    for a, b in (ordered := sorted(edges)):
+        (xa, ya), (xb, yb) = xy[a], xy[b]
+        dx, dy = xb - xa, yb - ya
+        nearest = {1: -1, -1: -1}
+        for w in adj[a] & adj[b]:
+            xw, yw = xy[w]
+            side = 1 if dx * (yw - ya) > dy * (xw - xa) else -1  # never 0 in general position
+            c = nearest[side]
+            # w is nearer to ab than the apex so far iff that apex lies past w around a
+            if c < 0 or ((xw - xa) * (xy[c][1] - ya) - (yw - ya) * (xy[c][0] - xa)) * side > 0:
+                nearest[side] = w
+        c, d = sorted(nearest.values())
+        apex[a, b] = (d, c) if c < 0 else (c, d)
+    # candidate abw is aw's and bw's on its side iff they list b and a as apexes
+    consistent = all(w < 0 or b in apex[make_edge(a, w)] and a in apex[make_edge(b, w)]
+                     for (a, b), pair in apex.items() for w in pair)
+    if not consistent or not all(c >= 0 and (d < 0) == (e in hull) for e, (c, d) in apex.items()):
+        pts = ps.points
+        for i, e1 in enumerate(ordered):
+            seg1 = (pts[e1[0]], pts[e1[1]])
+            for e2 in ordered[i + 1:]:
+                if segments_properly_cross(seg1, (pts[e2[0]], pts[e2[1]])):
+                    raise NotPlanar(f"edges {e1} and {e2} cross")
+        raise AssertionError("non-crossing maximal edge set failed the triangulation certificate")
+    # each edge bounds its own candidates and, having passed, no others: apex holds the faces
+    return Triangulation(ps, apex)
+
+
 def reference_gen_random_points(n: int, seed: int, bound: int) -> PointSet:
     """gen_random_points testing each candidate against every accepted pair."""
     if bound < 1 or bound > COORD_BOUND:
@@ -193,9 +246,11 @@ def outcome(fn, *args):
 def assert_same_build(ps: PointSet, edges: list[Edge]) -> bool:
     """Both builds agree on ``edges``; returns whether they accepted it."""
     want, got = outcome(reference_build, ps, edges), outcome(build, ps, edges)
+    earlier = outcome(reference_certificate_build, ps, edges)
     if not isinstance(got, Triangulation):
-        assert got == want, edges  # the same error type and message
+        assert got == want == earlier, edges  # the same error type and message
         return False
+    assert list(got.apex.items()) == list(earlier.apex.items()), edges
     assert (got.edges, got.triangles, tri_of(got)) == want, edges
     # and its apex map holds the reference's third vertices, (c, d) with c < d
     # or (c, -1) on the hull
@@ -362,6 +417,55 @@ class TestBuildDifferential:
         ps = PointSet.from_coords(coords)
         assert outcome(build, ps, edges) == (NotPlanar, f"edges {crossing} cross")
         assert not assert_same_build(ps, edges)
+
+
+    # Each set has the right edge count and is rejected by one part of the
+    # certificate alone: a copy of build without that part accepts it.
+    @pytest.mark.parametrize("coords,edges,crossing", [
+        # the face count: only hull edges have one candidate, but the faces
+        # (0, 1, 3), (0, 2, 3) and (1, 2, 4) are each listed by two sides, so
+        # 3 * |faces| = 18 where 2m - h = 15
+        pytest.param([(3, 5), (6, 2), (3, 11), (0, 1), (2, 3)],
+                     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+                     "(0, 3) and (2, 4)", id="face-count"),
+        # one-sided edges off the hull: without the hull edge (2, 3), both
+        # diagonals of the convex quadrilateral have one candidate; only
+        # their placeholders (-2, 0, 2) and (-2, 1, 3) break the count,
+        # 3 * 4 where 2 * 5 - 4 = 6
+        pytest.param([(3, 5), (6, 2), (3, 0), (1, 2)], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+                     "(0, 2) and (1, 3)", id="hull-edge-missing"),
+        # edges without a candidate: (1, 4) and the hull edges (0, 5), (3, 4)
+        # and (4, 5); only their placeholders (-1, a, b) break the count,
+        # 3 * 8 where 2 * 9 - 6 = 12
+        pytest.param([(0, 0), (1, 1), (2, 4), (3, 9), (4, 16), (5, 25)],
+                     [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)],
+                     "(0, 2) and (1, 4)", id="no-candidate"),
+    ])
+    def test_one_part_rejects(self, coords, edges, crossing):
+        ps = PointSet.from_coords(coords)
+        assert outcome(build, ps, edges) == (NotPlanar, f"edges {crossing} cross")
+        assert not assert_same_build(ps, edges)
+
+    def test_benchmark_shaped_inputs(self):
+        # the point sets and walks of the benchmark's pools, from the public
+        # generators with the same parameters
+        convex = gen_convex(12)
+        cases = [(convex, sorted(convex_hull_edges(convex) | {make_edge(v, j) for j in range(12)
+                                                               if (j - v) % 12 not in (0, 1, 11)}))
+                 for v in range(12)]
+        walks = [(gen_random_points(10 + s % 3, s, 1000), s, 7 + s % 4) for s in range(24)]
+        walks += [(gen_random_points(300, 1, 1 << 20), 1, 6), (gen_convex(300), 2, 4)]
+        for ps, seed, steps in walks:
+            start = initial_triangulation(ps)
+            cases += [(ps, sorted(t.edges)) for t in (start, random_walk_triangulation(start, steps, seed))]
+        for ps, edges in cases:
+            items = list(build(ps, edges).apex.items())
+            assert [e for e, _ in items] == edges
+            assert items == list(reference_certificate_build(ps, edges).apex.items())
+            assert list(build(ps, edges[::-1]).apex.items()) == items
+            if len(ps) <= 12:  # the cubic reference takes about a second at 300 points
+                assert assert_same_build(ps, edges)
+        assert len(cases) == 12 + 2 * 26
 
 
 class TestGenRandomPointsDifferential:
