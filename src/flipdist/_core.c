@@ -10,9 +10,9 @@
  * rejected one undoes all its flips, so the next starts from the same state.
  * walk searches one composition in a single loop, with no recursion, so the
  * C stack does not grow with k.
- * The n*n arrays live in module buffers grown to the largest n seen, so a
- * scan over k does not page-fault them in again for every budget.  That
- * makes run_budget non-reentrant: a nested call raises RuntimeError.
+ * All of a call's state, the n*n arrays included, lives in one block that
+ * the call allocates and frees, so calls may nest: init reads Python
+ * objects, whose methods could call back in.
  *
  * Build: setup.py compiles this file as flipdist._core; without an installed
  * build, flipdist._kernel compiles it on first import into a per-user cache.
@@ -56,15 +56,6 @@ typedef struct {
     int *wflips;     /* (flipped, created) edge ids per flip, and */
     int *wacts;      /* action codes: the walk's undo log, and the witness */
 } Search;
-
-/* ap0, ap1 and pos_of are read only where present is set; each call clears
- * present and targ before it loads prep. */
-static struct {
-    size_t cap;
-    int busy;
-    int *ap0, *ap1, *pos_of;
-    char *present, *targ;
-} shared;
 
 static int cmp_int(const void *x, const void *y)
 {
@@ -255,38 +246,6 @@ static int walk(Search *s)
     }
 }
 
-static void shared_free(void)
-{
-    free(shared.ap0);
-    free(shared.ap1);
-    free(shared.pos_of);
-    free(shared.present);
-    free(shared.targ);
-    shared.ap0 = shared.ap1 = shared.pos_of = NULL;
-    shared.present = shared.targ = NULL;
-    shared.cap = 0;
-}
-
-/* Grow the shared buffers to nn entries; -1 with MemoryError on failure. */
-static int shared_reserve(size_t nn)
-{
-    if (nn <= shared.cap)
-        return 0;
-    shared_free();
-    shared.ap0 = malloc(nn * sizeof(int));
-    shared.ap1 = malloc(nn * sizeof(int));
-    shared.pos_of = malloc(nn * sizeof(int));
-    shared.present = calloc(nn, 1);
-    shared.targ = calloc(nn, 1);
-    if (!shared.ap0 || !shared.ap1 || !shared.pos_of || !shared.present || !shared.targ) {
-        shared_free();
-        PyErr_NoMemory();
-        return -1;
-    }
-    shared.cap = nn;
-    return 0;
-}
-
 /* Read the int in seq[i] into *out, requiring lo <= value < hi. */
 static int get_int(PyObject *seq, Py_ssize_t i, long long lo, long long hi, long long *out)
 {
@@ -348,9 +307,11 @@ static int search_init(Search *s, PyObject *prep, long long k)
     s->E = (int)E;
     s->t = s->k_total = (int)k;
     /* one block per call, freed through xs: the coordinates, the cursors,
-     * then comp, cur_edges, stack, opool, wflips and wacts */
+     * then comp, cur_edges, stack, opool, wflips, wacts, ap0, ap1 and
+     * pos_of, then present and targ */
     s->xs = malloc(2 * n * sizeof(long long) + (k + 1) * sizeof(Cursor) +
-                   ((size_t)(k + 1) * E + E + 6 * k + 2) * sizeof(int));
+                   ((size_t)(k + 1) * E + E + 6 * k + 2 + 3 * (size_t)nn) * sizeof(int) +
+                   2 * (size_t)nn);
     if (s->xs == NULL) {
         PyErr_NoMemory();
         return -1;
@@ -363,15 +324,14 @@ static int search_init(Search *s, PyObject *prep, long long k)
     s->opool = s->stack + k + 2;
     s->wflips = s->opool + (size_t)(k + 1) * E;
     s->wacts = s->wflips + 2 * k;
+    s->ap0 = s->wacts + 2 * k;
+    s->ap1 = s->ap0 + nn;
+    s->pos_of = s->ap1 + nn;
+    /* ap0, ap1 and pos_of are read only where present is set */
+    s->present = memset(s->pos_of + nn, 0, 2 * (size_t)nn);
+    s->targ = s->present + nn;
     for (i = 0; i < k; i++)
         s->comp[i] = 1;
-    if (shared_reserve((size_t)nn) < 0)
-        return -1;
-    s->ap0 = shared.ap0;
-    s->ap1 = shared.ap1;
-    s->pos_of = shared.pos_of;
-    s->present = memset(shared.present, 0, (size_t)nn);
-    s->targ = memset(shared.targ, 0, (size_t)nn);
 
     for (i = 0; i < n; i++) /* the bound keeps every orientation in 64 bits */
         if (get_int(xs_obj, i, -COORD_BOUND, COORD_BOUND + 1, &s->xs[i]) < 0 ||
@@ -486,12 +446,6 @@ static PyObject *run_budget(PyObject *self, PyObject *args)
     (void)self;
     if (!PyArg_ParseTuple(args, "O!L:run_budget", &PyTuple_Type, &prep, &k))
         return NULL;
-    /* init reads Python objects, whose methods could call back in */
-    if (shared.busy) {
-        PyErr_SetString(PyExc_RuntimeError, "run_budget is not reentrant");
-        return NULL;
-    }
-    shared.busy = 1;
     memset(&s, 0, sizeof s);
     if (search_init(&s, prep, k) == 0) {
         do
@@ -503,7 +457,6 @@ static PyObject *run_budget(PyObject *self, PyObject *args)
             result = Py_NewRef(Py_None);
     }
     free(s.xs);
-    shared.busy = 0;
     return result;
 }
 
@@ -514,15 +467,9 @@ static PyMethodDef core_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-static void core_free(void *module)
-{
-    (void)module;
-    shared_free();
-}
-
 static struct PyModuleDef core_module = {
-    PyModuleDef_HEAD_INIT, "_core", "Compiled search kernel.", -1, core_methods,
-    NULL, NULL, NULL, core_free,
+    PyModuleDef_HEAD_INIT, .m_name = "_core", .m_doc = "Compiled search kernel.",
+    .m_size = -1, .m_methods = core_methods,
 };
 
 PyMODINIT_FUNC PyInit__core(void)

@@ -7,7 +7,7 @@ flip budget k.  The text format is line oriented and hand-writable:
     points <n>
     <id> <x> <y>          (n lines, ids 0..n-1 in order)
     tstart <m>
-    <a> <b>               (m lines, a < b)
+    <a> <b>               (m lines, a < b, each edge once)
     tend <m>
     <a> <b>
     k <value>             (optional)
@@ -220,6 +220,7 @@ def parse(text: str) -> Instance:
     tris: list[Triangulation] = []
     for tag in ("tstart", "tend"):
         m = _header(reader, tag)
+        first = reader.pos
         edges: list[Edge] = []
         for _ in range(m):
             lineno, line = reader.next()
@@ -231,6 +232,13 @@ def parse(text: str) -> Instance:
                 raise InstanceSyntaxError(lineno, f"edge endpoints not increasing: {a} {b}")
             edges.append((a, b))
         tris.append(build(ps, edges))
+        if len(tris[-1].edges) != m:  # build keeps one copy of a repeated edge
+            reader.pos, seen = first, set()
+            for a, b in edges:
+                lineno, _ = reader.next()
+                if (a, b) in seen:
+                    raise InstanceSyntaxError(lineno, f"edge {a} {b} listed twice")
+                seen.add((a, b))
 
     k: Optional[int] = None
     try:

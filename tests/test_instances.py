@@ -358,6 +358,16 @@ class TestSerializeParse:
         with pytest.raises(InstanceSyntaxError):
             parse(text)
 
+    @pytest.mark.parametrize("tag, line", [("tstart", 10), ("tend", 18)])
+    def test_edge_listed_twice(self, tag, line):
+        # the count includes the repeat and build drops it, so build's own
+        # checks pass
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+        i = lines.index(f"{tag} 7")
+        lines[i:i + 2] = [f"{tag} 8", "0 1", "0 1"]
+        with pytest.raises(InstanceSyntaxError, match=f"^line {line}: edge 0 1 listed twice$"):
+            parse("\n".join(lines) + "\n")
+
     def test_errors_match_reference_parse(self):
         outcomes = [parse_outcome(parse, text) for text in golden_mutations()]
         assert outcomes == [parse_outcome(reference_parse, text) for text in golden_mutations()]

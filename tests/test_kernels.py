@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import shlex
 import subprocess
 import sys
 import sysconfig
@@ -103,6 +104,56 @@ def test_kernel_source_compiles_without_warnings():
                               *(f"-isystem{d}" for d in includes), str(source)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# Loads the kernel, prints the file it came from, then runs it on each
+# (prep, k) line of stdin and prints its answer or the exception it raised.
+_RUN_PREPS = """
+import ast, sys
+from flipdist import _kernel
+print(_kernel._core.__file__)
+for line in sys.stdin:
+    prep, k = ast.literal_eval(line)
+    try:
+        print(repr(_kernel._core.run_budget(prep, k)))
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+@pytest.mark.skipif(not can_build_core(), reason="no C compiler on PATH or no Python.h")
+def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
+    """The kernel built with AddressSanitizer and UBSan answers like the pure
+    one, so no call reads or writes outside its block."""
+    cc = compiler_command()
+    libasan = subprocess.run(cc + ["-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(libasan) or not os.path.exists(libasan):
+        pytest.skip("the compiler has no libasan.so")
+    n, xs, ys, edges, target = make_prep(*square_tris)
+    wrong_apex = (n, xs, ys, tuple((0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges), target)
+    ps = gen_convex(1024)  # the largest block the kernel allocates
+    cases = [(wrong_apex, 1), (make_prep(fan(ps, 0), fan(ps, 1)), 1021)]
+    for start, end, d in instance_pairs()[::5]:
+        cases += [(make_prep(start, end), k) for k in range(max(d, 1), d + 2)]
+    want = []
+    for prep, k in cases:
+        try:
+            want.append(repr(kernel_for("pure")(prep, k)))
+        except Exception as exc:
+            want.append(f"{type(exc).__name__}: {exc}")
+    src = str(Path(flipdist.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PREPS], input="".join(f"{case!r}\n" for case in cases),
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path),
+             "CC": shlex.join(cc) + " -fsanitize=address,undefined"
+                   " -fno-sanitize-recover=undefined -g",
+             "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"})
+    assert proc.returncode == 0, proc.stderr
+    lib, *got = proc.stdout.splitlines()
+    assert Path(lib).is_relative_to(tmp_path)
+    assert got == want
 
 
 class TestResolveBackend:
@@ -277,25 +328,28 @@ class TestCorruptState:
 
 
 @needs_compiled
-class TestSharedBuffers:
-    """The compiled kernel keeps its n*n arrays between calls, so no call may
-    see state that an earlier one left, not even a failed one."""
+class TestCallState:
+    """Each compiled call keeps all its state in its own block, so calls may
+    nest, and no call may see state that another one left, not even a failed
+    one."""
 
-    def test_reentrant_call_raises(self, square_tris):
+    def test_nested_call_answers(self, square_tris):
         from flipdist import _core
         n, xs, ys, edges, target = prep = make_prep(*square_tris)
+        nested = []
 
         class CallsBack:
             def __len__(self):
                 return n
 
             def __getitem__(self, i):
-                _core.run_budget(prep, 1)
+                nested.append(_core.run_budget(prep, 1))
                 return xs[i]
 
-        with pytest.raises(RuntimeError, match="not reentrant"):
-            _core.run_budget((n, CallsBack(), ys, edges, target), 1)
-        assert _core.run_budget(prep, 1) == kernel_for("pure")(prep, 1)
+        expected = kernel_for("pure")(prep, 1)
+        assert expected is not None
+        assert _core.run_budget((n, CallsBack(), ys, edges, target), 1) == expected
+        assert nested == [expected] * n
 
     def test_failed_calls_leave_no_state(self, square_tris):
         from flipdist import _core
