@@ -27,7 +27,6 @@ from .flipdag import (
     build_dag,
     check_reordering,
     replay,
-    to_dot,
     topological_sorts_sample,
 )
 from .geometry import COORD_BOUND, Point, PointSet, convex_hull_edges, orient
@@ -42,7 +41,6 @@ from .instances import (
 )
 from .oracle import FlipGraphStats, bfs_distance, enumerate_all, graph_stats
 from .solver import (
-    FLIP_BACK,
     Action,
     Composition,
     FlipBack,
@@ -67,9 +65,7 @@ from .triangulation import (
     flip,
     is_flippable,
     make_edge,
-    make_triangle,
     necessary_edges,
-    quad_around,
 )
 
 __version__ = "0.1.0"

@@ -152,7 +152,10 @@ static int do_flip(Search *s, int e)
     return g;
 }
 
-/* One composition's search: _searchpure._walk, line for line, so see there.
+/* One composition's search: the control flow of _searchpure._walk, step for
+ * step, so see there.  Where _walk flips through triangulation._flips_into
+ * and _apply_flip on the apex dict and counts missing edges itself, this
+ * uses flippable and do_flip on the id arrays above, which keep s->nec_cnt.
  * it counts the iterations begun, cs[i + 1] is iteration i's cursor, and
  * cs[0] holds the start's ordering. */
 static int walk(Search *s)

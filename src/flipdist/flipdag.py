@@ -165,12 +165,3 @@ def check_reordering(seq: FlipSequence, perm: list[int]) -> bool:
     except InvalidAt:
         return False
     return apex.keys() == target.keys()
-
-
-def to_dot(dag: FlipDag) -> str:
-    """DOT dump with sequence indices as node labels, for eyeballing."""
-    lines = ["digraph flipdag {"]
-    lines.extend(f"  {i};" for i in range(dag.node_count))
-    lines.extend(f"  {i} -> {j};" for i, j in sorted(dag.arcs))
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -71,7 +71,7 @@ class FlipBack:
 
 
 Action = Union[Move, FlipBack]
-FLIP_BACK = FlipBack()
+_FLIP_BACK = FlipBack()
 _MOVES = (Move(0), Move(1), Move(2), Move(3))
 
 
@@ -149,14 +149,14 @@ def iteration_shapes(k_i: int) -> Iterator[IterationShape]:
             m, code = m + 1, 0
             continue
         elif f < m or (m == k_i - 1 and f == k_i - 1):
-            prefix.append(FLIP_BACK)
+            prefix.append(_FLIP_BACK)
             f, code = f + 1, 0
             continue
         while True:  # retreat past every FlipBack, which has no next action
             if not prefix:
                 return
             last = prefix.pop()
-            if last is not FLIP_BACK:
+            if last is not _FLIP_BACK:
                 m, code = m - 1, last.direction + 1
                 break
             f -= 1
@@ -208,7 +208,7 @@ class SolveResult:
 
 
 def _code_action(code: int) -> Action:
-    return _MOVES[code] if code < 4 else FLIP_BACK
+    return _MOVES[code] if code < 4 else _FLIP_BACK
 
 
 def _package(t_start: Triangulation, t_end: Triangulation, k: int,

@@ -15,11 +15,17 @@ around it:
        \ /               \|/          sides ac, bc, ad, bd swaps one apex
         d                 d           (b for d, or a for c), no others.
 
-Triangulation values are immutable: ``flip`` applies ``flip_step``, the O(1)
-in-place change of an apex map, to a C-level copy of the input's, so search
-code may branch freely without undo bookkeeping.  The map is the only stored
-state, and ``edges`` is a live view of its keys, so no code may mutate a
-triangulation's map or hand one map to two values.
+This is Python's one flip rule: ``_flips_into`` decides whether an edge
+flips and into which diagonal, and ``_apply_flip`` makes the O(1) in-place
+change, which the same call on the created edge undoes.  Replay, the oracle,
+``flip`` and the pure search kernel all flip through it, and ``_apply_flip``
+raises AssertionError on a map that contradicts itself.
+
+Triangulation values are immutable: ``flip`` applies ``flip_step`` to a
+C-level copy of the input's map, so callers may branch freely without undo
+bookkeeping.  The map is the only stored state, and ``edges`` is a live view
+of its keys, so no code may mutate a triangulation's map or hand one map to
+two values.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def make_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def make_triangle(u: int, v: int, w: int) -> Triangle:
+def _make_triangle(u: int, v: int, w: int) -> Triangle:
     return tuple(sorted((u, v, w)))  # type: ignore[return-value]
 
 
@@ -88,7 +94,7 @@ class Triangulation:
 
     @property
     def triangles(self) -> frozenset[Triangle]:
-        return frozenset(make_triangle(a, b, w) for (a, b), pair in self.apex.items()
+        return frozenset(_make_triangle(a, b, w) for (a, b), pair in self.apex.items()
                          for w in pair if w >= 0)
 
     def __eq__(self, other: object) -> bool:
@@ -170,13 +176,6 @@ def _require_edge(tri: Triangulation, e: Edge) -> Edge:
     return e
 
 
-def quad_around(tri: Triangulation, e: Edge) -> Optional[tuple[int, int]]:
-    """Apex vertices (min, max) of the two triangles at an interior edge,
-    or None for a hull edge."""
-    c, d = tri.apex[_require_edge(tri, e)]
-    return None if d < 0 else (c, d)
-
-
 def _quad_sides(e: Edge, c: int, d: int) -> list[Edge]:
     """The sides (a, c), (b, c), (a, d), (b, d) of the quadrilateral around
     e = (a, b) with apexes c < d, canonical; only the first two when d < 0."""
@@ -204,9 +203,13 @@ def is_flippable(tri: Triangulation, e: Edge) -> bool:
 
 
 def _apply_flip(apex: ApexMap, e: Edge, g: Edge) -> tuple[Edge, Edge, Edge, Edge]:
-    """Flip e into g, its ``_flips_into`` result, in place and untested; return
-    the four sides in ``_quad_sides`` order.  Written out side by side, as
-    this step runs for every flip of every replay and oracle child."""
+    """Flip e into g, its ``_flips_into`` result, in place; return the four
+    sides in ``_quad_sides`` order.  ``_apply_flip(apex, g, e)`` undoes it
+    exactly, as apex[g] is then e.  A side whose pair lacks the apex it
+    replaces contradicts the map and raises AssertionError, as a missing side
+    raises KeyError; both are plain raises, so ``python -O`` keeps them.
+    Written out side by side, as this step runs for every flip of every
+    replay, oracle child and pure-kernel search node."""
     a, b = e
     c, d = g
     ac = (a, c) if a < c else (c, a)
@@ -218,23 +221,31 @@ def _apply_flip(apex: ApexMap, e: Edge, g: Edge) -> tuple[Edge, Edge, Edge, Edge
     x, y = apex[ac]
     if x == b:
         apex[ac] = (d, y) if y < 0 or d < y else (y, d)
-    else:
+    elif y == b:
         apex[ac] = (x, d) if x < d else (d, x)
+    else:
+        raise AssertionError("apex table corrupted")
     x, y = apex[bc]
     if x == a:
         apex[bc] = (d, y) if y < 0 or d < y else (y, d)
-    else:
+    elif y == a:
         apex[bc] = (x, d) if x < d else (d, x)
+    else:
+        raise AssertionError("apex table corrupted")
     x, y = apex[ad]
     if x == b:
         apex[ad] = (c, y) if y < 0 or c < y else (y, c)
-    else:
+    elif y == b:
         apex[ad] = (x, c) if x < c else (c, x)
+    else:
+        raise AssertionError("apex table corrupted")
     x, y = apex[bd]
     if x == a:
         apex[bd] = (c, y) if y < 0 or c < y else (y, c)
-    else:
+    elif y == a:
         apex[bd] = (x, c) if x < c else (c, x)
+    else:
+        raise AssertionError("apex table corrupted")
     del apex[e]
     apex[g] = e
     return ac, bc, ad, bd

@@ -73,6 +73,10 @@ def convex_pair(n: int) -> tuple[PointSet, Triangulation]:
     return ps, initial_triangulation(ps)
 
 
+def make_triangle(u: int, v: int, w: int) -> Triangle:
+    return tuple(sorted((u, v, w)))  # type: ignore[return-value]
+
+
 def tri_of(tri: Triangulation) -> dict[Edge, tuple[Triangle, ...]]:
     """Edge -> its incident triangles, sorted: the map triangulations stored
     before they stored apexes, derived from ``tri.triangles`` for the

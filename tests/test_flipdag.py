@@ -18,7 +18,6 @@ from flipdist.flipdag import (
     check_reordering,
     intermediates,
     replay,
-    to_dot,
     topological_sorts_sample,
 )
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
@@ -212,13 +211,3 @@ class TestCheckReordering:
                 assert check_reordering(seq, order)
                 checked += 1
         assert checked >= 100
-
-
-class TestToDot:
-    def test_renders_nodes_and_arcs(self):
-        dag = FlipDag(node_count=3, arcs=frozenset({(0, 2)}))
-        dot = to_dot(dag)
-        assert dot.startswith("digraph")
-        assert "0 -> 2;" in dot
-        assert "  1;" in dot
-        assert dot.endswith("}\n")

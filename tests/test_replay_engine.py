@@ -51,10 +51,9 @@ from flipdist.triangulation import (
     flip,
     is_flippable,
     make_edge,
-    make_triangle,
 )
 
-from conftest import strictly_convex_quad, tri_of
+from conftest import make_triangle, strictly_convex_quad, tri_of
 
 SIZES = range(6, 13)
 SEEDS = range(4)
@@ -363,6 +362,16 @@ def test_same_intermediates(walk_cases):
         assert_built_apexes(replay(seq))
     # the apex maps were checked after flips that change a hull edge's apex (c, -1)
     assert next_to_hull > len(walk_cases)
+
+
+@pytest.mark.parametrize("side", [(0, 1), (1, 2), (0, 3), (2, 3)])
+def test_apply_flip_rejects_a_side_without_the_replaced_apex(square_tris, side):
+    # give one side the apex it would have after the flip, so its pair lacks
+    # the apex that flipping (0, 2) into (1, 3) replaces
+    apex = dict(square_tris[0].apex)
+    apex[side] = (1 if 3 in side else 3, -1)
+    with pytest.raises(AssertionError, match="apex table corrupted"):
+        _apply_flip(apex, (0, 2), (1, 3))
 
 
 def test_same_dag_arcs(walk_cases):

@@ -25,7 +25,6 @@ from flipdist.instances import gen_convex, gen_random_points, initial_triangulat
 from flipdist.oracle import bfs_distance
 from flipdist.solver import (
     _MOVES,
-    FLIP_BACK,
     Composition,
     FlipBack,
     IterationShape,
@@ -42,6 +41,9 @@ from flipdist.triangulation import build, flip
 
 from conftest import convex_pair, flip_closure
 from test_prune import fan
+
+
+FLIP_BACK = FlipBack()
 
 
 def catalan(n: int) -> int:

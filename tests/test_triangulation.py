@@ -21,7 +21,6 @@ from flipdist.triangulation import (
     flip,
     is_flippable,
     necessary_edges,
-    quad_around,
 )
 
 SQUARE_HULL = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -70,24 +69,6 @@ class TestBuild:
             h = len(convex_hull_edges(ps))
             assert len(tri.edges) == 3 * 8 - 3 - h
             assert len(tri.triangles) == 2 * 8 - 2 - h
-
-
-class TestQuadAround:
-    def test_square_diagonal(self, square_tris):
-        with_02, _ = square_tris
-        assert quad_around(with_02, (0, 2)) == (1, 3)
-
-    def test_hull_edge_empty(self, square_tris):
-        assert quad_around(square_tris[0], (0, 1)) is None
-
-    def test_pentagon_fan(self):
-        _, tri = pentagon_fan()
-        assert quad_around(tri, (0, 2)) == (1, 3)
-        assert quad_around(tri, (0, 3)) == (2, 4)
-
-    def test_absent_edge(self, square_tris):
-        with pytest.raises(EdgeAbsent):
-            quad_around(square_tris[0], (1, 3))
 
 
 class TestIsFlippable:

@@ -64,10 +64,9 @@ from flipdist.triangulation import (
     flip,
     is_flippable,
     make_edge,
-    make_triangle,
 )
 
-from conftest import tri_of
+from conftest import make_triangle, tri_of
 
 SIZES = range(3, 10)
 BOUNDS = (6, 20, 1000)
