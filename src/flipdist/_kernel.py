@@ -116,7 +116,5 @@ def make_prep(t_start: Triangulation, t_end: Triangulation) -> _searchpure.Prep:
     Start edges are emitted sorted; the kernels rely on that for the initial
     ordering of necessary edges."""
     ps = t_start.ps
-    xs = tuple(p.x for p in ps)
-    ys = tuple(p.y for p in ps)
     edges = tuple((a, b, c, d) for (a, b), (c, d) in sorted(t_start.apex.items()))
-    return (len(ps), xs, ys, edges, tuple(sorted(t_end.apex)))
+    return (len(ps), ps.xs, ps.ys, edges, tuple(sorted(t_end.apex)))

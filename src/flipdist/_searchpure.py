@@ -30,7 +30,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .geometry import Point
 from .triangulation import ApexMap, Edge, _apply_flip, _flips_into
 
 Prep = tuple[int, tuple[int, ...], tuple[int, ...],
@@ -52,8 +51,8 @@ def compositions(k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
-def _walk(pts: Sequence[Point], apex: ApexMap, target: set[Edge], nec: int,
-          olex0: tuple[Edge, ...], parts: tuple[int, ...], k: int,
+def _walk(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, target: set[Edge],
+          nec: int, olex0: tuple[Edge, ...], parts: tuple[int, ...], k: int,
           flips: list[tuple[Edge, Edge]], acts: list[int]) -> Optional[list[tuple[tuple[Edge, ...], int]]]:
     """One composition's search, the paper's walk as one loop, with no
     recursion.  code is the next action to try at the current node: 0..3 =
@@ -99,7 +98,7 @@ def _walk(pts: Sequence[Point], apex: ApexMap, target: set[Edge], nec: int,
                     code = 0
                     continue
             if (f < m or (m == ki - 1 and f == ki - 1)) and \
-                    (g := _flips_into(pts, apex, cur)) is not None:
+                    (g := _flips_into(xs, ys, apex, cur)) is not None:
                 _apply_flip(apex, cur, g)
                 nec += (g not in target) - (cur not in target)
                 flips.append((cur, g))
@@ -133,8 +132,7 @@ def _walk(pts: Sequence[Point], apex: ApexMap, target: set[Edge], nec: int,
 
 
 def run_budget(prep: Prep, k: int) -> Optional[Accept]:
-    n, xs, ys, edges, target_edges = prep
-    pts = [Point(i, xs[i], ys[i]) for i in range(n)]
+    _, xs, ys, edges, target_edges = prep
     apex = {(a, b): (c, d) for a, b, c, d in edges}
     target = set(target_edges)
     olex0 = tuple(sorted(e for e in apex if e not in target))
@@ -142,7 +140,7 @@ def run_budget(prep: Prep, k: int) -> Optional[Accept]:
     acts: list[int] = []
     try:
         for parts in compositions(k):
-            cursors = _walk(pts, apex, target, len(olex0), olex0, parts, k, flips, acts)
+            cursors = _walk(xs, ys, apex, target, len(olex0), olex0, parts, k, flips, acts)
             if cursors is not None:
                 codes = iter(acts)
                 return ([(*e, *g) for e, g in flips],

@@ -86,10 +86,11 @@ class PointSet:
     compared (:func:`_shared_line`).  A collinear input is reported by its
     lexicographically first triple.
     Degenerate inputs are rejected outright because flips across collinear
-    quadrilaterals are undefined.
+    quadrilaterals are undefined.  ``xs`` and ``ys`` are the coordinate
+    tuples by id, which the flip predicate and ``build`` read.
     """
 
-    __slots__ = ("points", "_hull")
+    __slots__ = ("points", "xs", "ys", "_hull")
 
     def __init__(self, points: Iterable[Point]):
         pts = tuple(points)
@@ -112,6 +113,7 @@ class PointSet:
                 j, k = pair
                 raise ValidationError(f"points {i}, {i + 1 + j}, {i + 1 + k} are collinear")
         self.points = pts
+        self.xs, self.ys = zip(*coords)
         self._hull: Optional[frozenset[tuple[int, int]]] = None  # filled by convex_hull_edges
 
     @classmethod

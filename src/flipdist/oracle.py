@@ -12,10 +12,14 @@ sees the edge, and a key is the XOR of the bits of ``T Δ start``, so keys
 grow with the edges the search touched, not with n^2.
 
 Each state carries its move table, {flippable edge e: (edge g it flips into,
-mask bit(e) ^ bit(g))}, and a neighbour's key is ``key ^ mask``.  A child
-copies its parent's map and table, applies the known flip, maps ``g`` back to
-``e`` (the new diagonal always flips back) and tests again only the four
-sides of the flipped quadrilateral, the only edges whose triangles changed.
+mask bit(e) ^ bit(g))}, and a neighbour's key is ``key ^ mask``.  A full
+table lists every flippable edge of the state; a lean one only those that
+its far root lacks, the only ones the bounds closest to the missing-edge
+count can use (``bfs_distance``).  A child copies its parent's map and
+table, applies the known flip, maps ``g`` back to ``e`` (the new diagonal
+always flips back) and tests again only the four sides of the flipped
+quadrilateral, the only edges whose triangles changed; in a lean table the
+new diagonal and the sides count only if the far root lacks them.
 
 Keys also give a free lower bound.  All triangulations of a point set have
 the same number of edges and a flip removes exactly one, so a state with key
@@ -28,11 +32,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import PointSetMismatch, ValidationError
 from .flipdag import FlipSequence
-from .geometry import Point, PointSet
+from .geometry import PointSet
 from .triangulation import (ApexMap, Edge, FlipRecord, Triangulation, _apply_flip, _flips_into,
                             canonical_key, flip)
 
@@ -47,22 +51,33 @@ class FlipGraphStats:
     distance_histogram: dict[int, int]
 
 
-def _move_table(pts: Sequence[Point], apex: ApexMap, bits: dict[Edge, int]) -> _Moves:
-    """The move table of an apex map; an edge's bit is the next free one at first sight."""
+def _move_table(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, bits: dict[Edge, int],
+                edges: Optional[Iterable[Edge]] = None) -> _Moves:
+    """The move table of an apex map, over all its edges or over ``edges``
+    only; an edge's bit is the next free one at first sight."""
     return {e: (g, bits.setdefault(e, 1 << len(bits)) ^ bits.setdefault(g, 1 << len(bits)))
-            for e in apex if (g := _flips_into(pts, apex, e)) is not None}
+            for e in (apex if edges is None else edges)
+            if (g := _flips_into(xs, ys, apex, e)) is not None}
 
 
-def _flip_with_moves(pts: Sequence[Point], apex: ApexMap, e: Edge, moves: _Moves,
-                     bits: dict[Edge, int]) -> tuple[ApexMap, _Moves]:
+def _flip_with_moves(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, e: Edge,
+                     moves: _Moves, bits: dict[Edge, int],
+                     missing: Optional[int] = None) -> tuple[ApexMap, _Moves]:
     """A copy of ``apex`` with e flipped, and its move table from ``moves``,
     the table of ``apex``: only the four sides of the quadrilateral change
-    triangles, so only they are tested again."""
+    triangles, so only they are tested again.  With ``missing``, the child's
+    key XOR its far root's key, both tables are lean: they hold only edges
+    missing from the far root, so the new diagonal is kept, and a side
+    tested, only if its bit is in ``missing`` (an edge with no bit is in
+    both roots)."""
     child, out = apex.copy(), moves.copy()
     g, mask = out.pop(e)
-    out[g] = e, mask
+    if missing is None or missing & bits[g]:
+        out[g] = e, mask
     for s in _apply_flip(child, e, g):  # the sides of the quadrilateral
-        if (h := _flips_into(pts, child, s)) is None:
+        if missing is not None and not missing & bits.get(s, 0):
+            continue
+        if (h := _flips_into(xs, ys, child, s)) is None:
             out.pop(s, None)
         else:
             out[s] = h, bits.setdefault(s, 1 << len(bits)) ^ bits.setdefault(h, 1 << len(bits))
@@ -71,8 +86,7 @@ def _flip_with_moves(pts: Sequence[Point], apex: ApexMap, e: Edge, moves: _Moves
 
 _Moves = dict[Edge, tuple[Edge, int]]
 # One BFS level entry: the state with ``key`` is the flip of edge in the apex map
-# parent, whose move table is moves; or a root map, with its table once computed,
-# when edge is None.
+# parent, whose move table is moves; or a root map, with moves None, when edge is None.
 _Entry = tuple[ApexMap, Optional[Edge], int, Optional[_Moves]]
 # key -> (parent key, edge flipped in the parent, edge it inserted); None at the root
 _Seen = dict[int, Optional[tuple[int, Edge, Edge]]]
@@ -105,10 +119,29 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     bound that meets is the distance, and the meeting path is shortest.  A
     cap below the start's count returns None before any move table exists.
 
+    A bound's root slack is the bound minus the start's missing-edge count,
+    and a state's slack is the bound minus its depth and its count against
+    the far root, at least 0 in every stored state.  A flip of a missing
+    edge into an edge of the far root lowers the count by one and into
+    another edge leaves it; a flip of a shared edge raises it by one, as the
+    new diagonal crosses that edge and so is missing too.  Down a path the
+    slack therefore stays or drops by 1 or 2, never grows, and in the first
+    two bounds, at root slack 0 and 1, a shared-edge flip ends below 0.
+    Those bounds run on lean move tables, which list only the flippable
+    missing edges; the bounds from root slack 2 up keep full tables.
+    Leaving those moves out changes no witness.  When one side expands its
+    depth-g level, the other side's depth is at most bound - g - 1, so every
+    key it has seen lies that many flips at most from this side's far root,
+    its count there is at most as large, and as a depth-(g + 1) child it
+    passes the bound test.  A key the other side has seen is thus never a
+    left-out move, the moves kept stay in sorted order, and the stored
+    states, the meeting key and the witness are those of full tables.
+
     A state is made only when its level is expanded, and the round that
     reaches the bound stores only the key it meets at: the seen sets are
     disjoint, so it is the first key the other side has seen.  Each root's
-    move table is computed once per call and shared by every bound.  The
+    move table is computed once per call and kind, a lean one from its
+    missing edges alone, and shared by every bound of that kind.  The
     witness is the forward parent chain from the start, then the backward
     chain to the target, read off the stored (flipped, inserted) pairs.
     """
@@ -123,12 +156,15 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     if end_key == 0:
         return 0, FlipSequence(start=t_start, flips=())
 
-    pts, far = t_start.ps.points, (end_key, 0)  # the key of each side's far root
-    roots: list[_Entry] = [(t_start.apex, None, 0, None), (t_end.apex, None, end_key, None)]
-    for bound in range(end_key.bit_count() // 2, cap + 1):
+    xs, ys, far = t_start.ps.xs, t_start.ps.ys, (end_key, 0)  # the key of each side's far root
+    roots = (t_start.apex, t_end.apex)
+    tables: dict[tuple[int, bool], _Moves] = {}  # (side, lean) -> that root's move table
+    low = end_key.bit_count() // 2  # the start's missing-edge count
+    for bound in range(low, cap + 1):
+        lean = bound - low <= 1  # the root slack is at most 1
         depth = [0, 0]
         seen: tuple[_Seen, _Seen] = ({0: None}, {end_key: None})
-        levels = [[roots[0]], [roots[1]]]
+        levels: list[list[_Entry]] = [[(roots[0], None, 0, None)], [(roots[1], None, end_key, None)]]
         while all(levels) and (rounds_left := bound - depth[0] - depth[1]) > 0:
             side = 0 if len(levels[0]) <= len(levels[1]) else 1
             mine, other, far_key = seen[side], seen[1 - side], far[side]
@@ -137,10 +173,11 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
             nxt_level: list[_Entry] = []
             for apex, edge, key, moves in levels[side]:
                 if edge is not None:
-                    apex, moves = _flip_with_moves(pts, apex, edge, moves, bits)
-                elif moves is None:  # a root, expanded for the first time in this call
-                    moves = _move_table(pts, apex, bits)
-                    roots[side] = apex, None, key, moves
+                    apex, moves = _flip_with_moves(xs, ys, apex, edge, moves, bits,
+                                                   key ^ far_key if lean else None)
+                elif (moves := tables.get((side, lean))) is None:  # a root, first in this kind
+                    edges = apex.keys() - roots[1 - side].keys() if lean else None  # missing ones
+                    moves = tables[side, lean] = _move_table(xs, ys, apex, bits, edges)
                 for e in sorted(moves):  # the fixed order keeps witnesses deterministic
                     g, mask = moves[e]
                     if (nxt := key ^ mask) in other:  # so not in mine: the seen sets stay disjoint
@@ -170,7 +207,7 @@ def _closure(seed: Triangulation) -> dict[frozenset[Edge], Triangulation]:
     frontier = deque(out.items())
     while frontier:
         key, tri = frontier.popleft()
-        for e, (g, _) in _move_table(tri.ps.points, tri.apex, {}).items():
+        for e, (g, _) in _move_table(tri.ps.xs, tri.ps.ys, tri.apex, {}).items():
             if (nxt := key ^ {e, g}) not in out:
                 out[nxt] = flip(tri, e)[0]
                 frontier.append((nxt, out[nxt]))
@@ -193,7 +230,7 @@ def graph_stats(ps: PointSet, seed_tri: Triangulation) -> FlipGraphStats:
     nodes = _closure(seed_tri)
     index = {key: i for i, key in enumerate(nodes)}  # int vertices keep the all-pairs BFS cheap
     adjacency = [[index[key ^ {e, g}]
-                  for e, (g, _) in _move_table(tri.ps.points, tri.apex, {}).items()]
+                  for e, (g, _) in _move_table(tri.ps.xs, tri.ps.ys, tri.apex, {}).items()]
                  for key, tri in nodes.items()]
 
     histogram: dict[int, int] = {}

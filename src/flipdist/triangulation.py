@@ -44,7 +44,7 @@ from .errors import (
     PointSetMismatch,
     ValidationError,
 )
-from .geometry import Point, PointSet, convex_hull_edges, segments_properly_cross
+from .geometry import PointSet, convex_hull_edges, segments_properly_cross
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -137,7 +137,7 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     hull = convex_hull_edges(ps)
     if len(edges) != (expected := 3 * n - 3 - len(hull)):
         raise NotMaximal(f"{len(edges)} edges, expected 3n-3-h = {expected}")
-    xs, ys = [p.x for p in ps.points], [p.y for p in ps.points]
+    xs, ys = ps.xs, ps.ys
     apex: ApexMap = {}
     faces: set[Triangle] = set()  # and placeholders: (-1, a, b) if c < 0, (-2, a, b) if d < 0
     for a, b in (ordered := sorted(edges)):
@@ -183,23 +183,26 @@ def _quad_sides(e: Edge, c: int, d: int) -> list[Edge]:
     return [make_edge(x, y) for y in (c, d) if y >= 0 for x in (a, b)]
 
 
-def _flips_into(pts: Sequence[Point], apex: ApexMap, e: Edge) -> Optional[Edge]:
+def _flips_into(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, e: Edge) -> Optional[Edge]:
     """The diagonal that canonical edge e of the apex map flips into: the
     other diagonal of its quadrilateral, or None when e is a hull edge or the
-    quadrilateral is not strictly convex.  ``pts`` is the point tuple."""
+    quadrilateral is not strictly convex.  ``xs``, ``ys`` are the point
+    set's coordinate tuples."""
     c, d = apex[e]
     if d < 0:
         return None
-    pa, pb, pc, pd = pts[e[0]], pts[e[1]], pts[c], pts[d]
-    dx, dy = pd.x - pc.x, pd.y - pc.y
+    a, b = e
+    xc, yc = xs[c], ys[c]
+    dx, dy = xs[d] - xc, ys[d] - yc
     # c, d lie on opposite sides of e: convex iff e's ends lie strictly on opposite sides of cd
-    cross = (dx * (pa.y - pc.y) - dy * (pa.x - pc.x)) * (dx * (pb.y - pc.y) - dy * (pb.x - pc.x))
+    cross = (dx * (ys[a] - yc) - dy * (xs[a] - xc)) * (dx * (ys[b] - yc) - dy * (xs[b] - xc))
     return (c, d) if cross < 0 else None
 
 
 def is_flippable(tri: Triangulation, e: Edge) -> bool:
     """An edge flips iff it is interior and its quadrilateral is strictly convex."""
-    return _flips_into(tri.ps.points, tri.apex, _require_edge(tri, e)) is not None
+    ps = tri.ps
+    return _flips_into(ps.xs, ps.ys, tri.apex, _require_edge(tri, e)) is not None
 
 
 def _apply_flip(apex: ApexMap, e: Edge, g: Edge) -> tuple[Edge, Edge, Edge, Edge]:
@@ -255,7 +258,7 @@ def flip_step(ps: PointSet, apex: ApexMap, e: Edge) -> Optional[Edge]:
     """Flip edge e of an apex map in place, in O(1), and return the edge
     inserted; or return None, changing nothing, when e is not a canonical
     edge of the map or does not flip (``_flips_into``, then ``_apply_flip``)."""
-    if e not in apex or (g := _flips_into(ps.points, apex, e)) is None:
+    if e not in apex or (g := _flips_into(ps.xs, ps.ys, apex, e)) is None:
         return None
     _apply_flip(apex, e, g)
     return g

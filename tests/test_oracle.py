@@ -3,14 +3,17 @@
 Small convex point sets have closed-form flip graphs (Catalan vertex counts,
 the pentagon's graph is a 5-cycle), so most checks here compare against those
 plus an independently coded closure from conftest.  The bidirectional
-``bfs_distance`` is also compared with the one-sided BFS it replaced, kept
-below verbatim as ``reference_bfs_distance``, and with the bidirectional BFS
-over ``a*n + b`` edge-bitmask keys that rebuilt every move of every state,
-kept verbatim as ``bitmask_bfs_distance``.  At every cap all three must agree
-on whether the target is within reach and on the distance.  The witnesses may
-differ: the bound-pruned search keeps smaller frontiers and so may meet at
-another state, and its witness is only required to be shortest, to replay to
-the target and to repeat on a second call.
+``bfs_distance`` is also compared with three searches it replaced, each kept
+below verbatim: the one-sided BFS as ``reference_bfs_distance``; the
+bidirectional BFS over ``a*n + b`` edge-bitmask keys that rebuilt every move
+of every state, as ``bitmask_bfs_distance``; and the bound-pruned BFS whose
+every state listed all of its flippable edges, as ``table_bfs_distance``.  At
+every cap all four must agree on whether the target is within reach and on
+the distance.  Against the first two the witnesses may differ, as the
+bound-pruned search keeps smaller frontiers and so may meet at another state;
+its witness is required to be shortest, to replay to the target and to repeat
+on a second call.  Against ``table_bfs_distance`` the witnesses must be
+identical: lean move tables drop only moves that the bound rules out.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import pytest
 
@@ -30,7 +33,7 @@ import flipdist
 from flipdist import oracle, triangulation
 from flipdist.errors import PointSetMismatch, ValidationError
 from flipdist.flipdag import FlipSequence, replay
-from flipdist.geometry import convex_hull_edges
+from flipdist.geometry import Point, convex_hull_edges
 from flipdist.instances import (
     Instance,
     gen_convex,
@@ -43,9 +46,11 @@ from flipdist.instances import (
 from flipdist.oracle import bfs_distance, enumerate_all, graph_stats
 from flipdist.solver import search_upto
 from flipdist.triangulation import (
+    ApexMap,
     Edge,
     FlipRecord,
     Triangulation,
+    _apply_flip,
     build,
     canonical_key,
     edge_neighbors,
@@ -212,6 +217,120 @@ def _witness(t_start: Triangulation, seen: tuple[_Seen, _Seen],
     return len(flips), FlipSequence(start=t_start, flips=tuple(flips))
 
 
+# table_bfs_distance and its helpers, as bfs_distance was before lean move
+# tables: every state's table lists all of its flippable edges.  Verbatim but
+# for the names; ``_table_flips_into`` is the flip test of that time, which read
+# coordinates from the point tuple.
+def _table_flips_into(pts: Sequence[Point], apex: ApexMap, e: Edge) -> Optional[Edge]:
+    """The diagonal that canonical edge e of the apex map flips into: the
+    other diagonal of its quadrilateral, or None when e is a hull edge or the
+    quadrilateral is not strictly convex.  ``pts`` is the point tuple."""
+    c, d = apex[e]
+    if d < 0:
+        return None
+    pa, pb, pc, pd = pts[e[0]], pts[e[1]], pts[c], pts[d]
+    dx, dy = pd.x - pc.x, pd.y - pc.y
+    # c, d lie on opposite sides of e: convex iff e's ends lie strictly on opposite sides of cd
+    cross = (dx * (pa.y - pc.y) - dy * (pa.x - pc.x)) * (dx * (pb.y - pc.y) - dy * (pb.x - pc.x))
+    return (c, d) if cross < 0 else None
+
+
+def _table_move_table(pts: Sequence[Point], apex: ApexMap, bits: dict[Edge, int]) -> _TableMoves:
+    """The move table of an apex map; an edge's bit is the next free one at first sight."""
+    return {e: (g, bits.setdefault(e, 1 << len(bits)) ^ bits.setdefault(g, 1 << len(bits)))
+            for e in apex if (g := _table_flips_into(pts, apex, e)) is not None}
+
+
+def _table_flip_with_moves(pts: Sequence[Point], apex: ApexMap, e: Edge, moves: _TableMoves,
+                           bits: dict[Edge, int]) -> tuple[ApexMap, _TableMoves]:
+    """A copy of ``apex`` with e flipped, and its move table from ``moves``,
+    the table of ``apex``: only the four sides of the quadrilateral change
+    triangles, so only they are tested again."""
+    child, out = apex.copy(), moves.copy()
+    g, mask = out.pop(e)
+    out[g] = e, mask
+    for s in _apply_flip(child, e, g):  # the sides of the quadrilateral
+        if (h := _table_flips_into(pts, child, s)) is None:
+            out.pop(s, None)
+        else:
+            out[s] = h, bits.setdefault(s, 1 << len(bits)) ^ bits.setdefault(h, 1 << len(bits))
+    return child, out
+
+
+_TableMoves = dict[Edge, tuple[Edge, int]]
+# One BFS level entry: the state with ``key`` is the flip of edge in the apex map
+# parent, whose move table is moves; or a root map, with its table once computed,
+# when edge is None.
+_TableEntry = tuple[ApexMap, Optional[Edge], int, Optional[_TableMoves]]
+
+
+def table_bfs_distance(t_start: Triangulation, t_end: Triangulation,
+                       cap: int) -> Optional[tuple[int, FlipSequence]]:
+    """Exact flip distance with one shortest witness, or None if it exceeds cap.
+
+    One bidirectional, level-synchronous BFS over the keys and move tables
+    of the oracle's module docstring for each bound from the start's missing-edge
+    count up to cap.  Within a bound, each round expands every state of the
+    smaller frontier (the start side on a tie) and stops at the first key the
+    other side has seen; the path through it has length at most d_s + 1 + d_t,
+    and the bound gives up once d_s + d_t reaches it or a frontier is empty.
+    A child at depth g is stored only if g plus its missing-edge count
+    against the far root is at most the bound.  Every state of a path of
+    length at most the bound passes that test at its depth on that path, so
+    the bound meets whenever the distance is at most the bound: the first
+    bound that meets is the distance, and the meeting path is shortest.  A
+    cap below the start's count returns None before any move table exists.
+
+    A state is made only when its level is expanded, and the round that
+    reaches the bound stores only the key it meets at: the seen sets are
+    disjoint, so it is the first key the other side has seen.  Each root's
+    move table is computed once per call and shared by every bound.  The
+    witness is the forward parent chain from the start, then the backward
+    chain to the target, read off the stored (flipped, inserted) pairs.
+    """
+    if t_start.ps != t_end.ps:
+        raise PointSetMismatch("triangulations are over different point sets")
+    if cap < 0:
+        raise ValidationError(f"negative depth cap {cap}")
+    bits: dict[Edge, int] = {}  # edge -> its bit, the next free one at first sight
+    end_key = 0
+    for e in t_start.edges ^ t_end.edges:
+        end_key |= bits.setdefault(e, 1 << len(bits))
+    if end_key == 0:
+        return 0, FlipSequence(start=t_start, flips=())
+
+    pts, far = t_start.ps.points, (end_key, 0)  # the key of each side's far root
+    roots: list[_TableEntry] = [(t_start.apex, None, 0, None), (t_end.apex, None, end_key, None)]
+    for bound in range(end_key.bit_count() // 2, cap + 1):
+        depth = [0, 0]
+        seen: tuple[_Seen, _Seen] = ({0: None}, {end_key: None})
+        levels = [[roots[0]], [roots[1]]]
+        while all(levels) and (rounds_left := bound - depth[0] - depth[1]) > 0:
+            side = 0 if len(levels[0]) <= len(levels[1]) else 1
+            mine, other, far_key = seen[side], seen[1 - side], far[side]
+            # a child at depth g stays if g + popcount(key ^ far_key) / 2 <= bound
+            spare = 2 * (bound - depth[side] - 1)
+            nxt_level: list[_TableEntry] = []
+            for apex, edge, key, moves in levels[side]:
+                if edge is not None:
+                    apex, moves = _table_flip_with_moves(pts, apex, edge, moves, bits)
+                elif moves is None:  # a root, expanded for the first time in this call
+                    moves = _table_move_table(pts, apex, bits)
+                    roots[side] = apex, None, key, moves
+                for e in sorted(moves):  # the fixed order keeps witnesses deterministic
+                    g, mask = moves[e]
+                    if (nxt := key ^ mask) in other:  # so not in mine: the seen sets stay disjoint
+                        mine[nxt] = (key, e, g)
+                        return _witness(t_start, seen, nxt)
+                    if (rounds_left > 1 and nxt not in mine  # the last round expands nothing
+                            and (nxt ^ far_key).bit_count() <= spare):
+                        mine[nxt] = (key, e, g)
+                        nxt_level.append((apex, e, nxt, moves))
+            levels[side] = nxt_level
+            depth[side] += 1
+    return None
+
+
 def pentagon_fan(apex: int):
     ps = gen_convex(5)
     hull = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
@@ -349,7 +468,48 @@ def benchmark_pairs():
         yield fan(ps, 0), fan(ps, v), 4
 
 
+# (n, s, d): far_convex_pair(n, s) is at distance d, at least 3 above its bound
+HARD_PAIRS = [(11, 0, 11), (12, 39, 12)]
+
+
+def far_convex_pair(n, s):
+    """Two 40-step walks, seeds s and 1000 + s, from the first triangulation
+    of the convex n-gon."""
+    base = initial_triangulation(gen_convex(n))
+    return (random_walk_triangulation(base, steps=40, seed=s),
+            random_walk_triangulation(base, steps=40, seed=1000 + s))
+
+
+def identity_pairs():
+    """The pairs on which lean tables must give the witnesses of full ones:
+    the benchmark's and the hard pairs both ways, and every ordered pair of
+    the convex 7-gon and of one random 8-point set."""
+    for start, end in [pair[:2] for pair in benchmark_pairs()] + [
+            far_convex_pair(n, s) for n, s, _ in HARD_PAIRS]:
+        yield start, end
+        yield end, start
+    for ps in (gen_convex(7), gen_random_points(8, 5, 1000)):
+        tris = flip_closure(initial_triangulation(ps))
+        yield from ((a, b) for a in tris for b in tris)
+
+
+def _answer(result):
+    return None if result is None else (result[0], [str(rec) for rec in result[1].flips])
+
+
 class TestAgainstReference:
+    def test_witnesses_match_full_tables(self):
+        # the same witness as full tables at every cap from below the bound to past d
+        pairs = 0
+        for start, end in identity_pairs():
+            bound, d = len(start.edges - end.edges), bfs_distance(start, end, 30)[0]
+            for cap in range(max(bound - 1, 0), d + 2):
+                got = _answer(bfs_distance(start, end, cap))
+                assert got == _answer(table_bfs_distance(start, end, cap))
+                assert (got is None) == (cap < d)
+            pairs += 1
+        assert pairs == 2 * 32 + 42 ** 2 + 82 ** 2
+
     def test_benchmark_pairs(self):
         found = sum(assert_same_as_bitmask(*pair) is not None for pair in benchmark_pairs())
         assert found == 24  # every walk is reached within its length; no fan pair within 4
@@ -362,13 +522,11 @@ class TestAgainstReference:
         for start, end in walk_pairs():
             assert_shortest(start, end, 8)
 
-    @pytest.mark.parametrize("n,s,d", [(11, 0, 11), (12, 39, 12)])
+    @pytest.mark.parametrize("n,s,d", HARD_PAIRS)
     def test_hard_pairs_above_the_bound(self, n, s, d):
         # far-apart convex pairs: the first bounds from the missing-edge
         # count up fail before the one that answers
-        base = initial_triangulation(gen_convex(n))
-        start = random_walk_triangulation(base, steps=40, seed=s)
-        end = random_walk_triangulation(base, steps=40, seed=1000 + s)
+        start, end = far_convex_pair(n, s)
         assert len(start.edges - end.edges) + 3 <= d
         for cap in range(d - 2, d + 2):
             got, want = bfs_distance(start, end, cap), bitmask_bfs_distance(start, end, cap)
@@ -407,29 +565,60 @@ class TestAgainstReference:
         assert bfs_distance(start, end, 5)[0] > 1
         assert calls  # the seam is the one that builds states
 
-    def test_convexity_tests_four_per_built_state(self, monkeypatch):
-        # each root tests every edge once; a built state tests only the four
-        # sides of its flip, and its flip tests nothing
-        start = initial_triangulation(gen_convex(11))
-        end = random_walk_triangulation(start, steps=8, seed=5)
-        tests, built = [], []
+    def test_convexity_tests_per_built_state(self, monkeypatch):
+        # with full tables a root tests every edge and a built state the four
+        # sides of its flip; with lean ones a root tests only its edges that
+        # the other root lacks, and a built state only its sides that its far
+        # root lacks; a flip itself tests nothing
+        flips_into = triangulation._flips_into
+        move_table, flip_with_moves = oracle._move_table, oracle._flip_with_moves
 
-        flips_into, flip_with_moves = triangulation._flips_into, oracle._flip_with_moves
-
-        def counting(pts, apex, e):
+        def counting(xs, ys, apex, e):
             tests.append(e)
-            return flips_into(pts, apex, e)
+            return flips_into(xs, ys, apex, e)
 
-        def building(*args):
-            built.append(args)
-            return flip_with_moves(*args)
+        def made_by(mode, real, *args):
+            before = len(tests)
+            out = real(*args)
+            made[mode] += len(tests) - before
+            return out
 
+        def tabling(xs, ys, apex, bits, edges):
+            if edges is None:
+                want["full"] += len(apex)
+            else:
+                assert edges in (start.edges - end.edges, end.edges - start.edges)
+                want["lean"] += len(edges)
+            return made_by("full" if edges is None else "lean", move_table, xs, ys, apex, bits, edges)
+
+        def building(xs, ys, apex, e, moves, bits, missing):
+            if missing is None:
+                want["full"] += 4
+                built.append(e)
+            else:  # the mask holds the bits of the edges in which child and far root differ
+                child = apex.keys() - {e} | {moves[e][0]}
+                far = child ^ {x for x, bit in bits.items() if missing & bit}
+                assert far in (start.edges, end.edges)
+                sides = edge_neighbors(Triangulation(start.ps, apex), e)
+                want["lean"] += sum(s not in far for s in sides)
+            return made_by("full" if missing is None else "lean", flip_with_moves,
+                           xs, ys, apex, e, moves, bits, missing)
+
+        walk_start = initial_triangulation(gen_convex(11))
+        pairs = [((walk_start, random_walk_triangulation(walk_start, 8, 5)), 0),
+                 (far_convex_pair(9, 16), 2)]
         for module in (oracle, triangulation):  # count a test wherever the oracle makes it
             monkeypatch.setattr(module, "_flips_into", counting)
+        monkeypatch.setattr(oracle, "_move_table", tabling)
         monkeypatch.setattr(oracle, "_flip_with_moves", building)
-        d, seq = bfs_distance(start, end, 12)
-        assert built and len(tests) == len(start.edges) + len(end.edges) + 4 * len(built)
-        assert d == 6 and replay(seq) == end
+        for (start, end), gap in pairs:
+            tests, built, want, made = [], [], Counter(), Counter()
+            d, seq = bfs_distance(start, end, 12)
+            assert made == want and sum(made.values()) == len(tests) > 0
+            assert d == len(start.edges - end.edges) + gap and replay(seq) == end
+        # only the gap-2 pair's last bound has root slack 2, so full tables,
+        # and there the old identity holds: every root edge, four per state
+        assert built and made["full"] == len(start.edges) + len(end.edges) + 4 * len(built)
 
     def test_negative_cap_rejected(self, square_tris):
         for a in square_tris:
@@ -462,17 +651,49 @@ class TestMoveTables:
             rng = random.Random(seed)
             bits = {}
             apex = initial_triangulation(ps).apex
-            moves = oracle._move_table(ps.points, apex, bits)
+            moves = oracle._move_table(ps.xs, ps.ys, apex, bits)
             for _ in range(3 * len(ps)):
                 e = rng.choice(sorted(moves))
                 next_to_hull += not hull.isdisjoint(edge_neighbors(Triangulation(ps, apex), e))
                 parent = dict(apex), dict(moves)
-                child = oracle._flip_with_moves(ps.points, apex, e, moves, bits)
+                child = oracle._flip_with_moves(ps.xs, ps.ys, apex, e, moves, bits)
                 assert (apex, moves) == parent  # the parent's map and table are left alone
                 apex, moves = child
                 flips += 1
                 assert apex == build(ps, apex).apex
-                assert moves == oracle._move_table(ps.points, apex, bits)
+                assert moves == oracle._move_table(ps.xs, ps.ys, apex, bits)
+                assert all(mask == bits[e] ^ bits[g] for e, (g, mask) in moves.items())
+        assert flips > next_to_hull > flips // 4
+
+    def test_lean_flip_with_moves_along_walks(self):
+        # walks that flip only edges missing from a far triangulation: each
+        # lean child table, given the mask of the child's edges that the far
+        # one lacks, equals the lean table computed from scratch over those
+        # edges, also after flips next to the hull
+        next_to_hull = flips = 0
+        for seed in range(6):
+            ps = gen_convex(9) if seed == 0 else gen_random_points(8 + seed, seed, 1000)
+            hull = set(convex_hull_edges(ps))
+            rng = random.Random(seed)
+            bits = {}
+            start = initial_triangulation(ps)
+            apex, far = start.apex, random_walk_triangulation(start, 3 * len(ps), seed).apex
+            moves = oracle._move_table(ps.xs, ps.ys, apex, bits, apex.keys() - far.keys())
+            for _ in range(3 * len(ps)):
+                if not moves:
+                    break
+                e = rng.choice(sorted(moves))
+                next_to_hull += not hull.isdisjoint(edge_neighbors(Triangulation(ps, apex), e))
+                missing = 0
+                for x in (apex.keys() - {e} | {moves[e][0]}) ^ far.keys():
+                    missing |= bits.setdefault(x, 1 << len(bits))
+                parent = dict(apex), dict(moves)
+                child = oracle._flip_with_moves(ps.xs, ps.ys, apex, e, moves, bits, missing)
+                assert (apex, moves) == parent
+                apex, moves = child
+                flips += 1
+                assert apex == build(ps, apex).apex
+                assert moves == oracle._move_table(ps.xs, ps.ys, apex, bits, apex.keys() - far.keys())
                 assert all(mask == bits[e] ^ bits[g] for e, (g, mask) in moves.items())
         assert flips > next_to_hull > flips // 4
 
