@@ -1,10 +1,16 @@
-/* Compiled search kernel, a CPython extension in C99.
+/* Compiled search kernel and general-position screen, a CPython extension
+ * in C99.
  *
- * Same contract as _searchpure.run_budget and behaviorally identical to it;
- * see that module for the semantics.  Edges are ids a * n + b into flat
- * arrays, which caps point sets at 1024 (the selection layer falls back to the
- * pure kernel above that).  Coordinates are bounded by 2^30, so every
- * orientation determinant fits in a signed 64-bit product.
+ * run_budget has the same contract as _searchpure.run_budget and is
+ * behaviorally identical to it; see that module for the semantics.
+ * slope_repeat is geometry._slope_repeat over doubles: it only points
+ * PointSet at a point whose slopes repeat, and the exact test there decides.
+ *
+ * The search kernel: edges are ids a * n + b into flat arrays, which caps
+ * point sets at 1024 (the selection layer falls back to the pure kernel
+ * above that); the screen needs O(n) memory and has no cap.  Coordinates are
+ * bounded by 2^30, so every orientation determinant fits in a signed 64-bit
+ * product and every coordinate difference is an exact double.
  *
  * One call parses prep once and steps comp through the compositions of k; a
  * rejected one undoes all its flips, so the next starts from the same state.
@@ -22,6 +28,7 @@
 #include <Python.h>
 
 #include <limits.h>
+#include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -463,15 +470,85 @@ static PyObject *run_budget(PyObject *self, PyObject *args)
     return result;
 }
 
+/* One slot of slope_repeat's open-addressing table: the slope, valid while
+ * row is the index of the point it was taken from. */
+typedef struct {
+    double slope;
+    Py_ssize_t row;
+} Slot;
+
+/* The first i >= start whose slopes to the later points repeat a float, or
+ * -1: geometry._slope_repeat over doubles.  Differences of coordinates
+ * within 2^30 are exact doubles and division rounds correctly, so each slope
+ * is the float Python computes for int / int. */
+static PyObject *slope_repeat(PyObject *self, PyObject *args)
+{
+    PyObject *xs_obj, *ys_obj;
+    Py_ssize_t n, start, size = 2, i, j;
+    long long *xs, *ys;
+    Slot *table;
+    int shift = 63;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "O!O!n:slope_repeat", &PyTuple_Type, &xs_obj, &PyTuple_Type,
+                          &ys_obj, &start))
+        return NULL;
+    n = PyTuple_GET_SIZE(xs_obj);
+    if (PyTuple_GET_SIZE(ys_obj) != n || start < 0) {
+        PyErr_SetString(PyExc_ValueError, "slope_repeat needs equal lengths and start >= 0");
+        return NULL;
+    }
+    while (size < 2 * (n - 1)) { /* a power of two, at most half full */
+        size *= 2;
+        shift -= 1;
+    }
+    /* one block per call: xs, ys, then the table, zeroed so no row owns a slot */
+    xs = calloc(1, 2 * (size_t)n * sizeof(long long) + (size_t)size * sizeof(Slot));
+    if (xs == NULL)
+        return PyErr_NoMemory();
+    ys = xs + n;
+    table = (Slot *)(ys + n);
+    for (i = 0; i < n; i++)
+        if (get_int(xs_obj, i, -COORD_BOUND, COORD_BOUND + 1, &xs[i]) < 0 ||
+            get_int(ys_obj, i, -COORD_BOUND, COORD_BOUND + 1, &ys[i]) < 0) {
+            free(xs);
+            return NULL;
+        }
+    for (i = start; i < n; i++)
+        for (j = i + 1; j < n; j++) {
+            double slope = xs[j] == xs[i] ? INFINITY
+                                          : (double)(ys[j] - ys[i]) / (double)(xs[j] - xs[i]);
+            unsigned long long bits;
+            size_t h;
+            if (slope == 0.0)
+                slope = 0.0; /* -0.0 == 0.0, as in a Python set */
+            memcpy(&bits, &slope, sizeof bits);
+            /* the product's high bits: an integer slope's low bits are all 0 */
+            h = (size_t)((bits * 0x9E3779B97F4A7C15ULL) >> shift);
+            while (table[h].row == i + 1 && table[h].slope != slope)
+                h = (h + 1) & (size_t)(size - 1);
+            if (table[h].row == i + 1) {
+                free(xs);
+                return PyLong_FromSsize_t(i);
+            }
+            table[h] = (Slot){slope, i + 1};
+        }
+    free(xs);
+    return PyLong_FromLong(-1);
+}
+
 static PyMethodDef core_methods[] = {
     {"run_budget", run_budget, METH_VARARGS,
      "run_budget(prep, k)\n--\n\n"
      "Drop-in replacement for _searchpure.run_budget (see its doc)."},
+    {"slope_repeat", slope_repeat, METH_VARARGS,
+     "slope_repeat(xs, ys, start)\n--\n\n"
+     "Drop-in replacement for geometry._slope_repeat (see its doc)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef core_module = {
-    PyModuleDef_HEAD_INIT, .m_name = "_core", .m_doc = "Compiled search kernel.",
+    PyModuleDef_HEAD_INIT, .m_name = "_core",
+    .m_doc = "Compiled search kernel and general-position screen.",
     .m_size = -1, .m_methods = core_methods,
 };
 

@@ -1,6 +1,8 @@
 """Search kernel selection: compiled extension when available, else pure Python.
 
-The compiled kernel is the C extension ``_core``.  An installed build is used
+The compiled kernel is the C extension ``_core``, which also holds the
+general-position screen ``slope_repeat`` that ``PointSet`` reads from here
+whenever ``_core`` is loaded (it has no point cap).  An installed build is used
 when present; otherwise ``_core.c`` is compiled on first import with ``$CC``
 (default: the compiler Python was built with) into
 ``${XDG_CACHE_HOME:-~/.cache}/flipdist/<sha256 of the source>/``, and later

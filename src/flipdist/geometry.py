@@ -48,17 +48,36 @@ def direction(dx: int, dy: int) -> tuple[int, int]:
     return dx // g, dy // g
 
 
+def _slopes_distinct(x: int, y: int, coords: Sequence[tuple[int, int]]) -> bool:
+    """True when the float slopes from (x, y), a point not in coords, to
+    the points of coords are pairwise distinct, which proves no two of them
+    on one line through (x, y).
+
+    Differences of coordinates within 2^30 are exact doubles and division
+    rounds correctly, so points on one line get equal float slopes (math.inf
+    when vertical, 0.0 == -0.0): distinct slopes prove the lines distinct.
+    """
+    return len({(qy - y) / (qx - x) if qx != x else math.inf for qx, qy in coords}) == len(coords)
+
+
+def _slope_repeat(xs: Sequence[int], ys: Sequence[int], start: int) -> int:
+    """The first i >= start whose slopes to the later points are not
+    distinct (:func:`_slopes_distinct`), or -1.  ``_core.slope_repeat`` is
+    its compiled twin and returns the same index."""
+    coords = list(zip(xs, ys))
+    for i in range(start, len(coords)):
+        if not _slopes_distinct(xs[i], ys[i], coords[i + 1:]):
+            return i
+    return -1
+
+
 def _shared_line(x: int, y: int, coords: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
     """The first pair of positions j < k in ``coords`` whose points lie on one
     line through (x, y), a point not in coords, or None.
 
-    Differences of coordinates within 2^30 are exact doubles and division
-    rounds correctly, so points on one line get equal float slopes (math.inf
-    when vertical, 0.0 == -0.0): distinct slopes prove the lines distinct,
-    and only a repeat runs the exact :func:`direction` test.
+    Only a repeated float slope runs the exact :func:`direction` test.
     """
-    slopes = {(qy - y) / (qx - x) if qx != x else math.inf for qx, qy in coords}
-    if len(slopes) == len(coords):
+    if _slopes_distinct(x, y, coords):
         return None
     # first[d] is the first position in direction d; the smallest hit is the first pair
     first: dict[tuple[int, int], int] = {}
@@ -83,8 +102,11 @@ class PointSet:
     coordinate pairs distinct, and no three points collinear: the float
     slopes from each point to the later ones prove them on distinct lines
     unless two are equal, and only then are exact reduced directions
-    compared (:func:`_shared_line`).  A collinear input is reported by its
-    lexicographically first triple.
+    compared (:func:`_shared_line`).  The slope screen that finds such a
+    point is ``_core.slope_repeat`` when the compiled extension is loaded
+    and :func:`_slope_repeat` otherwise; both return the same index, and
+    the exact test and its messages are Python's either way.  A collinear
+    input is reported by its lexicographically first triple.
     Degenerate inputs are rejected outright because flips across collinear
     quadrilaterals are undefined.  ``xs`` and ``ys`` are the coordinate
     tuples by id, which the flip predicate and ``build`` read.
@@ -108,12 +130,17 @@ class PointSet:
                 raise ValidationError(f"points {seen[key]} and {p.id} coincide at {key}")
             seen[key] = p.id
         coords = [(index(p.x), index(p.y)) for p in pts]
-        for i, (x, y) in enumerate(coords):
-            if pair := _shared_line(x, y, coords[i + 1:]):
+        xs, ys = zip(*coords)
+        # at call time: _kernel imports this module through triangulation
+        from ._kernel import _core
+        repeat = _slope_repeat if _core is None else _core.slope_repeat
+        i = -1
+        while (i := repeat(xs, ys, i + 1)) >= 0:
+            if pair := _shared_line(xs[i], ys[i], coords[i + 1:]):
                 j, k = pair
                 raise ValidationError(f"points {i}, {i + 1 + j}, {i + 1 + k} are collinear")
         self.points = pts
-        self.xs, self.ys = zip(*coords)
+        self.xs, self.ys = xs, ys
         self._hull: Optional[frozenset[tuple[int, int]]] = None  # filled by convex_hull_edges
 
     @classmethod

@@ -7,6 +7,7 @@ budget, since the solver's determinism guarantee rests on that.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import shlex
@@ -29,6 +30,7 @@ from flipdist._kernel import (
     resolve_backend,
 )
 from flipdist._searchpure import Accept, Prep
+from flipdist.geometry import COORD_BOUND, _slope_repeat
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
 from flipdist.solver import search_exact, search_upto
@@ -36,6 +38,7 @@ from flipdist.triangulation import build, flip, is_flippable, necessary_edges
 
 from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
 from test_prune import fan
+from test_validation import random_coords
 
 needs_compiled = pytest.mark.skipif(not compiled_available(),
                                     reason="compiled extension not built")
@@ -106,16 +109,17 @@ def test_kernel_source_compiles_without_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
-# Loads the kernel, prints the file it came from, then runs it on each
-# (prep, k) line of stdin and prints its answer or the exception it raised.
-_RUN_PREPS = """
+# Loads the kernel, prints the file it came from, then runs each
+# (name, args) line of stdin as _core.name(*args) and prints its answer or
+# the exception it raised.
+_RUN_CALLS = """
 import ast, sys
 from flipdist import _kernel
 print(_kernel._core.__file__)
 for line in sys.stdin:
-    prep, k = ast.literal_eval(line)
+    name, args = ast.literal_eval(line)
     try:
-        print(repr(_kernel._core.run_budget(prep, k)))
+        print(repr(getattr(_kernel._core, name)(*args)))
     except Exception as exc:
         print(f"{type(exc).__name__}: {exc}")
 """
@@ -123,8 +127,8 @@ for line in sys.stdin:
 
 @pytest.mark.skipif(not can_build_core(), reason="no C compiler on PATH or no Python.h")
 def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
-    """The kernel built with AddressSanitizer and UBSan answers like the pure
-    one, so no call reads or writes outside its block."""
+    """The kernel and the slope screen built with AddressSanitizer and UBSan
+    answer like the pure ones, so no call reads or writes outside its block."""
     cc = compiler_command()
     libasan = subprocess.run(cc + ["-print-file-name=libasan.so"], capture_output=True,
                              text=True).stdout.strip()
@@ -133,18 +137,25 @@ def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
     n, xs, ys, edges, target = make_prep(*square_tris)
     wrong_apex = (n, xs, ys, tuple((0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges), target)
     ps = gen_convex(1024)  # the largest block the kernel allocates
-    cases = [(wrong_apex, 1), (make_prep(fan(ps, 0), fan(ps, 1)), 1021)]
+    cases = [("run_budget", (wrong_apex, 1)), ("run_budget", (make_prep(fan(ps, 0), fan(ps, 1)), 1021))]
     for start, end, d in instance_pairs()[::5]:
-        cases += [(make_prep(start, end), k) for k in range(max(d, 1), d + 2)]
+        cases += [("run_budget", (make_prep(start, end), k)) for k in range(max(d, 1), d + 2)]
+    # the screen has no point cap: 1,100 points is above the kernel's
+    screen_sets = [[(0, 0), (5, 1), (2, 7)], [(0, 0), (1, 5), (4, 0), (-3, 0), (2, 2), (9, 1)],
+                   gen_convex(COMPILED_MAX_POINTS + 76).coords()]
+    for coords in screen_sets:
+        xs, ys = (tuple(c) for c in zip(*coords))
+        cases += [("slope_repeat", (xs, ys, start)) for start in (0, 1, len(xs))]
+    pure = {"run_budget": kernel_for("pure"), "slope_repeat": _slope_repeat}
     want = []
-    for prep, k in cases:
+    for name, args in cases:
         try:
-            want.append(repr(kernel_for("pure")(prep, k)))
+            want.append(repr(pure[name](*args)))
         except Exception as exc:
             want.append(f"{type(exc).__name__}: {exc}")
     src = str(Path(flipdist.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_PREPS], input="".join(f"{case!r}\n" for case in cases),
+        [sys.executable, "-c", _RUN_CALLS], input="".join(f"{case!r}\n" for case in cases),
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path),
              "CC": shlex.join(cc) + " -fsanitize=address,undefined"
@@ -154,6 +165,76 @@ def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
     lib, *got = proc.stdout.splitlines()
     assert Path(lib).is_relative_to(tmp_path)
     assert got == want
+
+
+def screen_rows(coords) -> list[int]:
+    """Every index the pure screen stops at, by chaining it as PointSet
+    does, after checking that the compiled screen returns the next of them
+    from every start, 0 to n."""
+    xs, ys = (tuple(c) for c in zip(*coords))
+    rows, i = [], -1
+    while (i := _slope_repeat(xs, ys, i + 1)) >= 0:
+        rows.append(i)
+    want = [next((r for r in rows if r >= start), -1) for start in range(len(xs) + 1)]
+    assert [_kernel._core.slope_repeat(xs, ys, start) for start in range(len(xs) + 1)] == want
+    return rows
+
+
+@needs_compiled
+class TestSlopeScreenParity:
+    """The compiled general-position screen returns the pure one's index."""
+
+    def test_benchmark_point_sets(self):
+        sets = [gen_convex(12), gen_convex(300), gen_random_points(300, 1, 1 << 20)]
+        sets += [gen_random_points(10 + s % 3, s, 1000) for s in range(24)]
+        for ps in sets:
+            assert screen_rows(ps.coords()) == []
+
+    def test_convex_polygons(self):
+        for n in [*range(3, 41), 300, 1024]:
+            assert screen_rows(gen_convex(n).coords()) == []
+
+    def test_random_point_sets(self):
+        for (n, bound), seed in itertools.product([(10, 10), (40, 1000), (100, 1 << 20)], range(6)):
+            assert screen_rows(gen_random_points(n, seed, bound).coords()) == []
+
+    def test_planted_collinear_triples(self):
+        rng = random.Random(0)
+        rows = 0
+        for n, bound, _ in itertools.product(range(3, 10), (6, 20, 1000), range(40)):
+            rows += bool(screen_rows(random_coords(rng, n, bound)))
+        assert rows > 300
+
+    @pytest.mark.parametrize("coords,rows", [
+        # horizontal: slopes -0.0 and 0.0 from point 0
+        ([(0, 0), (-3, 0), (4, 0), (1, 5)], [0]),
+        ([(0, 0), (1, 5), (4, 0), (-3, 0)], [0]),
+        ([(0, 0), (-3, 0), (1, 5)], []),
+        # vertical, above and below: inf twice
+        ([(0, 0), (0, 3), (0, -2), (5, 1)], [0]),
+        ([(0, 0), (0, -2), (5, 1)], []),
+        # the two sets whose slopes from (0, 0) round to one float
+        ([(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 ** 30 - 2)], [0]),
+        ([(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 ** 30 - 2), (2 ** 30 - 2, 2 ** 30 - 3)],
+         [0, 1]),
+    ])
+    def test_signed_zero_infinity_and_rounding(self, coords, rows):
+        assert screen_rows(coords) == rows
+
+    def test_corrupt_input_raises(self):
+        screen = _kernel._core.slope_repeat
+        with pytest.raises(ValueError, match="equal lengths"):
+            screen((0, 1, 2), (0, 1), 0)
+        with pytest.raises(ValueError, match="start >= 0"):
+            screen((0, 1, 2), (0, 1, 5), -1)
+        with pytest.raises(TypeError):
+            screen((0, 1.0, 2), (0, 1, 5), 0)
+        with pytest.raises(TypeError):
+            screen([0, 1, 2], (0, 1, 5), 0)
+        for far in (COORD_BOUND + 1, -COORD_BOUND - 1):
+            with pytest.raises(ValueError, match="outside"):
+                screen((0, 1, 2), (0, far, 5), 0)
+        assert screen((0, 1, COORD_BOUND), (0, -COORD_BOUND, 5), 0) == -1
 
 
 class TestResolveBackend:

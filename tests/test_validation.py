@@ -1,7 +1,8 @@
 """Input validation against the cubic reference checks it replaced.
 
-``PointSet`` finds collinear triples by float slopes with an exact
-fallback, ``build`` accepts an edge set by a local certificate and
+``PointSet`` finds collinear triples by float slopes, screened in C when
+``_core`` is loaded and in Python otherwise (its tests run both), with an
+exact fallback, ``build`` accepts an edge set by a local certificate and
 ``gen_random_points`` tests a candidate against one set of slopes.  The
 reference functions below are the earlier all-triples, all-pairs and
 all-pairs-per-candidate versions, kept verbatim as oracles: on every input
@@ -26,7 +27,7 @@ from typing import Iterable
 import pytest
 
 import flipdist
-from flipdist import geometry, instances, triangulation
+from flipdist import _kernel, geometry, instances, triangulation
 from flipdist.errors import (
     BadIndex,
     ExhaustedRetries,
@@ -282,20 +283,31 @@ def walk(ps: PointSet, rng: random.Random) -> Triangulation:
     return tri
 
 
+def screens(monkeypatch):
+    """Yield once with the compiled general-position screen, when it is
+    loaded, and once with ``_core`` off, so PointSet runs the pure one."""
+    if _kernel._core is not None:
+        yield "compiled"
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "_core", None)
+        yield "pure"
+
+
 class TestPointSetDifferential:
-    def test_random_point_sets(self):
-        rng = random.Random(0)
-        collinear = 0
-        for n, bound, _ in itertools.product(SIZES, BOUNDS, range(40)):
-            points = [Point(i, x, y) for i, (x, y) in enumerate(random_coords(rng, n, bound))]
-            want = outcome(reference_pointset, points)
-            got = outcome(PointSet, points)
-            if want is None:
-                assert isinstance(got, PointSet) and got.points == tuple(points)
-            else:
-                assert got == want, points
-                collinear += "collinear" in want[1]
-        assert collinear > 300  # the collinear-triple message is well covered
+    def test_random_point_sets(self, monkeypatch):
+        for screen in screens(monkeypatch):
+            rng = random.Random(0)
+            collinear = 0
+            for n, bound, _ in itertools.product(SIZES, BOUNDS, range(40)):
+                points = [Point(i, x, y) for i, (x, y) in enumerate(random_coords(rng, n, bound))]
+                want = outcome(reference_pointset, points)
+                got = outcome(PointSet, points)
+                if want is None:
+                    assert isinstance(got, PointSet) and got.points == tuple(points)
+                else:
+                    assert got == want, (screen, points)
+                    collinear += "collinear" in want[1]
+            assert collinear > 300  # the collinear-triple message is well covered
 
     @pytest.mark.parametrize("coords,first", [
         # under 0, points 2 and 3 share a direction before 1 and 4 do
@@ -303,13 +315,14 @@ class TestPointSetDifferential:
         # no triple starts at 0; two start at 1
         ([(7, 0), (0, 0), (2, 1), (1, 3), (4, 2), (2, 6)], (1, 2, 4)),
     ])
-    def test_first_of_several_collinear_triples(self, coords, first):
+    def test_first_of_several_collinear_triples(self, coords, first, monkeypatch):
         points = [Point(i, x, y) for i, (x, y) in enumerate(coords)]
         message = "points {}, {}, {} are collinear".format(*first)
         assert outcome(reference_pointset, points) == (ValidationError, message)
-        with pytest.raises(ValidationError) as info:
-            PointSet(points)
-        assert str(info.value) == message
+        for _ in screens(monkeypatch):
+            with pytest.raises(ValidationError) as info:
+                PointSet(points)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("coords,want", [
         # from (0, 0) both slopes round to the float 1 - 2^-30, but no three
@@ -319,15 +332,16 @@ class TestPointSetDifferential:
         ([(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 ** 30 - 2), (2 ** 30 - 2, 2 ** 30 - 3)],
          (ValidationError, "points 1, 2, 3 are collinear")),
     ])
-    def test_slopes_that_round_to_one_float(self, coords, want):
+    def test_slopes_that_round_to_one_float(self, coords, want, monkeypatch):
         assert (2 ** 30 - 1) / 2 ** 30 == (2 ** 30 - 2) / (2 ** 30 - 1)
         points = [Point(i, x, y) for i, (x, y) in enumerate(coords)]
         assert outcome(reference_pointset, points) == want
-        got = outcome(PointSet, points)
-        if want is None:
-            assert isinstance(got, PointSet) and got.points == tuple(points)
-        else:
-            assert got == want
+        for _ in screens(monkeypatch):
+            got = outcome(PointSet, points)
+            if want is None:
+                assert isinstance(got, PointSet) and got.points == tuple(points)
+            else:
+                assert got == want
 
     def test_non_integer_coordinates(self):
         # the slope proof needs exact differences: a float is refused, as math.gcd refuses it
@@ -346,26 +360,27 @@ class TestPointSetDifferential:
         # fallback runs often; some sets get a triple planted on a line
         exact = []
         monkeypatch.setattr(geometry, "direction", lambda *d: exact.append(d) or direction(*d))
-        rng = random.Random(1)
-        fallback_accepted = collinear = 0
-        for n, _ in itertools.product(range(3, 9), range(60)):
-            sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
-            coords = [(0, 0)] + [(COORD_BOUND - rng.randrange(12), COORD_BOUND - rng.randrange(12))
-                                 for _ in range(n - 1)]
-            if n > 3 and rng.random() < 0.5:
-                (qx, qy), (dx, dy) = coords[1], (rng.randrange(3), rng.randrange(1, 3))
-                coords[-2:] = [(qx - dx, qy - dy), (qx - 2 * dx, qy - 2 * dy)]
-            points = [Point(i, sx * x, sy * y) for i, (x, y) in enumerate(coords)]
-            want = outcome(reference_pointset, points)
-            exact.clear()
-            got = outcome(PointSet, points)
-            if want is None:
-                assert isinstance(got, PointSet) and got.points == tuple(points)
-                fallback_accepted += bool(exact)
-            else:
-                assert got == want, points
-                collinear += "collinear" in want[1]
-        assert fallback_accepted > 30 and collinear > 100
+        for screen in screens(monkeypatch):
+            rng = random.Random(1)
+            fallback_accepted = collinear = 0
+            for n, _ in itertools.product(range(3, 9), range(60)):
+                sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+                coords = [(0, 0)] + [(COORD_BOUND - rng.randrange(12), COORD_BOUND - rng.randrange(12))
+                                     for _ in range(n - 1)]
+                if n > 3 and rng.random() < 0.5:
+                    (qx, qy), (dx, dy) = coords[1], (rng.randrange(3), rng.randrange(1, 3))
+                    coords[-2:] = [(qx - dx, qy - dy), (qx - 2 * dx, qy - 2 * dy)]
+                points = [Point(i, sx * x, sy * y) for i, (x, y) in enumerate(coords)]
+                want = outcome(reference_pointset, points)
+                exact.clear()
+                got = outcome(PointSet, points)
+                if want is None:
+                    assert isinstance(got, PointSet) and got.points == tuple(points)
+                    fallback_accepted += bool(exact)
+                else:
+                    assert got == want, (screen, points)
+                    collinear += "collinear" in want[1]
+            assert fallback_accepted > 30 and collinear > 100
 
 
 class TestBuildDifferential:
@@ -483,8 +498,9 @@ def _forbidden(*args, **kwargs):
 
 class TestComplexityGuards:
     """Deterministic stand-ins for timing: valid inputs must never reach the
-    cubic collinearity loop, the exact fallback behind the float slopes, the
-    all-pairs crossing test or an orientation test per face in build."""
+    cubic collinearity loop, the exact fallback behind the float slopes (nor,
+    with ``_core`` loaded, the pure slope screen), the all-pairs crossing
+    test or an orientation test per face in build."""
 
     @pytest.mark.parametrize("ps", [gen_convex(300), gen_random_points(300, 1, 1 << 20)],
                              ids=["convex", "random"])
@@ -501,6 +517,13 @@ class TestComplexityGuards:
         monkeypatch.setattr(geometry, "direction", _forbidden)
         assert len(PointSet.from_coords(convex)) == 300
         assert len(gen_random_points(300, 1, 1 << 20)) == 300
+
+    @pytest.mark.skipif(_kernel._core is None, reason="compiled extension not built")
+    def test_compiled_screen_settles_point_sets(self, monkeypatch):
+        sets = [gen_convex(300).coords(), gen_random_points(300, 1, 1 << 20).coords()]
+        monkeypatch.setattr(geometry, "_slope_repeat", _forbidden)
+        monkeypatch.setattr(geometry, "direction", _forbidden)
+        assert [len(PointSet.from_coords(coords)) for coords in sets] == [300, 300]
 
     @pytest.mark.parametrize("ps", [gen_convex(300), gen_random_points(300, 1, 1 << 20)],
                              ids=["convex", "random"])
@@ -532,8 +555,11 @@ class TestComplexityGuards:
 
 
 OPTIMIZED_SCRIPT = """
-from flipdist import NotPlanar, PointSet, ValidationError, build, triangulation
+import sys
+from flipdist import NotPlanar, PointSet, ValidationError, _kernel, build, triangulation
 assert False, "asserts are stripped"
+if (_kernel._core is not None) != (sys.argv[1] == "compiled"):
+    sys.exit(f"not the {sys.argv[1]} slope screen")
 ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 edges = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
 try:
@@ -555,10 +581,16 @@ print(len(PointSet.from_coords([(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 
 """
 
 
-def test_crossing_rejected_under_python_O():
+def test_crossing_rejected_under_python_O(tmp_path):
+    # the compiled slope screen from the session's cache, then the pure one
+    # where no compiler runs and no cached build is found
     src = str(Path(flipdist.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], capture_output=True,
-                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["NotPlanar: edges (0, 2) and (1, 3) cross", "AssertionError",
-                                        "ValidationError: points 0, 1, 3 are collinear", "3 points"]
+    runs = [("compiled", {})] if _kernel._core is not None else []
+    runs.append(("pure", {"CC": "/nonexistent/cc", "XDG_CACHE_HOME": str(tmp_path)}))
+    for screen, env in runs:
+        proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, screen],
+                              capture_output=True, text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=src, **env))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["NotPlanar: edges (0, 2) and (1, 3) cross", "AssertionError",
+                                            "ValidationError: points 0, 1, 3 are collinear", "3 points"]
