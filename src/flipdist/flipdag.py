@@ -7,6 +7,11 @@ created by f_i is the edge removed by f_j, or it is a side of the
 quadrilateral that f_j flips in T_{j-1}, provided the created edge survives
 untouched strictly between the two flips.  Every topological order of this
 DAG replays to the same endpoint, which is what ``check_reordering`` verifies.
+
+A checked record gives its flip's quadrilateral: a walk accepts record j
+only if ``_flips_into`` returns its ``resulting`` edge (c, d) for its
+``underlying`` edge (a, b) in T_{j-1}, and that return value is the apex pair
+of (a, b), so the quadrilateral's sides are exactly {a, b} x {c, d}.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidAt, ValidationError
 # flip is unused here but stays a module name: perfbench/tracing.py patches flipdag.flip
-from .triangulation import ApexMap, FlipRecord, Triangulation, _quad_sides, flip, flip_step  # noqa: F401
+from .triangulation import ApexMap, Edge, FlipRecord, Triangulation, flip, flip_step, make_edge  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -90,29 +95,23 @@ def replay(seq: FlipSequence) -> Triangulation:
 
 
 def build_dag(seq: FlipSequence) -> FlipDag:
-    """Arcs i -> j exactly where flip j depends on flip i (see module doc).
-
-    The created-edge/removed-edge interaction is tested on T_{j-1}, the live
-    state of one in-place replay just before flip j: a created edge still there
-    shares a triangle with the removed edge iff it is a side of its quadrilateral.
-    """
-    r = len(seq.flips)
-    # next_flip[i]: first p > i that flips the edge created by flip i (r + 1 if none)
-    next_flip = [next((p for p in range(i + 1, r) if seq.flips[p].underlying == rec.resulting),
-                      r + 1) for i, rec in enumerate(seq.flips)]
-
+    """Arcs i -> j exactly where flip j depends on flip i, read from the
+    records once ``seq._endpoint`` has checked them (raising InvalidAt, also
+    under ``python -O``; no walk after ``replay``), so flip j's sides are
+    {a, b} x {c, d} (module doc).  ``made`` maps each created edge still there
+    to its flip: an edge is created only while absent, so flip i's edge lasts
+    untouched to T_{j-1} iff ``made`` maps it to i.  Flip j pops what it removes."""
+    seq._endpoint  # noqa: B018 - the walk's check, for its InvalidAt
+    made: dict[Edge, int] = {}
     arcs = set()
-    for j, apex in enumerate(_walk(seq.start, seq.flips)):
-        if j == r:
-            break
-        removed = seq.flips[j].underlying
-        around = set(_quad_sides(removed, *apex.get(removed, (-1, -1))))  # none if absent
-        for i in range(j):
-            if next_flip[i] == j:
+    for j, rec in enumerate(seq.flips):
+        (a, b), (c, d) = rec.underlying, rec.resulting
+        for i in (made.pop(rec.underlying, None), made.get(make_edge(a, c)), made.get(make_edge(b, c)),
+                  made.get(make_edge(a, d)), made.get(make_edge(b, d))):
+            if i is not None:
                 arcs.add((i, j))
-            elif next_flip[i] > j and seq.flips[i].resulting in around:
-                arcs.add((i, j))
-    return FlipDag(node_count=r, arcs=frozenset(arcs))
+        made[rec.resulting] = j
+    return FlipDag(node_count=len(seq.flips), arcs=frozenset(arcs))
 
 
 def topological_sorts_sample(dag: FlipDag, count: int, seed: int) -> list[list[int]]:
@@ -153,9 +152,9 @@ def check_reordering(seq: FlipSequence, perm: list[int]) -> bool:
     edge ends present iff it starts present plus its additions minus its
     removals, a count that does not depend on the order.  So the answer rests
     on each step being valid, and the final comparison with seq's endpoint
-    confirms it.  That endpoint is memoised on seq (``replay`` and every
-    check share one walk of seq); a seq that fails is walked, and raises,
-    on every call.
+    confirms it.  That endpoint is memoised on seq (``replay``, ``build_dag``
+    and every check share one walk of seq); a seq that fails is walked, and
+    raises, on every call.
     """
     if sorted(perm) != list(range(len(seq.flips))):
         raise ValidationError("perm is not a permutation of the sequence indices")

@@ -1,7 +1,8 @@
 """In-place replay against the copying replay it replaced.
 
 ``flip`` now applies ``flip_step`` to copies of its input, and ``flipdag``
-replays, builds DAGs and checks reorderings on one mutable copy of the start.
+replays and checks reorderings on one mutable copy of the start, and builds
+DAGs from the flip records once the sequence's own walk has checked them.
 The reference functions below are the earlier versions, kept verbatim as
 oracles (only renamed, with ``RefTri`` standing in for the former
 ``Triangulation`` that stored its triangle set and its edge -> triangles
@@ -19,16 +20,27 @@ that looped over ``_quad_sides`` and the ``topological_sorts_sample`` that
 re-sorted its ready list after every pick.  The flip step that replaced the
 first must give the same maps and sides, and the sampler that replaced the
 second the same orders for every seed.  A sequence's endpoint is memoised, so
-``replay`` and ``check_reordering`` walk the sequence's own flips once.
+``build_dag``, ``replay`` and ``check_reordering`` walk the sequence's own
+flips once between them.
+
+The arc corpus adds sequences that reach the corners of ``build_dag``'s
+creator map (an edge created, flipped away and created again; a flip undone
+at once) and the kernel's witnesses on the benchmark-shaped instances; each
+must give the arcs of ``reference_build_dag`` and of ``naive_arcs``.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flipdist
 from flipdist import flipdag
 from flipdist.errors import EdgeAbsent, FlipDistError, InvalidAt, NotFlippable, ValidationError
 from flipdist.flipdag import (
@@ -41,6 +53,7 @@ from flipdist.flipdag import (
 )
 from flipdist.geometry import convex_hull_edges
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
+from flipdist.solver import search_upto
 from flipdist.triangulation import (
     FlipRecord,
     Triangulation,
@@ -54,6 +67,8 @@ from flipdist.triangulation import (
 )
 
 from conftest import make_triangle, strictly_convex_quad, tri_of
+from test_flipdag import naive_arcs
+from test_prune import fan
 
 SIZES = range(6, 13)
 SEEDS = range(4)
@@ -384,6 +399,72 @@ def test_same_dag_arcs(walk_cases):
     assert with_arcs > len(walk_cases) // 2
 
 
+def recurring_walks():
+    """(label, start, flips) for seeded walks of 3n flips that flip the edge
+    just made straight back one step in four, else a random flippable edge,
+    so that edges are also flipped away and made again further apart."""
+    for n, seed, ps in point_sets():
+        label = f"{n}/{seed}/recur"
+        rng = random.Random(label)
+        tri = start = initial_triangulation(ps)
+        recs = []
+        for _ in range(3 * n):
+            if recs and rng.random() < 0.25:
+                e = recs[-1].resulting
+            else:
+                e = rng.choice([e for e in sorted(tri.edges) if is_flippable(tri, e)])
+            tri, rec = flip(tri, e)
+            recs.append(rec)
+        yield label, start, tuple(recs)
+
+
+def kernel_witnesses():
+    """(label, start, flips) for the solver's witnesses on the benchmark's
+    instances, built from the public generators with the same parameters:
+    fan(0) -> fan(v) on the convex 12-gon for v = 1..6 (scan bound 10), and a
+    walk of 7 + s % 4 flips on gen_random_points(10 + s % 3, s, 1000) for
+    s = 0..23 (scan bound the walk length)."""
+    convex = gen_convex(12)
+    start = initial_triangulation(convex)
+    pairs = [(f"fan0-fan{v}", start, 10, fan(convex, v)) for v in range(1, 7)]
+    for s in range(24):
+        start = initial_triangulation(gen_random_points(10 + s % 3, s, 1000))
+        walk = 7 + s % 4
+        pairs.append((f"random-s{s}", start, walk, random_walk_triangulation(start, walk, s)))
+    for label, start, k_max, end in pairs:
+        yield label, start, search_upto(start, end, k_max).sequence.flips
+
+
+def kinds(flips) -> set[str]:
+    """Which of the creator map's corners a sequence reaches."""
+    out = set()
+    last_made = {}
+    for j, rec in enumerate(flips):
+        # made twice, so flipped away in between, and not just a back-flip undone
+        if j - last_made.get(rec.resulting, j) > 2:
+            out.add("made again")
+        last_made[rec.resulting] = j
+    if any(f.resulting == g.underlying and f.underlying == g.resulting for f, g in zip(flips, flips[1:])):
+        out.add("back-flip")
+    return out
+
+
+@pytest.fixture(scope="module")
+def arc_corpus():
+    return list(recurring_walks()) + list(kernel_witnesses())
+
+
+def test_arc_corpus_matches_references(arc_corpus):
+    assert len(arc_corpus) == len(SIZES) * len(SEEDS) + 6 + 24
+    reached = {"made again": 0, "back-flip": 0}
+    for label, start, flips in arc_corpus:
+        seq, ref_seq = both(start, flips)
+        assert build_dag(seq).arcs == reference_build_dag(ref_seq) == naive_arcs(seq), label
+        for kind in kinds(flips):
+            reached[kind] += 1
+    assert min(reached.values()) > 0, reached
+
+
 def test_same_reordering_answers(walk_cases):
     answers = set()
     for label, start, flips in walk_cases:
@@ -425,9 +506,9 @@ def corruptions(rng, states, flips):
         yield p, bad
 
 
-def test_same_invalid_at_on_corrupted_sequences(walk_cases):
+def test_same_invalid_at_on_corrupted_sequences(walk_cases, arc_corpus):
     kinds = 0
-    for label, start, flips in walk_cases:
+    for label, start, flips in walk_cases + arc_corpus:
         rng = random.Random(f"{label}/corrupt")
         states = reference_intermediates(both(start, flips)[1])
         for p, bad in corruptions(rng, states, flips):
@@ -442,7 +523,49 @@ def test_same_invalid_at_on_corrupted_sequences(walk_cases):
             assert outcome(check_reordering, seq, perm) == want
             assert outcome(reference_check_reordering, ref_seq, perm) == want
             kinds += 1
-    assert kinds == 4 * len(walk_cases)
+    assert kinds == 4 * (len(walk_cases) + len(arc_corpus))
+
+
+# Runs build_dag on walks with one corrupted record (a reversed underlying
+# edge, a non-canonical resulting edge) and prints what each call raised.
+_CORRUPT_DAG = """
+import random
+from flipdist.errors import InvalidAt
+from flipdist.flipdag import FlipSequence, build_dag
+from flipdist.instances import gen_random_points, initial_triangulation
+from flipdist.triangulation import FlipRecord, flip, is_flippable
+
+print("debug", __debug__)
+tri = start = initial_triangulation(gen_random_points(9, 3, 1000))
+rng = random.Random(3)
+flips = []
+for _ in range(8):
+    tri, rec = flip(tri, rng.choice([e for e in sorted(tri.edges) if is_flippable(tri, e)]))
+    flips.append(rec)
+for p in (3, 5):
+    (a, b), (c, d) = flips[p].underlying, flips[p].resulting
+    for bad in (FlipRecord((b, a), (c, d)), FlipRecord((a, b), (d, c))):
+        try:
+            dag = build_dag(FlipSequence(start=start, flips=flips[:p] + [bad] + flips[p + 1:]))
+            print(p, "arcs", sorted(dag.arcs))
+        except InvalidAt as exc:
+            print(p, "InvalidAt", exc.index, exc)
+"""
+
+
+def test_build_dag_checks_records_under_optimize():
+    """build_dag's rule reads the records only once the walk has checked them;
+    that check is a raise, not an assert, so ``python -O`` keeps it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(flipdist.__file__).resolve().parents[1])}
+    runs = [subprocess.run([sys.executable, *flags, "-c", _CORRUPT_DAG], capture_output=True, text=True, env=env)
+            for flags in ([], ["-O"])]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    plain, optimized = (proc.stdout.splitlines() for proc in runs)
+    assert (plain[0], optimized[0]) == ("debug True", "debug False")
+    assert optimized[1:] == plain[1:]
+    assert [line.split()[:3] for line in plain[1:]] == [[p, "InvalidAt", p] for p in "3355"]
+    assert "not flippable" in plain[1] and "record says" in plain[2]
 
 
 @pytest.mark.parametrize("rec, message", [
@@ -485,16 +608,24 @@ def counting_flip_step(monkeypatch) -> list[int]:
 
 
 def test_endpoint_walked_once(walk_cases, monkeypatch):
-    """replay plus four reorderings walk the sequence's own flips once, plus
-    one walk per permutation; each replay is a value with its own map."""
+    """build_dag, replay and four reorderings walk the sequence's own flips
+    once, plus one walk per permutation, and build_dag walks nothing on a
+    sequence already replayed; each replay is a value with its own map."""
     calls = counting_flip_step(monkeypatch)
     for label, start, flips in walk_cases:
         seq = FlipSequence(start=start, flips=flips)
-        perms = topological_sorts_sample(build_dag(seq), 4, len(flips))
         calls[0] = 0
+        dag = build_dag(seq)
+        perms = topological_sorts_sample(dag, 4, len(flips))
         end = replay(seq)
         assert all(check_reordering(seq, perm) for perm in perms)
         assert calls[0] == len(flips) * (1 + len(perms)), label
+
+        replayed = FlipSequence(start=start, flips=flips)
+        replay(replayed)
+        calls[0] = 0
+        assert build_dag(replayed) == build_dag(seq) == dag
+        assert calls[0] == 0, label
 
         again = replay(seq)
         assert again == end and again.apex == end.apex and again.apex is not end.apex
@@ -507,7 +638,7 @@ def test_endpoint_walked_once(walk_cases, monkeypatch):
 
 def test_failed_walk_is_not_memoised(walk_cases, monkeypatch):
     """A sequence that does not replay walks up to its bad flip, and raises
-    the same InvalidAt, on every call, before any permuted walk."""
+    the same InvalidAt, on every call, before any permuted walk or arc."""
     calls = counting_flip_step(monkeypatch)
     for label, start, flips in walk_cases:
         p = len(flips) // 2
@@ -516,7 +647,8 @@ def test_failed_walk_is_not_memoised(walk_cases, monkeypatch):
         perm = list(range(len(flips)))
         first = outcome(replay, seq)
         assert first[:2] == (InvalidAt, p), label
-        for fn, args in ((replay, (seq,)), (check_reordering, (seq, perm)), (replay, (seq,))):
+        for fn, args in ((replay, (seq,)), (build_dag, (seq,)), (check_reordering, (seq, perm)),
+                         (build_dag, (seq,)), (replay, (seq,))):
             calls[0] = 0
             assert outcome(fn, *args) == first
             assert calls[0] == p + 1, label
