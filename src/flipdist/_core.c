@@ -20,8 +20,9 @@
  * the call allocates and frees, so calls may nest: init reads Python
  * objects, whose methods could call back in.
  *
- * Build: setup.py compiles this file as flipdist._core; without an installed
- * build, flipdist._kernel compiles it on first import into a per-user cache.
+ * Build: only flipdist._kernel, on first import, into a per-user cache keyed
+ * by this file's sha256; a library beside this file is never loaded, and
+ * with no compiler or no cache the pure kernel runs.
  */
 
 #define PY_SSIZE_T_CLEAN

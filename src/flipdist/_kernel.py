@@ -2,13 +2,15 @@
 
 The compiled kernel is the C extension ``_core``, which also holds the
 general-position screen ``slope_repeat`` that ``PointSet`` reads from here
-whenever ``_core`` is loaded (it has no point cap).  An installed build is used
-when present; otherwise ``_core.c`` is compiled on first import with ``$CC``
-(default: the compiler Python was built with) into
+whenever ``_core`` is loaded (it has no point cap).  It is built in one way
+only: ``_core.c``, which ships as package data, is compiled on first import
+with ``$CC`` (default: the compiler Python was built with) into
 ``${XDG_CACHE_HOME:-~/.cache}/flipdist/<sha256 of the source>/``, and later
-imports load it from there.  Without a working compiler, or a writable cache
-and a home directory to find it in, the pure kernel is used, and nothing is
-printed.
+imports load it from there.  The cache is keyed by the source, so an edited
+``_core.c`` is always rebuilt, and a library lying beside it in the package
+directory is never imported.  Without a working compiler, or a writable cache
+and a home directory to find it in, the pure kernel is used, in a checkout
+and an installed copy alike, and nothing is printed.
 
 Both kernels return identical witnesses, so the choice changes only speed and
 is made from facts alone: the compiled kernel whenever it is loaded and the
@@ -84,10 +86,7 @@ def _build_core() -> Optional[ModuleType]:
     return module
 
 
-try:
-    from . import _core
-except ImportError:
-    _core = _build_core()
+_core = _build_core()
 
 COMPILED_MAX_POINTS = 1024
 

@@ -1,16 +1,20 @@
-"""The on-demand build of the compiled kernel.
+"""The one build of the compiled kernel.
 
-Without an installed ``flipdist._core``, importing flipdist compiles
-``_core.c`` once into ``$XDG_CACHE_HOME/flipdist/<source hash>/`` and later
-imports load it from there.  Each test runs fresh interpreters against its
-own empty cache directory.
+Importing flipdist compiles ``_core.c`` once into
+``$XDG_CACHE_HOME/flipdist/<source hash>/`` and later imports load it from
+there; nothing else builds or loads ``flipdist._core``.  A library lying
+beside ``_core.c`` in the package directory is ignored, an installed copy
+(``build_py`` output) builds on first import as a checkout does, and with no
+compiler or no usable cache the pure kernel runs.  Each test runs fresh
+interpreters against its own empty cache directory.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
+import hashlib
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -32,21 +36,19 @@ from conftest import can_build_core, compiler_command
 
 PACKAGE = Path(flipdist.__file__).resolve().parent
 PROBE = "import flipdist; from flipdist import _kernel; print(_kernel.compiled_available())"
+LOADED = "from flipdist import _kernel; print(_kernel._core.__file__); print(_kernel._core.__doc__)"
 CLI = "import sys; from flipdist.cli import main; sys.exit(main(sys.argv[1:]))"
 NO_PASSWD_ENTRY = ("import pwd\n"
                    "def getpwuid(uid): raise KeyError(uid)\n"
                    "pwd.getpwuid = getpwuid\n")
 LIBRARY = "_core" + sysconfig.get_config_var("EXT_SUFFIX")
 
-pytestmark = pytest.mark.skipif(
-    any((PACKAGE / f"_core{s}").exists() for s in importlib.machinery.EXTENSION_SUFFIXES),
-    reason="an installed _core extension is loaded instead of the cache")
 needs_compiler = pytest.mark.skipif(not can_build_core(),
                                     reason="no C compiler on PATH or no Python.h")
 
 
-def environ(cache: Path, cc: str) -> dict[str, str]:
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+def environ(cache: Path, cc: str, src: Path = PACKAGE.parent) -> dict[str, str]:
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, XDG_CACHE_HOME=str(cache), CC=cc)
 
 
@@ -57,6 +59,27 @@ def probe(env: dict[str, str], prelude: str = "") -> subprocess.CompletedProcess
 
 def cache_files(cache: Path) -> list[str]:
     return sorted(str(p.relative_to(cache / "flipdist")) for p in cache.rglob("*") if p.is_file())
+
+
+def copy_package(dest: Path) -> Path:
+    """A copy of the flipdist package, with no library or bytecode in it,
+    at dest/flipdist; returns its _core.c."""
+    shutil.copytree(PACKAGE, dest / "flipdist",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"))
+    return dest / "flipdist" / "_core.c"
+
+
+def loaded_core(env: dict[str, str]) -> tuple[Path, str]:
+    """The file and doc of the _core a fresh interpreter loads."""
+    proc = subprocess.run([sys.executable, "-c", LOADED], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    path, doc = proc.stdout.splitlines()
+    return Path(path), doc
+
+
+def digest_dir(cache: Path, source: Path) -> Path:
+    return cache / "flipdist" / hashlib.sha256(source.read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -128,3 +151,44 @@ def test_unusable_build_falls_back_to_pure(tmp_path, capsys, broken):
                            env=env, capture_output=True, text=True, timeout=300)
     assert solve.returncode == 0, solve.stderr
     assert solve.stdout == capsys.readouterr().out
+
+
+@needs_compiler
+def test_library_beside_the_source_is_ignored(tmp_path):
+    # a stray library built from an edited _core.c, left where an in-place
+    # extension build would put it
+    cc = shlex.join(compiler_command())
+    edited = copy_package(tmp_path / "edited")
+    text = edited.read_text()
+    real_doc = "Compiled search kernel and general-position screen."
+    assert real_doc in text
+    edited.write_text(text.replace(real_doc, "A stale build of an edited source."))
+    stale, doc = loaded_core(environ(tmp_path / "stale-cache", cc, edited.parents[1]))
+    assert doc == "A stale build of an edited source."
+    source = copy_package(tmp_path / "pkg")
+    shutil.copy(stale, source.with_name(LIBRARY))
+    cache = tmp_path / "cache"
+    lib, doc = loaded_core(environ(cache, cc, source.parents[1]))
+    assert lib == digest_dir(cache, source) / LIBRARY
+    assert doc == real_doc
+
+
+@needs_compiler
+def test_built_package_compiles_on_first_import(tmp_path):
+    pytest.importorskip("setuptools")
+    # build_py writes src/flipdist.egg-info, so it runs on a copy
+    project = tmp_path / "project"
+    copy_package(project / "src")
+    shutil.copy(PACKAGE.parents[1] / "pyproject.toml", project)
+    build = tmp_path / "build"
+    proc = subprocess.run([sys.executable, "-c", "import setuptools; setuptools.setup()",
+                           "build_py", "--build-lib", str(build)],
+                          cwd=project, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    source = build / "flipdist" / "_core.c"
+    assert source.read_bytes() == (PACKAGE / "_core.c").read_bytes()
+    cache = tmp_path / "cache"
+    env = environ(cache, shlex.join(compiler_command()), build)
+    assert probe(env).stdout == "True\n"
+    lib, _ = loaded_core(env)
+    assert lib == digest_dir(cache, source) / LIBRARY

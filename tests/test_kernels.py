@@ -30,6 +30,7 @@ from flipdist._kernel import (
     resolve_backend,
 )
 from flipdist._searchpure import Accept, Prep
+from flipdist.flipdag import replay
 from flipdist.geometry import COORD_BOUND, _slope_repeat
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
@@ -330,9 +331,11 @@ class TestBackendParity:
 
     def test_cap_guard_in_compiled_kernel(self):
         from flipdist import _core
+        # one above the Python cap must hit the C cap (MAX_POINTS), so the
+        # two cannot drift apart
         prep = make_prep(*convex_pair(4)[1:] * 2)
-        big = (2000,) + prep[1:]
-        with pytest.raises(ValueError):
+        big = (COMPILED_MAX_POINTS + 1,) + prep[1:]
+        with pytest.raises(ValueError, match=f"capped at {COMPILED_MAX_POINTS} points"):
             _core.run_budget(big, 1)
 
     def test_out_of_range_prep_rejected(self, square_tris):
@@ -513,6 +516,45 @@ class TestAboveTheBound:
                 results = [run(prep, k) for run in runs]
                 assert (results[0] is None) == (k < d), (k, d)
                 assert all(r == results[0] for r in results), k
+
+
+class TestGapThree:
+    """Completeness at gap 3.  The pairs are fixed by a rule, never by
+    outcome: every ordered pair of the convex 9-gon's triangulations whose
+    distance exceeds the missing-edge bound by 3 (none exceeds it by more),
+    and every ordered pair of gen_random_points(9, 5, 1000) whose distance
+    exceeds it by 2 or more, in closure order.  Distances come from
+    flip_graph_distances, a plain BFS that shares no code with the search.
+    search_upto(s, t, d) must find distance d with a witness that replays,
+    and the declared slice PURE_SLICE of each list, run again on the pure
+    kernel, must give the identical result."""
+
+    PURE_SLICE = slice(None, None, 50)
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        convex = [p for p in ordered_pairs(gen_convex(9)) if p[2] - p[3] == 3]
+        random_pairs = gap_pairs(gen_random_points(9, 5, 1000))
+        assert (len(convex), len(random_pairs)) == (366, 650)
+        return convex, random_pairs
+
+    def check(self, start, end, d):
+        result = search_upto(start, end, d)
+        assert result is not None and result.k == d
+        assert replay(result.sequence) == end
+        return result
+
+    @needs_compiled
+    def test_distance_equals_bfs(self, pairs):
+        for start, end, d, _ in itertools.chain(*pairs):
+            self.check(start, end, d)
+
+    def test_pure_slice_matches(self, pairs, monkeypatch):
+        sliced = [p for group in pairs for p in group[self.PURE_SLICE]]
+        first = [self.check(start, end, d) for start, end, d, _ in sliced]
+        if compiled_available():
+            monkeypatch.setattr(_kernel, "_core", None)
+            assert [self.check(start, end, d) for start, end, d, _ in sliced] == first
 
 
 # The pure kernel as it was while it recursed through iterate/descend, kept
