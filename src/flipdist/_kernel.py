@@ -117,5 +117,6 @@ def make_prep(t_start: Triangulation, t_end: Triangulation) -> _searchpure.Prep:
     Start edges are emitted sorted; the kernels rely on that for the initial
     ordering of necessary edges."""
     ps = t_start.ps
-    edges = tuple((a, b, c, d) for (a, b), (c, d) in sorted(t_start.apex.items()))
+    apex = t_start.apex
+    edges = tuple([e + apex[e] for e in sorted(apex)])
     return (len(ps), ps.xs, ps.ys, edges, tuple(sorted(t_end.apex)))

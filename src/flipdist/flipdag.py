@@ -7,6 +7,10 @@ created by f_i is the edge removed by f_j, or it is a side of the
 quadrilateral that f_j flips in T_{j-1}, provided the created edge survives
 untouched strictly between the two flips.  Every topological order of this
 DAG replays to the same endpoint, which is what ``check_reordering`` verifies.
+Its end test compares the two walks' maps only at the edges the records name:
+a walk deletes and inserts only those edges, so every other edge has its
+start membership in both maps, and agreement on the named edges is equality
+of the whole edge sets.
 
 A checked record gives its flip's quadrilateral: a walk accepts record j
 only if ``_flips_into`` returns its ``resulting`` edge (c, d) for its
@@ -151,16 +155,28 @@ def check_reordering(seq: FlipSequence, perm: list[int]) -> bool:
     edge set: each step removes a present edge and adds an absent one, so an
     edge ends present iff it starts present plus its additions minus its
     removals, a count that does not depend on the order.  So the answer rests
-    on each step being valid, and the final comparison with seq's endpoint
-    confirms it.  That endpoint is memoised on seq (``replay``, ``build_dag``
-    and every check share one walk of seq); a seq that fails is walked, and
-    raises, on every call.
+    on each step being valid, and the end test confirms it.  That endpoint is
+    memoised on seq (``replay``, ``build_dag`` and every check share one walk
+    of seq); a seq that fails is walked, and raises, on every call.
+
+    The end test reads only the records' own edges, in O(r) for r flips, and
+    is exactly the comparison of the two maps' edge sets.  Both walks start
+    from seq.start's map, and an accepted step changes which edges are present
+    only at its record's ``underlying`` edge (deleted) and ``resulting`` edge
+    (inserted); ``_apply_flip`` changes only the values of the four sides.
+    So an edge that no record names has its membership in seq.start at the
+    end of both walks, and the two edge sets are equal iff they agree on every
+    edge some record names, which is what the loop tests.
     """
     if sorted(perm) != list(range(len(seq.flips))):
         raise ValidationError("perm is not a permutation of the sequence indices")
     target = seq._endpoint
     try:
-        *_, apex = _walk(seq.start, (seq.flips[idx] for idx in perm))
+        *_, apex = _walk(seq.start, map(seq.flips.__getitem__, perm))
     except InvalidAt:
         return False
-    return apex.keys() == target.keys()
+    for rec in seq.flips:
+        e, g = rec.underlying, rec.resulting
+        if (e in apex) is not (e in target) or (g in apex) is not (g in target):
+            return False
+    return True

@@ -18,6 +18,8 @@ identical: lean move tables drop only moves that the bound rules out.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -493,6 +495,21 @@ def identity_pairs():
         yield from ((a, b) for a in tris for b in tris)
 
 
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+
+# The benchmark's large-n pool: (kind, seed, walk) on 300 points, gen_random_points
+# with bound 2^20 or gen_convex, and a seeded walk from the scan triangulation.
+LARGE_N = [("random", 1, 6), ("convex", 2, 4)]
+
+
+def large_n_pairs():
+    """(label, start, end, walk) for the large-n instances, in pool order."""
+    for kind, seed, walk in LARGE_N:
+        ps = gen_random_points(300, seed, 1 << 20) if kind == "random" else gen_convex(300)
+        start = initial_triangulation(ps)
+        yield f"{kind}-n300-s{seed}-w{walk}", start, random_walk_triangulation(start, walk, seed), walk
+
+
 def _answer(result):
     return None if result is None else (result[0], [str(rec) for rec in result[1].flips])
 
@@ -534,6 +551,20 @@ class TestAgainstReference:
             if got is not None:
                 assert got[0] == want[0] == len(got[1]) == d
                 assert replay(got[1]) == end
+
+    def test_pinned_large_n_references(self):
+        # the pinned references come from the solver; the oracle confirms
+        # each on its own: None one flip short, the distance at it
+        pin = json.loads(PINNED.read_text(encoding="utf-8"))["large-n"]
+        pairs = list(large_n_pairs())
+        texts = [serialize(Instance(start.ps, start, end, walk)) for _, start, end, walk in pairs]
+        assert hashlib.sha256("".join(texts).encode("utf-8")).hexdigest() == pin["sha256"]
+        assert len(pin["references"]) == len(pairs) == 2
+        for (label, start, end, _), ref in zip(pairs, pin["references"]):
+            assert bfs_distance(start, end, ref - 1) is None, label
+            got = bfs_distance(start, end, ref)
+            assert got is not None and got[0] == len(got[1]) == ref, label
+            assert replay(got[1]) == end, label
 
     def test_cap_below_the_bound_builds_nothing(self, monkeypatch):
         # the missing-edge count alone answers None: no move table, no state

@@ -26,7 +26,9 @@ flips once between them.
 The arc corpus adds sequences that reach the corners of ``build_dag``'s
 creator map (an edge created, flipped away and created again; a flip undone
 at once) and the kernel's witnesses on the benchmark-shaped instances; each
-must give the arcs of ``reference_build_dag`` and of ``naive_arcs``.
+must give the arcs of ``reference_build_dag`` and of ``naive_arcs``.  The
+reordering answers are compared on the walks, the arc corpus and the solver's
+witnesses on the benchmark's two 300-point instances.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from flipdist.triangulation import (
 
 from conftest import make_triangle, strictly_convex_quad, tri_of
 from test_flipdag import naive_arcs
+from test_oracle import large_n_pairs
 from test_prune import fan
 
 SIZES = range(6, 13)
@@ -465,9 +468,19 @@ def test_arc_corpus_matches_references(arc_corpus):
     assert min(reached.values()) > 0, reached
 
 
-def test_same_reordering_answers(walk_cases):
+def large_n_witnesses():
+    """(label, start, flips) for the solver's witnesses on the benchmark's two
+    300-point large-n instances (scan bound the walk length)."""
+    for label, start, end, walk in large_n_pairs():
+        yield label, start, search_upto(start, end, walk).sequence.flips
+
+
+def test_same_reordering_answers(walk_cases, arc_corpus):
+    """The corpus adds edges touched more than once (back-flips, edges made
+    again) and the 300-point witnesses, where the end test reads a handful
+    of 880 edges."""
     answers = set()
-    for label, start, flips in walk_cases:
+    for label, start, flips in walk_cases + arc_corpus + list(large_n_witnesses()):
         rng = random.Random(f"{label}/perms")
         seq, ref_seq = both(start, flips)
         perms = topological_sorts_sample(build_dag(seq), 4, rng.randrange(1000))
@@ -553,19 +566,66 @@ for p in (3, 5):
 """
 
 
-def test_build_dag_checks_records_under_optimize():
-    """build_dag's rule reads the records only once the walk has checked them;
-    that check is a raise, not an assert, so ``python -O`` keeps it."""
+def plain_and_optimized(script: str) -> list[str]:
+    """The lines script prints when run plainly; its first line reports
+    ``__debug__``, and the others must repeat under ``python -O``."""
     env = {**os.environ, "PYTHONPATH": str(Path(flipdist.__file__).resolve().parents[1])}
-    runs = [subprocess.run([sys.executable, *flags, "-c", _CORRUPT_DAG], capture_output=True, text=True, env=env)
+    runs = [subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env)
             for flags in ([], ["-O"])]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     plain, optimized = (proc.stdout.splitlines() for proc in runs)
     assert (plain[0], optimized[0]) == ("debug True", "debug False")
     assert optimized[1:] == plain[1:]
+    return plain
+
+
+def test_build_dag_checks_records_under_optimize():
+    """build_dag's rule reads the records only once the walk has checked them;
+    that check is a raise, not an assert, so ``python -O`` keeps it."""
+    plain = plain_and_optimized(_CORRUPT_DAG)
     assert [line.split()[:3] for line in plain[1:]] == [[p, "InvalidAt", p] for p in "3355"]
     assert "not flippable" in plain[1] and "record says" in plain[2]
+
+
+# The large-n random witness (300 points, no arcs) with a back-flip of its
+# last flip appended, so that one order is not topological: its answers to
+# check_reordering, before and after the memoised endpoint is swapped for a
+# copy that raises when its edge set is listed or compared.
+_UNSCANNED_ENDPOINT = """
+from flipdist.flipdag import FlipSequence, build_dag, check_reordering
+from flipdist.instances import gen_random_points, initial_triangulation, random_walk_triangulation
+from flipdist.solver import search_upto
+from flipdist.triangulation import FlipRecord
+
+
+def scanned(*args):
+    raise AssertionError("check_reordering scanned the endpoint's edge set")
+
+
+class Unscannable(dict):
+    keys = __iter__ = __eq__ = scanned
+    __hash__ = None
+
+
+print("debug", __debug__)
+start = initial_triangulation(gen_random_points(300, 1, 1 << 20))
+flips = search_upto(start, random_walk_triangulation(start, 6, 1), 6).sequence.flips
+seq = FlipSequence(start=start, flips=flips + (FlipRecord(flips[-1].resulting, flips[-1].underlying),))
+orders = [[0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 6, 5]]
+print("arcs", sorted(build_dag(seq).arcs))
+print("answers", [check_reordering(seq, order) for order in orders])
+seq.__dict__["_endpoint"] = Unscannable(seq._endpoint)
+print("answers", [check_reordering(seq, order) for order in orders])
+"""
+
+
+def test_check_reordering_scans_no_endpoint():
+    """A stand-in for timing in the ``TestComplexityGuards`` style: the end
+    test looks up only the records' edges in the endpoint, so a 300-point
+    check gives the same answers when listing or comparing the endpoint's
+    880 edges raises, also under ``python -O``."""
+    assert plain_and_optimized(_UNSCANNED_ENDPOINT)[1:] == ["arcs [(5, 6)]", "answers [True, False]", "answers [True, False]"]
 
 
 @pytest.mark.parametrize("rec, message", [
