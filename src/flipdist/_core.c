@@ -1,16 +1,20 @@
-/* Compiled search kernel and general-position screen, a CPython extension
- * in C99.
+/* Compiled search kernel, general-position screen and triangulation
+ * certificate, a CPython extension in C99.
  *
  * run_budget has the same contract as _searchpure.run_budget and is
  * behaviorally identical to it; see that module for the semantics.
  * slope_repeat is geometry._slope_repeat over doubles: it only points
  * PointSet at a point whose slopes repeat, and the exact test there decides.
+ * apex_rows is triangulation._apex_rows, the certificate of build: the same
+ * apex rows and the same count of distinct listed faces, from which build
+ * decides in Python, with its messages and its crossing-test fallback.
  *
  * The search kernel: edges are ids a * n + b into flat arrays, which caps
  * point sets at 1024 (the selection layer falls back to the pure kernel
- * above that); the screen needs O(n) memory and has no cap.  Coordinates are
- * bounded by 2^30, so every orientation determinant fits in a signed 64-bit
- * product and every coordinate difference is an exact double.
+ * above that); the screen and the certificate need O(n + m) memory for m
+ * edges and have no cap.  Coordinates are bounded by 2^30, so every
+ * orientation determinant fits in a signed 64-bit product and every
+ * coordinate difference is an exact double.
  *
  * One call parses prep once and steps comp through the compositions of k; a
  * rejected one undoes all its flips, so the next starts from the same state.
@@ -18,7 +22,8 @@
  * C stack does not grow with k.
  * All of a call's state, the n*n arrays included, lives in one block that
  * the call allocates and frees, so calls may nest: init reads Python
- * objects, whose methods could call back in.
+ * objects, whose methods could call back in.  The screen and the
+ * certificate keep to the same rule.
  *
  * Build: only flipdist._kernel, on first import, into a per-user cache keyed
  * by this file's sha256; a library beside this file is never loaded, and
@@ -537,6 +542,194 @@ static PyObject *slope_repeat(PyObject *self, PyObject *args)
     return PyLong_FromLong(-1);
 }
 
+/* One edge of apex_rows: its ends, its apex row (c, d) as the map stores
+ * it, and the ids of the edges (a, c), (b, c), (a, d) and (b, d), the other
+ * sides of its candidate faces. */
+typedef struct {
+    Py_ssize_t a, b, c, d;
+    Py_ssize_t ca, cb, da, db;
+} Row;
+
+/* Whether edge e's row lists apex v. */
+static int lists(const Row *rows, Py_ssize_t e, Py_ssize_t v)
+{
+    return rows[e].c == v || rows[e].d == v;
+}
+
+/* Whether the candidate face of edge i with apex c, whose other sides are
+ * ca = (a, c) and cb = (b, c), is listed by no side before i: a face can be
+ * listed only by its three sides, so counting each at its first lister
+ * counts the distinct faces, as the set of triangulation._apex_rows does,
+ * with no sort and no encoded triple that could overflow. */
+static int first_lister(const Row *rows, Py_ssize_t i, Py_ssize_t ca, Py_ssize_t cb)
+{
+    return !(ca < i && lists(rows, ca, rows[i].b)) && !(cb < i && lists(rows, cb, rows[i].a));
+}
+
+/* The rows and the distinct-entry count of triangulation._apex_rows over
+ * sorted canonical edges.  Adjacency is CSR: off[v] .. off[v + 1] in nbr,
+ * with nbe the edge id of each entry; since the edges are sorted and
+ * distinct, each list comes out sorted, so common neighbours are a merge.
+ * Differences of coordinates within 2^30 are at most 2^31, so each product
+ * of two is at most 2^62 and the comparisons are Python's, exactly. */
+static PyObject *apex_rows(PyObject *self, PyObject *args)
+{
+    PyObject *xs_obj, *ys_obj, *ordered, *hull, *edges, *rows_obj = NULL, *result = NULL;
+    Py_ssize_t n, m, i, v, count = 0;
+    long long *xs, *ys, a, b, pa = -1, pb = -1;
+    Py_ssize_t *off, *fill, *nbr, *nbe;
+    Row *rows;
+    void *block;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "O!O!OO:apex_rows", &PyTuple_Type, &xs_obj, &PyTuple_Type,
+                          &ys_obj, &ordered, &hull))
+        return NULL;
+    if (!PyAnySet_Check(hull)) {
+        PyErr_SetString(PyExc_TypeError, "apex_rows needs the hull edges as a set");
+        return NULL;
+    }
+    n = PyTuple_GET_SIZE(xs_obj);
+    if (PyTuple_GET_SIZE(ys_obj) != n) {
+        PyErr_SetString(PyExc_ValueError, "apex_rows needs equal lengths");
+        return NULL;
+    }
+    /* a tuple of the edges: they stay alive whatever a callback does to ordered */
+    edges = PySequence_Tuple(ordered);
+    if (edges == NULL)
+        return NULL;
+    m = PyTuple_GET_SIZE(edges);
+    /* at most 32 n + 96 m + 8 bytes, so these keep the size in range */
+    if (n > PY_SSIZE_T_MAX / 64 || m > PY_SSIZE_T_MAX / 128) {
+        Py_DECREF(edges);
+        return PyErr_NoMemory();
+    }
+    /* one block per call: xs, ys, the rows, then the adjacency */
+    block = malloc(2 * (size_t)n * sizeof(long long) + (size_t)m * sizeof(Row) +
+                   (2 * (size_t)n + 1 + 4 * (size_t)m) * sizeof(Py_ssize_t));
+    if (block == NULL) {
+        Py_DECREF(edges);
+        return PyErr_NoMemory();
+    }
+    xs = block;
+    ys = xs + n;
+    rows = (Row *)(ys + n);
+    off = (Py_ssize_t *)(rows + m);
+    fill = off + n + 1;
+    nbr = fill + n;
+    nbe = nbr + 2 * m;
+    memset(off, 0, ((size_t)n + 1) * sizeof(Py_ssize_t));
+    for (v = 0; v < n; v++)
+        if (get_int(xs_obj, v, -COORD_BOUND, COORD_BOUND + 1, &xs[v]) < 0 ||
+            get_int(ys_obj, v, -COORD_BOUND, COORD_BOUND + 1, &ys[v]) < 0)
+            goto done;
+    for (i = 0; i < m; i++) {
+        PyObject *e = PyTuple_GET_ITEM(edges, i);
+        if (!PyTuple_Check(e)) {
+            PyErr_Format(PyExc_TypeError, "edge %zd is not a tuple", i);
+            goto done;
+        }
+        if (PyTuple_GET_SIZE(e) != 2) {
+            PyErr_Format(PyExc_ValueError, "edge %zd is not a pair", i);
+            goto done;
+        }
+        if (get_int(e, 0, 0, n, &a) < 0 || get_int(e, 1, 0, n, &b) < 0)
+            goto done;
+        if (a >= b || a < pa || (a == pa && b <= pb)) {
+            PyErr_Format(PyExc_ValueError, "edge %zd is not canonical, or out of sorted order", i);
+            goto done;
+        }
+        rows[i].a = (Py_ssize_t)(pa = a);
+        rows[i].b = (Py_ssize_t)(pb = b);
+        off[a + 1]++;
+        off[b + 1]++;
+    }
+    for (v = 0; v < n; v++) {
+        off[v + 1] += off[v];
+        fill[v] = off[v];
+    }
+    for (i = 0; i < m; i++) {
+        nbr[fill[rows[i].a]] = rows[i].b;
+        nbe[fill[rows[i].a]++] = i;
+        nbr[fill[rows[i].b]] = rows[i].a;
+        nbe[fill[rows[i].b]++] = i;
+    }
+    for (i = 0; i < m; i++) {
+        Row *r = &rows[i];
+        long long xa = xs[r->a], ya = ys[r->a], dx = xs[r->b] - xa, dy = ys[r->b] - ya;
+        long long cx = 0, cy = 0, ex = 0, ey = 0;
+        Py_ssize_t p = off[r->a], pe = off[r->a + 1], q = off[r->b], qe = off[r->b + 1];
+        r->c = r->d = r->ca = r->cb = r->da = r->db = -1;
+        while (p < pe && q < qe) {
+            if (nbr[p] < nbr[q]) {
+                p++;
+            } else if (nbr[p] > nbr[q]) {
+                q++;
+            } else {
+                Py_ssize_t w = nbr[p];
+                long long ux = xs[w] - xa, uy = ys[w] - ya;
+                /* w is nearer to ab than the apex so far iff that apex lies past w around a */
+                if (dx * uy > dy * ux) { /* left; never collinear in general position */
+                    if (r->c < 0 || ux * cy > uy * cx) {
+                        r->c = w;
+                        r->ca = nbe[p];
+                        r->cb = nbe[q];
+                        cx = ux;
+                        cy = uy;
+                    }
+                } else if (r->d < 0 || ux * ey < uy * ex) {
+                    r->d = w;
+                    r->da = nbe[p];
+                    r->db = nbe[q];
+                    ex = ux;
+                    ey = uy;
+                }
+                p++;
+                q++;
+            }
+        }
+        if (r->c < 0 || (0 <= r->d && r->d < r->c)) {
+            Py_ssize_t t;
+            t = r->c, r->c = r->d, r->d = t;
+            t = r->ca, r->ca = r->da, r->da = t;
+            t = r->cb, r->cb = r->db, r->db = t;
+        }
+    }
+    /* placeholders: one where an edge has no candidate, one for a missing
+     * second candidate off the hull; only then is the hull asked */
+    for (i = 0; i < m; i++) {
+        const Row *r = &rows[i];
+        count += r->c < 0 || first_lister(rows, i, r->ca, r->cb);
+        if (r->d >= 0) {
+            count += first_lister(rows, i, r->da, r->db);
+        } else {
+            int on_hull = PySet_Contains(hull, PyTuple_GET_ITEM(edges, i));
+            if (on_hull < 0)
+                goto done;
+            count += !on_hull;
+        }
+    }
+    if ((rows_obj = PyList_New(m)) == NULL)
+        goto done;
+    for (i = 0; i < m; i++) {
+        PyObject *row = PyTuple_New(2), *c, *d;
+        if (row == NULL)
+            goto done;
+        PyList_SET_ITEM(rows_obj, i, row);
+        if ((c = PyLong_FromSsize_t(rows[i].c)) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(row, 0, c);
+        if ((d = PyLong_FromSsize_t(rows[i].d)) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(row, 1, d);
+    }
+    result = Py_BuildValue("(On)", rows_obj, count);
+done:
+    free(block);
+    Py_DECREF(edges);
+    Py_XDECREF(rows_obj);
+    return result;
+}
+
 static PyMethodDef core_methods[] = {
     {"run_budget", run_budget, METH_VARARGS,
      "run_budget(prep, k)\n--\n\n"
@@ -544,12 +737,15 @@ static PyMethodDef core_methods[] = {
     {"slope_repeat", slope_repeat, METH_VARARGS,
      "slope_repeat(xs, ys, start)\n--\n\n"
      "Drop-in replacement for geometry._slope_repeat (see its doc)."},
+    {"apex_rows", apex_rows, METH_VARARGS,
+     "apex_rows(xs, ys, ordered, hull)\n--\n\n"
+     "Drop-in replacement for triangulation._apex_rows (see its doc)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT, .m_name = "_core",
-    .m_doc = "Compiled search kernel and general-position screen.",
+    .m_doc = "Compiled search kernel, general-position screen and triangulation certificate.",
     .m_size = -1, .m_methods = core_methods,
 };
 

@@ -1,8 +1,11 @@
 """Search kernel selection: compiled extension when available, else pure Python.
 
 The compiled kernel is the C extension ``_core``, which also holds the
-general-position screen ``slope_repeat`` that ``PointSet`` reads from here
-whenever ``_core`` is loaded (it has no point cap).  It is built in one way
+general-position screen ``slope_repeat`` and the triangulation certificate
+``apex_rows``.  ``PointSet`` and ``build`` read them from here whenever
+``_core`` is loaded, and run their pure twins, ``geometry._slope_repeat``
+and ``triangulation._apex_rows``, when it is not; neither has a point cap,
+and each twin returns the same values.  ``_core`` is built in one way
 only: ``_core.c``, which ships as package data, is compiled on first import
 with ``$CC`` (default: the compiler Python was built with) into
 ``${XDG_CACHE_HOME:-~/.cache}/flipdist/<sha256 of the source>/``, and later

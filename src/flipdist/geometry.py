@@ -129,14 +129,15 @@ class PointSet:
             if key in seen:
                 raise ValidationError(f"points {seen[key]} and {p.id} coincide at {key}")
             seen[key] = p.id
-        coords = [(index(p.x), index(p.y)) for p in pts]
-        xs, ys = zip(*coords)
+        # no (x, y) tuple per point: set-up allocates fewer objects for the collector
+        xs = tuple([index(p.x) for p in pts])
+        ys = tuple([index(p.y) for p in pts])
         # at call time: _kernel imports this module through triangulation
         from ._kernel import _core
         repeat = _slope_repeat if _core is None else _core.slope_repeat
         i = -1
         while (i := repeat(xs, ys, i + 1)) >= 0:
-            if pair := _shared_line(xs[i], ys[i], coords[i + 1:]):
+            if pair := _shared_line(xs[i], ys[i], list(zip(xs[i + 1:], ys[i + 1:]))):
                 j, k = pair
                 raise ValidationError(f"points {i}, {i + 1 + j}, {i + 1 + k} are collinear")
         self.points = pts

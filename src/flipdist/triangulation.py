@@ -106,6 +106,42 @@ class Triangulation:
         return f"Triangulation({len(self.ps)} points, {len(self.edges)} edges)"
 
 
+def _apex_rows(xs: Sequence[int], ys: Sequence[int], ordered: Sequence[Edge],
+               hull: frozenset[Edge]) -> tuple[list[tuple[int, int]], int]:
+    """The certificate of :func:`build` over sorted canonical edges in
+    general position: each edge's apex row (c, d), as the map stores it, in
+    ``ordered`` order, and the number of distinct entries its sides list,
+    real faces and placeholders together.  ``_core.apex_rows`` is its
+    compiled twin and returns the same values."""
+    adj: list[set[int]] = [set() for _ in range(len(xs))]
+    for a, b in ordered:
+        adj[a].add(b)
+        adj[b].add(a)
+    rows: list[tuple[int, int]] = []
+    faces: set[Triangle] = set()  # and placeholders: (-1, a, b) if c < 0, (-2, a, b) if d < 0
+    for a, b in ordered:
+        xa, ya = xs[a], ys[a]
+        dx, dy = xs[b] - xa, ys[b] - ya
+        c = d = -1  # the nearest common neighbours left and right of a -> b so far
+        for w in adj[a] & adj[b]:
+            ux, uy = xs[w] - xa, ys[w] - ya
+            # w is nearer to ab than the apex so far iff that apex lies past w around a
+            if dx * uy > dy * ux:  # left; never collinear in general position
+                if c < 0 or ux * cy > uy * cx:
+                    c, cx, cy = w, ux, uy
+            elif d < 0 or ux * ey < uy * ex:
+                d, ex, ey = w, ux, uy
+        if c < 0 or 0 <= d < c:
+            c, d = d, c
+        rows.append((c, d))
+        faces.add((a, b, c) if b < c else (a, c, b) if a < c else (c, a, b))
+        if d >= 0:
+            faces.add((a, b, d) if b < d else (a, d, b) if a < d else (d, a, b))
+        elif (a, b) not in hull:
+            faces.add((-2, a, b))
+    return rows, len(faces)
+
+
 def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     """Validate an edge set and assemble the full triangulation value.
 
@@ -121,52 +157,37 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
     p = 0 and that equality hold, as in a triangulation.  Then the candidates
     cover the hull once (crossing an edge leaves one and enters one), so
     they are the faces and no edges cross.  Only a failed certificate runs
-    the all-pairs crossing test, which names the first crossing pair.  The
-    map lists the edges in sorted order.
+    the all-pairs crossing test, which names the first crossing pair.
+
+    The rows and the count come from ``_core.apex_rows`` when the compiled
+    extension is loaded and from :func:`_apex_rows` otherwise; both return
+    the same values, and every check, message and fallback here is Python's
+    either way.  The map lists the edges in sorted order, keyed by the
+    caller's own tuples where they are plain canonical ones.
     """
     n = len(ps)
     edges: dict[Edge, None] = {}  # insertion order: a sorted input stays sorted, and sorts in O(n)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in edge_list:
+    for e in edge_list:
+        a, b = e
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise BadIndex(f"bad edge ({a}, {b}) for {n} points")
-        edges[(a, b) if a < b else (b, a)] = None
-        adj[a].add(b)
-        adj[b].add(a)
+        # reusing the caller's tuples spares set-up an allocation per edge
+        edges[e if a < b and type(e) is tuple else (a, b) if a < b else (b, a)] = None
 
     hull = convex_hull_edges(ps)
     if len(edges) != (expected := 3 * n - 3 - len(hull)):
         raise NotMaximal(f"{len(edges)} edges, expected 3n-3-h = {expected}")
-    xs, ys = ps.xs, ps.ys
-    apex: ApexMap = {}
-    faces: set[Triangle] = set()  # and placeholders: (-1, a, b) if c < 0, (-2, a, b) if d < 0
-    for a, b in (ordered := sorted(edges)):
-        xa, ya = xs[a], ys[a]
-        dx, dy = xs[b] - xa, ys[b] - ya
-        c = d = -1  # the nearest common neighbours left and right of a -> b so far
-        for w in adj[a] & adj[b]:
-            ux, uy = xs[w] - xa, ys[w] - ya
-            # w is nearer to ab than the apex so far iff that apex lies past w around a
-            if dx * uy > dy * ux:  # left; never collinear in general position
-                if c < 0 or ux * cy > uy * cx:
-                    c, cx, cy = w, ux, uy
-            elif d < 0 or ux * ey < uy * ex:
-                d, ex, ey = w, ux, uy
-        if c < 0 or 0 <= d < c:
-            c, d = d, c
-        apex[a, b] = (c, d)
-        faces.add((a, b, c) if b < c else (a, c, b) if a < c else (c, a, b))
-        if d >= 0:
-            faces.add((a, b, d) if b < d else (a, d, b) if a < d else (d, a, b))
-        elif (a, b) not in hull:
-            faces.add((-2, a, b))
-    if 3 * len(faces) != 2 * len(edges) - len(hull):
+    # at call time: _kernel imports this module
+    from ._kernel import _core
+    certificate = _apex_rows if _core is None else _core.apex_rows
+    rows, listed = certificate(ps.xs, ps.ys, ordered := sorted(edges), hull)
+    if 3 * listed != 2 * len(edges) - len(hull):
         pts = ps.points
         for e1, e2 in combinations(ordered, 2):
             if segments_properly_cross((pts[e1[0]], pts[e1[1]]), (pts[e2[0]], pts[e2[1]])):
                 raise NotPlanar(f"edges {e1} and {e2} cross")
         raise AssertionError("non-crossing maximal edge set failed the triangulation certificate")
-    return Triangulation(ps, apex)
+    return Triangulation(ps, dict(zip(ordered, rows)))
 
 
 def _require_edge(tri: Triangulation, e: Edge) -> Edge:

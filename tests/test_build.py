@@ -160,7 +160,7 @@ def test_library_beside_the_source_is_ignored(tmp_path):
     cc = shlex.join(compiler_command())
     edited = copy_package(tmp_path / "edited")
     text = edited.read_text()
-    real_doc = "Compiled search kernel and general-position screen."
+    real_doc = "Compiled search kernel, general-position screen and triangulation certificate."
     assert real_doc in text
     edited.write_text(text.replace(real_doc, "A stale build of an edited source."))
     stale, doc = loaded_core(environ(tmp_path / "stale-cache", cc, edited.parents[1]))

@@ -31,15 +31,31 @@ from flipdist._kernel import (
 )
 from flipdist._searchpure import Accept, Prep
 from flipdist.flipdag import replay
-from flipdist.geometry import COORD_BOUND, _slope_repeat
+from flipdist.geometry import COORD_BOUND, PointSet, _slope_repeat, convex_hull_edges
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
 from flipdist.solver import search_exact, search_upto
-from flipdist.triangulation import build, flip, is_flippable, necessary_edges
+from flipdist.triangulation import _apex_rows, build, flip, is_flippable, necessary_edges
 
 from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
 from test_prune import fan
-from test_validation import random_coords
+from test_validation import benchmark_shaped_cases, random_coords
+
+# Edge sets of the right size that only one part of build's certificate
+# rejects (see test_validation's test_one_part_rejects): the face count,
+# a missing hull edge, and edges without a candidate.
+ONE_PART_REJECTIONS = [
+    ([(3, 5), (6, 2), (3, 11), (0, 1), (2, 3)],
+     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+    ([(3, 5), (6, 2), (3, 0), (1, 2)], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    ([(0, 0), (1, 1), (2, 4), (3, 9), (4, 16), (5, 25)],
+     [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]),
+]
+
+
+def certificate_args(ps: PointSet, edges) -> tuple:
+    """build's arguments to the certificate, for a sorted canonical edge list."""
+    return ps.xs, ps.ys, sorted(edges), convex_hull_edges(ps)
 
 needs_compiled = pytest.mark.skipif(not compiled_available(),
                                     reason="compiled extension not built")
@@ -128,8 +144,9 @@ for line in sys.stdin:
 
 @pytest.mark.skipif(not can_build_core(), reason="no C compiler on PATH or no Python.h")
 def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
-    """The kernel and the slope screen built with AddressSanitizer and UBSan
-    answer like the pure ones, so no call reads or writes outside its block."""
+    """The kernel, the slope screen and the certificate built with
+    AddressSanitizer and UBSan answer like the pure ones, so no call reads or
+    writes outside its block."""
     cc = compiler_command()
     libasan = subprocess.run(cc + ["-print-file-name=libasan.so"], capture_output=True,
                              text=True).stdout.strip()
@@ -147,13 +164,25 @@ def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
     for coords in screen_sets:
         xs, ys = (tuple(c) for c in zip(*coords))
         cases += [("slope_repeat", (xs, ys, start)) for start in (0, 1, len(xs))]
-    pure = {"run_budget": kernel_for("pure"), "slope_repeat": _slope_repeat}
+    # the certificate: a valid triangulation, each single-part rejection and
+    # the 1,100-point fan, also above the kernel's cap; sets, as the lines
+    # are read back with ast.literal_eval
+    valid = initial_triangulation(gen_random_points(30, 1, 1000))
+    certified = [(valid.ps, valid.apex), *((PointSet.from_coords(c), e) for c, e in ONE_PART_REJECTIONS),
+                 (ps := gen_convex(COMPILED_MAX_POINTS + 76), fan(ps, 0).apex)]
+    for ps, edges in certified:
+        xs, ys, ordered, hull = certificate_args(ps, edges)
+        cases.append(("apex_rows", (xs, ys, ordered, set(hull))))
+    pure = {"run_budget": kernel_for("pure"), "slope_repeat": _slope_repeat, "apex_rows": _apex_rows}
     want = []
     for name, args in cases:
         try:
             want.append(repr(pure[name](*args)))
         except Exception as exc:
             want.append(f"{type(exc).__name__}: {exc}")
+    # an endpoint out of range, which the pure twin's contract excludes
+    cases.append(("apex_rows", ((0, 4, 4, 0), (0, 0, 4, 4), [(0, 1), (1, 2), (2, 7)], set())))
+    want.append("ValueError: value 7 outside [0, 4)")
     src = str(Path(flipdist.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CALLS], input="".join(f"{case!r}\n" for case in cases),
@@ -236,6 +265,63 @@ class TestSlopeScreenParity:
             with pytest.raises(ValueError, match="outside"):
                 screen((0, 1, 2), (0, far, 5), 0)
         assert screen((0, 1, COORD_BOUND), (0, -COORD_BOUND, 5), 0) == -1
+
+
+@needs_compiled
+class TestCertificateParity:
+    """The compiled certificate returns the pure one's rows and count."""
+
+    @staticmethod
+    def same(ps: PointSet, edges) -> tuple[list[tuple[int, int]], int]:
+        args = certificate_args(ps, edges)
+        got = _kernel._core.apex_rows(*args)
+        assert got == _apex_rows(*args)
+        return got
+
+    def test_one_part_rejections(self):
+        for coords, edges in ONE_PART_REJECTIONS:
+            ps = PointSet.from_coords(coords)
+            _, listed = self.same(ps, edges)
+            assert 3 * listed != 2 * len(edges) - len(convex_hull_edges(ps))
+
+    def test_benchmark_shaped_inputs(self):
+        for ps, edges in benchmark_shaped_cases():
+            _, listed = self.same(ps, edges)
+            assert 3 * listed == 2 * len(edges) - len(convex_hull_edges(ps))
+
+    def test_convex_fans(self):
+        # no point cap: 1,100 is above the kernel's
+        for n in [*range(3, 41), COMPILED_MAX_POINTS + 76]:
+            ps = gen_convex(n)
+            for v in range(0, n, max(1, n // 8)):
+                rows, listed = self.same(ps, fan(ps, v).apex)
+                assert listed == n - 2 and len(rows) == 2 * n - 3
+
+    def test_bad_input_raises(self):
+        certificate = _kernel._core.apex_rows
+        xs, ys, hull = (0, 4, 4, 0), (0, 0, 4, 4), {(0, 1), (1, 2), (2, 3), (0, 3)}
+        for ordered, error, match in [
+            ([(0, 1), (1, 4)], ValueError, r"value 4 outside \[0, 4\)"),
+            ([(-1, 1)], ValueError, r"value -1 outside \[0, 4\)"),
+            ([(0, 1), [1, 2]], TypeError, "edge 1 is not a tuple"),
+            ([(0, 1, 2)], ValueError, "edge 0 is not a pair"),
+            ([(1, 0)], ValueError, "edge 0 is not canonical"),
+            ([(0, 2), (0, 1)], ValueError, "edge 1 is not canonical, or out of sorted order"),
+            ([(0, 1), (0, 1)], ValueError, "edge 1 is not canonical, or out of sorted order"),
+            ([(0, 1.0)], TypeError, "integer"),
+            (5, TypeError, "not iterable"),
+        ]:
+            with pytest.raises(error, match=match):
+                certificate(xs, ys, ordered, hull)
+        with pytest.raises(ValueError, match="equal lengths"):
+            certificate(xs, ys[:3], [(0, 1)], hull)
+        with pytest.raises(ValueError, match="outside"):
+            certificate((0, 4, 4, COORD_BOUND + 1), ys, [(0, 1)], hull)
+        with pytest.raises(TypeError):
+            certificate(list(xs), ys, [(0, 1)], hull)
+        with pytest.raises(TypeError, match="hull edges as a set"):
+            certificate(xs, ys, [(0, 1)], sorted(hull))
+        assert certificate(xs, ys, (), frozenset()) == ([], 0)
 
 
 class TestResolveBackend:

@@ -1,17 +1,18 @@
 """Input validation against the cubic reference checks it replaced.
 
 ``PointSet`` finds collinear triples by float slopes, screened in C when
-``_core`` is loaded and in Python otherwise (its tests run both), with an
-exact fallback, ``build`` accepts an edge set by a local certificate and
-``gen_random_points`` tests a candidate against one set of slopes.  The
+``_core`` is loaded and in Python otherwise, with an exact fallback,
+``build`` accepts an edge set by a local certificate, likewise computed in C
+or in Python (the tests of both run each twin), and ``gen_random_points``
+tests a candidate against one set of slopes.  The
 reference functions below are the earlier all-triples, all-pairs and
 all-pairs-per-candidate versions, kept verbatim as oracles: on every input
 both must raise the same exception type with the same message, or return
 equal values.  ``build`` is also held to its own earlier version, which
 checked each candidate face at its sides one lookup at a time: the apex
 maps must be equal item for item, in order.  The guards at the end fail if
-a cubic loop, the exact collinearity fallback or an orientation test per
-face comes back on valid inputs.
+a cubic loop, the exact collinearity fallback, an orientation test per face
+or, with ``_core`` loaded, a pure twin comes back on valid inputs.
 """
 
 from __future__ import annotations
@@ -284,8 +285,9 @@ def walk(ps: PointSet, rng: random.Random) -> Triangulation:
 
 
 def screens(monkeypatch):
-    """Yield once with the compiled general-position screen, when it is
-    loaded, and once with ``_core`` off, so PointSet runs the pure one."""
+    """Yield once with the compiled general-position screen and
+    triangulation certificate, when ``_core`` is loaded, and once with
+    ``_core`` off, so PointSet and build run their pure twins."""
     if _kernel._core is not None:
         yield "compiled"
     with monkeypatch.context() as m:
@@ -385,37 +387,39 @@ class TestPointSetDifferential:
 
 class TestBuildDifferential:
     @pytest.mark.parametrize("bound", BOUNDS)
-    def test_edge_sets(self, bound):
-        accepted = rejected = 0
-        for n, seed in itertools.product(SIZES, SEEDS):
-            rng = random.Random(f"{n}/{seed}/{bound}")
-            ps = gen_random_points(n, seed, bound)
-            pairs = list(itertools.combinations(range(n), 2))
-            valid = sorted(walk(ps, rng).edges)
-            assert assert_same_build(ps, valid)
-            accepted += 1
-            for _ in range(3):
-                # one or two edges swapped for other point pairs
-                swapped = rng.sample(valid, min(rng.randint(1, 2), len(valid)))
-                others = [p for p in pairs if p not in valid]
-                mutated = [e for e in valid if e not in swapped]
-                mutated += rng.sample(others, min(len(swapped), len(others)))
-                # a random sample of exactly 3n-3-h pairs
-                sampled = rng.sample(pairs, len(valid))
-                for edges in (mutated, sampled):
-                    ok = assert_same_build(ps, edges)
-                    accepted += ok
-                    rejected += not ok
-        assert accepted > len(SIZES) * len(SEEDS) and rejected > len(SIZES) * len(SEEDS)
+    def test_edge_sets(self, bound, monkeypatch):
+        for screen in screens(monkeypatch):
+            accepted = rejected = 0
+            for n, seed in itertools.product(SIZES, SEEDS):
+                rng = random.Random(f"{n}/{seed}/{bound}")
+                ps = gen_random_points(n, seed, bound)
+                pairs = list(itertools.combinations(range(n), 2))
+                valid = sorted(walk(ps, rng).edges)
+                assert assert_same_build(ps, valid), screen
+                accepted += 1
+                for _ in range(3):
+                    # one or two edges swapped for other point pairs
+                    swapped = rng.sample(valid, min(rng.randint(1, 2), len(valid)))
+                    others = [p for p in pairs if p not in valid]
+                    mutated = [e for e in valid if e not in swapped]
+                    mutated += rng.sample(others, min(len(swapped), len(others)))
+                    # a random sample of exactly 3n-3-h pairs
+                    sampled = rng.sample(pairs, len(valid))
+                    for edges in (mutated, sampled):
+                        ok = assert_same_build(ps, edges)
+                        accepted += ok
+                        rejected += not ok
+            assert accepted > len(SIZES) * len(SEEDS) and rejected > len(SIZES) * len(SEEDS)
 
-    def test_right_counts_on_one_side(self):
+    def test_right_counts_on_one_side(self, monkeypatch):
         # Every edge bounds as many candidate faces as in a triangulation, but
         # (0, 1), (0, 4) and (1, 4) bound both of theirs on the same side.
         ps = PointSet.from_coords([(151, 692), (630, 366), (173, 567), (729, 676), (622, 186),
                                    (393, 299)])
         edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 5), (3, 4), (4, 5)]
-        assert outcome(build, ps, edges) == (NotPlanar, "edges (0, 4) and (1, 2) cross")
-        assert not assert_same_build(ps, edges)
+        for _ in screens(monkeypatch):
+            assert outcome(build, ps, edges) == (NotPlanar, "edges (0, 4) and (1, 2) cross")
+            assert not assert_same_build(ps, edges)
 
     # Every edge has as many candidate faces as in a triangulation, but one
     # candidate is the candidate of only two of its three sides.
@@ -427,11 +431,11 @@ class TestBuildDifferential:
         ([(1, 6), (6, 4), (4, 0), (5, 3), (2, 5)],
          [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], "(0, 3) and (1, 4)"),
     ])
-    def test_candidate_of_two_of_its_sides(self, coords, edges, crossing):
+    def test_candidate_of_two_of_its_sides(self, coords, edges, crossing, monkeypatch):
         ps = PointSet.from_coords(coords)
-        assert outcome(build, ps, edges) == (NotPlanar, f"edges {crossing} cross")
-        assert not assert_same_build(ps, edges)
-
+        for _ in screens(monkeypatch):
+            assert outcome(build, ps, edges) == (NotPlanar, f"edges {crossing} cross")
+            assert not assert_same_build(ps, edges)
 
     # Each set has the right edge count and is rejected by one part of the
     # certificate alone: a copy of build without that part accepts it.
@@ -455,31 +459,55 @@ class TestBuildDifferential:
                      [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)],
                      "(0, 2) and (1, 4)", id="no-candidate"),
     ])
-    def test_one_part_rejects(self, coords, edges, crossing):
+    def test_one_part_rejects(self, coords, edges, crossing, monkeypatch):
         ps = PointSet.from_coords(coords)
-        assert outcome(build, ps, edges) == (NotPlanar, f"edges {crossing} cross")
-        assert not assert_same_build(ps, edges)
+        for _ in screens(monkeypatch):
+            assert outcome(build, ps, edges) == (NotPlanar, f"edges {crossing} cross")
+            assert not assert_same_build(ps, edges)
 
-    def test_benchmark_shaped_inputs(self):
-        # the point sets and walks of the benchmark's pools, from the public
-        # generators with the same parameters
-        convex = gen_convex(12)
-        cases = [(convex, sorted(convex_hull_edges(convex) | {make_edge(v, j) for j in range(12)
-                                                               if (j - v) % 12 not in (0, 1, 11)}))
-                 for v in range(12)]
-        walks = [(gen_random_points(10 + s % 3, s, 1000), s, 7 + s % 4) for s in range(24)]
-        walks += [(gen_random_points(300, 1, 1 << 20), 1, 6), (gen_convex(300), 2, 4)]
-        for ps, seed, steps in walks:
-            start = initial_triangulation(ps)
-            cases += [(ps, sorted(t.edges)) for t in (start, random_walk_triangulation(start, steps, seed))]
-        for ps, edges in cases:
-            items = list(build(ps, edges).apex.items())
-            assert [e for e, _ in items] == edges
-            assert items == list(reference_certificate_build(ps, edges).apex.items())
-            assert list(build(ps, edges[::-1]).apex.items()) == items
-            if len(ps) <= 12:  # the cubic reference takes about a second at 300 points
-                assert assert_same_build(ps, edges)
+    def test_benchmark_shaped_inputs(self, monkeypatch):
+        cases = benchmark_shaped_cases()
         assert len(cases) == 12 + 2 * 26
+        for screen in screens(monkeypatch):
+            for ps, edges in cases:
+                items = list(build(ps, edges).apex.items())
+                assert [e for e, _ in items] == edges
+                assert items == list(reference_certificate_build(ps, edges).apex.items()), screen
+                assert list(build(ps, edges[::-1]).apex.items()) == items
+                if len(ps) <= 12:  # the cubic reference takes about a second at 300 points
+                    assert assert_same_build(ps, edges)
+
+    def test_map_keys_are_the_callers_canonical_tuples(self, monkeypatch):
+        ps = gen_convex(6)
+        edges = sorted(initial_triangulation(ps).edges)
+
+        class Pair(tuple):
+            pass
+
+        for _ in screens(monkeypatch):
+            given = [(a, b) for a, b in edges]  # fresh tuples, not the interpreter's constants
+            keys = list(build(ps, given).apex)
+            assert keys == edges and all(k is e for k, e in zip(keys, given))
+            # a reversed pair, a list and a tuple subclass each become a plain canonical tuple
+            for other in ((edges[0][1], edges[0][0]), list(edges[0]), Pair(edges[0])):
+                key = next(iter(build(ps, [other, *edges[1:]]).apex))
+                assert key == edges[0] and type(key) is tuple and key is not other
+
+
+def benchmark_shaped_cases() -> list[tuple[PointSet, list[Edge]]]:
+    """The point sets and the start and end triangulations of the benchmark's
+    pools, from the public generators with the same parameters, as sorted
+    edge lists; and the 12 fans of the convex 12-gon."""
+    convex = gen_convex(12)
+    cases = [(convex, sorted(convex_hull_edges(convex) | {make_edge(v, j) for j in range(12)
+                                                           if (j - v) % 12 not in (0, 1, 11)}))
+             for v in range(12)]
+    walks = [(gen_random_points(10 + s % 3, s, 1000), s, 7 + s % 4) for s in range(24)]
+    walks += [(gen_random_points(300, 1, 1 << 20), 1, 6), (gen_convex(300), 2, 4)]
+    for ps, seed, steps in walks:
+        start = initial_triangulation(ps)
+        cases += [(ps, sorted(t.edges)) for t in (start, random_walk_triangulation(start, steps, seed))]
+    return cases
 
 
 class TestGenRandomPointsDifferential:
@@ -499,8 +527,8 @@ def _forbidden(*args, **kwargs):
 class TestComplexityGuards:
     """Deterministic stand-ins for timing: valid inputs must never reach the
     cubic collinearity loop, the exact fallback behind the float slopes (nor,
-    with ``_core`` loaded, the pure slope screen), the all-pairs crossing
-    test or an orientation test per face in build."""
+    with ``_core`` loaded, the pure slope screen or the pure certificate),
+    the all-pairs crossing test or an orientation test per face in build."""
 
     @pytest.mark.parametrize("ps", [gen_convex(300), gen_random_points(300, 1, 1 << 20)],
                              ids=["convex", "random"])
@@ -524,6 +552,15 @@ class TestComplexityGuards:
         monkeypatch.setattr(geometry, "_slope_repeat", _forbidden)
         monkeypatch.setattr(geometry, "direction", _forbidden)
         assert [len(PointSet.from_coords(coords)) for coords in sets] == [300, 300]
+
+    @pytest.mark.skipif(_kernel._core is None, reason="compiled extension not built")
+    @pytest.mark.parametrize("ps", [gen_convex(300), gen_random_points(300, 1, 1 << 20)],
+                             ids=["convex", "random"])
+    def test_compiled_certificate_settles_builds(self, ps, monkeypatch):
+        edges = sorted(initial_triangulation(ps).edges)
+        monkeypatch.setattr(triangulation, "_apex_rows", _forbidden)
+        monkeypatch.setattr(triangulation, "segments_properly_cross", _forbidden)
+        assert list(build(ps, edges).apex) == edges
 
     @pytest.mark.parametrize("ps", [gen_convex(300), gen_random_points(300, 1, 1 << 20)],
                              ids=["convex", "random"])
