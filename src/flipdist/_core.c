@@ -542,28 +542,33 @@ static PyObject *slope_repeat(PyObject *self, PyObject *args)
     return PyLong_FromLong(-1);
 }
 
-/* One edge of apex_rows: its ends, its apex row (c, d) as the map stores
- * it, and the ids of the edges (a, c), (b, c), (a, d) and (b, d), the other
- * sides of its candidate faces. */
+/* An apex w of edge (a, b), or -1, and the ids of the edges (a, w) and
+ * (b, w), the other sides of its candidate face. */
 typedef struct {
-    Py_ssize_t a, b, c, d;
-    Py_ssize_t ca, cb, da, db;
+    Py_ssize_t w, aw, bw;
+} Apex;
+
+/* One edge of apex_rows: its ends and its apex row (c, d) as the map
+ * stores it. */
+typedef struct {
+    Py_ssize_t a, b;
+    Apex c, d;
 } Row;
 
 /* Whether edge e's row lists apex v. */
 static int lists(const Row *rows, Py_ssize_t e, Py_ssize_t v)
 {
-    return rows[e].c == v || rows[e].d == v;
+    return rows[e].c.w == v || rows[e].d.w == v;
 }
 
-/* Whether the candidate face of edge i with apex c, whose other sides are
- * ca = (a, c) and cb = (b, c), is listed by no side before i: a face can be
- * listed only by its three sides, so counting each at its first lister
- * counts the distinct faces, as the set of triangulation._apex_rows does,
- * with no sort and no encoded triple that could overflow. */
-static int first_lister(const Row *rows, Py_ssize_t i, Py_ssize_t ca, Py_ssize_t cb)
+/* Whether edge i's candidate face with apex x is listed by no side before
+ * i: a face can be listed only by its three sides, so counting each at its
+ * first lister counts the distinct faces, as the set of
+ * triangulation._apex_rows does, with no sort and no encoded triple that
+ * could overflow. */
+static int first_lister(const Row *rows, Py_ssize_t i, Apex x)
 {
-    return !(ca < i && lists(rows, ca, rows[i].b)) && !(cb < i && lists(rows, cb, rows[i].a));
+    return !(x.aw < i && lists(rows, x.aw, rows[i].b)) && !(x.bw < i && lists(rows, x.bw, rows[i].a));
 }
 
 /* The rows and the distinct-entry count of triangulation._apex_rows over
@@ -598,7 +603,8 @@ static PyObject *apex_rows(PyObject *self, PyObject *args)
     if (edges == NULL)
         return NULL;
     m = PyTuple_GET_SIZE(edges);
-    /* at most 32 n + 96 m + 8 bytes, so these keep the size in range */
+    /* at most 32 n + 96 m + 8 bytes (a Row is at most 64), so these keep
+     * the size in range */
     if (n > PY_SSIZE_T_MAX / 64 || m > PY_SSIZE_T_MAX / 128) {
         Py_DECREF(edges);
         return PyErr_NoMemory();
@@ -658,7 +664,7 @@ static PyObject *apex_rows(PyObject *self, PyObject *args)
         long long xa = xs[r->a], ya = ys[r->a], dx = xs[r->b] - xa, dy = ys[r->b] - ya;
         long long cx = 0, cy = 0, ex = 0, ey = 0;
         Py_ssize_t p = off[r->a], pe = off[r->a + 1], q = off[r->b], qe = off[r->b + 1];
-        r->c = r->d = r->ca = r->cb = r->da = r->db = -1;
+        r->c = r->d = (Apex){-1, -1, -1};
         while (p < pe && q < qe) {
             if (nbr[p] < nbr[q]) {
                 p++;
@@ -669,17 +675,13 @@ static PyObject *apex_rows(PyObject *self, PyObject *args)
                 long long ux = xs[w] - xa, uy = ys[w] - ya;
                 /* w is nearer to ab than the apex so far iff that apex lies past w around a */
                 if (dx * uy > dy * ux) { /* left; never collinear in general position */
-                    if (r->c < 0 || ux * cy > uy * cx) {
-                        r->c = w;
-                        r->ca = nbe[p];
-                        r->cb = nbe[q];
+                    if (r->c.w < 0 || ux * cy > uy * cx) {
+                        r->c = (Apex){w, nbe[p], nbe[q]};
                         cx = ux;
                         cy = uy;
                     }
-                } else if (r->d < 0 || ux * ey < uy * ex) {
-                    r->d = w;
-                    r->da = nbe[p];
-                    r->db = nbe[q];
+                } else if (r->d.w < 0 || ux * ey < uy * ex) {
+                    r->d = (Apex){w, nbe[p], nbe[q]};
                     ex = ux;
                     ey = uy;
                 }
@@ -687,20 +689,19 @@ static PyObject *apex_rows(PyObject *self, PyObject *args)
                 q++;
             }
         }
-        if (r->c < 0 || (0 <= r->d && r->d < r->c)) {
-            Py_ssize_t t;
-            t = r->c, r->c = r->d, r->d = t;
-            t = r->ca, r->ca = r->da, r->da = t;
-            t = r->cb, r->cb = r->db, r->db = t;
+        if (r->c.w < 0 || (0 <= r->d.w && r->d.w < r->c.w)) {
+            Apex t = r->c;
+            r->c = r->d;
+            r->d = t;
         }
     }
     /* placeholders: one where an edge has no candidate, one for a missing
      * second candidate off the hull; only then is the hull asked */
     for (i = 0; i < m; i++) {
         const Row *r = &rows[i];
-        count += r->c < 0 || first_lister(rows, i, r->ca, r->cb);
-        if (r->d >= 0) {
-            count += first_lister(rows, i, r->da, r->db);
+        count += r->c.w < 0 || first_lister(rows, i, r->c);
+        if (r->d.w >= 0) {
+            count += first_lister(rows, i, r->d);
         } else {
             int on_hull = PySet_Contains(hull, PyTuple_GET_ITEM(edges, i));
             if (on_hull < 0)
@@ -711,16 +712,14 @@ static PyObject *apex_rows(PyObject *self, PyObject *args)
     if ((rows_obj = PyList_New(m)) == NULL)
         goto done;
     for (i = 0; i < m; i++) {
-        PyObject *row = PyTuple_New(2), *c, *d;
+        PyObject *row = PyTuple_New(2);
         if (row == NULL)
             goto done;
         PyList_SET_ITEM(rows_obj, i, row);
-        if ((c = PyLong_FromSsize_t(rows[i].c)) == NULL)
+        PyTuple_SET_ITEM(row, 0, PyLong_FromSsize_t(rows[i].c.w));
+        PyTuple_SET_ITEM(row, 1, PyLong_FromSsize_t(rows[i].d.w));
+        if (PyTuple_GET_ITEM(row, 0) == NULL || PyTuple_GET_ITEM(row, 1) == NULL)
             goto done;
-        PyTuple_SET_ITEM(row, 0, c);
-        if ((d = PyLong_FromSsize_t(rows[i].d)) == NULL)
-            goto done;
-        PyTuple_SET_ITEM(row, 1, d);
     }
     result = Py_BuildValue("(On)", rows_obj, count);
 done:

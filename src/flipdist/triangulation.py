@@ -171,8 +171,9 @@ def build(ps: PointSet, edge_list: Iterable[Edge]) -> Triangulation:
         a, b = e
         if not (0 <= a < n and 0 <= b < n) or a == b:
             raise BadIndex(f"bad edge ({a}, {b}) for {n} points")
-        # reusing the caller's tuples spares set-up an allocation per edge
-        edges[e if a < b and type(e) is tuple else (a, b) if a < b else (b, a)] = None
+        if a > b or type(e) is not tuple:  # else key by the caller's tuple: one allocation less
+            e = (a, b) if a < b else (b, a)
+        edges[e] = None
 
     hull = convex_hull_edges(ps)
     if len(edges) != (expected := 3 * n - 3 - len(hull)):
