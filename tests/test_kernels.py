@@ -39,23 +39,20 @@ from flipdist.triangulation import _apex_rows, build, flip, is_flippable, necess
 
 from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
 from test_prune import fan
-from test_validation import benchmark_shaped_cases, random_coords
+from test_validation import ONE_PART_REJECTIONS, benchmark_shaped_cases, random_coords
 
-# Edge sets of the right size that only one part of build's certificate
-# rejects (see test_validation's test_one_part_rejects): the face count,
-# a missing hull edge, and edges without a candidate.
-ONE_PART_REJECTIONS = [
-    ([(3, 5), (6, 2), (3, 11), (0, 1), (2, 3)],
-     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
-    ([(3, 5), (6, 2), (3, 0), (1, 2)], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
-    ([(0, 0), (1, 1), (2, 4), (3, 9), (4, 16), (5, 25)],
-     [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]),
-]
+
+def one_part_rejections() -> list[tuple[PointSet, list]]:
+    """The edge sets that one part of build's certificate alone rejects
+    (test_validation's ONE_PART_REJECTIONS), with their point sets."""
+    return [(PointSet.from_coords(coords), edges)
+            for coords, edges, _ in (param.values for param in ONE_PART_REJECTIONS)]
 
 
 def certificate_args(ps: PointSet, edges) -> tuple:
-    """build's arguments to the certificate, for a sorted canonical edge list."""
+    """build's arguments to the certificate, for canonical edges."""
     return ps.xs, ps.ys, sorted(edges), convex_hull_edges(ps)
+
 
 needs_compiled = pytest.mark.skipif(not compiled_available(),
                                     reason="compiled extension not built")
@@ -168,8 +165,8 @@ def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
     # the 1,100-point fan, also above the kernel's cap; sets, as the lines
     # are read back with ast.literal_eval
     valid = initial_triangulation(gen_random_points(30, 1, 1000))
-    certified = [(valid.ps, valid.apex), *((PointSet.from_coords(c), e) for c, e in ONE_PART_REJECTIONS),
-                 (ps := gen_convex(COMPILED_MAX_POINTS + 76), fan(ps, 0).apex)]
+    ps = gen_convex(COMPILED_MAX_POINTS + 76)
+    certified = [(valid.ps, valid.apex), *one_part_rejections(), (ps, fan(ps, 0).apex)]
     for ps, edges in certified:
         xs, ys, ordered, hull = certificate_args(ps, edges)
         cases.append(("apex_rows", (xs, ys, ordered, set(hull))))
@@ -279,8 +276,7 @@ class TestCertificateParity:
         return got
 
     def test_one_part_rejections(self):
-        for coords, edges in ONE_PART_REJECTIONS:
-            ps = PointSet.from_coords(coords)
+        for ps, edges in one_part_rejections():
             _, listed = self.same(ps, edges)
             assert 3 * listed != 2 * len(edges) - len(convex_hull_edges(ps))
 

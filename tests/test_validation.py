@@ -385,6 +385,30 @@ class TestPointSetDifferential:
             assert fallback_accepted > 30 and collinear > 100
 
 
+# Each set has the right edge count and is rejected by one part of build's
+# certificate alone: a copy of build without that part accepts it.
+ONE_PART_REJECTIONS = [
+    # the face count: only hull edges have one candidate, but the faces
+    # (0, 1, 3), (0, 2, 3) and (1, 2, 4) are each listed by two sides, so
+    # 3 * |faces| = 18 where 2m - h = 15
+    pytest.param([(3, 5), (6, 2), (3, 11), (0, 1), (2, 3)],
+                 [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+                 "(0, 3) and (2, 4)", id="face-count"),
+    # one-sided edges off the hull: without the hull edge (2, 3), both
+    # diagonals of the convex quadrilateral have one candidate; only
+    # their placeholders (-2, 0, 2) and (-2, 1, 3) break the count,
+    # 3 * 4 where 2 * 5 - 4 = 6
+    pytest.param([(3, 5), (6, 2), (3, 0), (1, 2)], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+                 "(0, 2) and (1, 3)", id="hull-edge-missing"),
+    # edges without a candidate: (1, 4) and the hull edges (0, 5), (3, 4)
+    # and (4, 5); only their placeholders (-1, a, b) break the count,
+    # 3 * 8 where 2 * 9 - 6 = 12
+    pytest.param([(0, 0), (1, 1), (2, 4), (3, 9), (4, 16), (5, 25)],
+                 [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)],
+                 "(0, 2) and (1, 4)", id="no-candidate"),
+]
+
+
 class TestBuildDifferential:
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_edge_sets(self, bound, monkeypatch):
@@ -437,28 +461,7 @@ class TestBuildDifferential:
             assert outcome(build, ps, edges) == (NotPlanar, f"edges {crossing} cross")
             assert not assert_same_build(ps, edges)
 
-    # Each set has the right edge count and is rejected by one part of the
-    # certificate alone: a copy of build without that part accepts it.
-    @pytest.mark.parametrize("coords,edges,crossing", [
-        # the face count: only hull edges have one candidate, but the faces
-        # (0, 1, 3), (0, 2, 3) and (1, 2, 4) are each listed by two sides, so
-        # 3 * |faces| = 18 where 2m - h = 15
-        pytest.param([(3, 5), (6, 2), (3, 11), (0, 1), (2, 3)],
-                     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
-                     "(0, 3) and (2, 4)", id="face-count"),
-        # one-sided edges off the hull: without the hull edge (2, 3), both
-        # diagonals of the convex quadrilateral have one candidate; only
-        # their placeholders (-2, 0, 2) and (-2, 1, 3) break the count,
-        # 3 * 4 where 2 * 5 - 4 = 6
-        pytest.param([(3, 5), (6, 2), (3, 0), (1, 2)], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
-                     "(0, 2) and (1, 3)", id="hull-edge-missing"),
-        # edges without a candidate: (1, 4) and the hull edges (0, 5), (3, 4)
-        # and (4, 5); only their placeholders (-1, a, b) break the count,
-        # 3 * 8 where 2 * 9 - 6 = 12
-        pytest.param([(0, 0), (1, 1), (2, 4), (3, 9), (4, 16), (5, 25)],
-                     [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)],
-                     "(0, 2) and (1, 4)", id="no-candidate"),
-    ])
+    @pytest.mark.parametrize("coords,edges,crossing", ONE_PART_REJECTIONS)
     def test_one_part_rejects(self, coords, edges, crossing, monkeypatch):
         ps = PointSet.from_coords(coords)
         for _ in screens(monkeypatch):
