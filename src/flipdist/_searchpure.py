@@ -6,13 +6,16 @@ decides whether an edge flips and into which, ``triangulation._apply_flip``
 flips it and, applied to the created edge, undoes it.  The walk keeps the
 count of edges still missing from the target itself.  Each composition is
 searched by one loop over an explicit stack (``_walk``), never by recursion,
-so no budget runs into Python's recursion limit.  This is the reference
-kernel, and the one that runs with no compiler or no cache.  The C extension
-``_core`` (``_core.c``, compiled on first import by ``_kernel`` into a cache
-keyed by the source; a library beside it is never loaded) implements the
-identical contract on its own arrays and must stay behaviorally
-indistinguishable from it (the test suite diffs the two).  A corrupt apex
-table raises AssertionError in both.
+so no budget runs into Python's recursion limit.  It is the kernel that runs
+when no compiler is available, and above the compiled kernel's 1024-point
+cap.  The C extension ``_core`` (``_core.c``, compiled on first import by
+``_kernel`` into a cache keyed by the source; a library beside it is never
+loaded) implements the identical contract on its own arrays and must stay
+behaviorally indistinguishable from it (the test suite diffs the two).  A
+corrupt apex table raises AssertionError in both.  The search's
+specification is ``solver``'s ``compositions``, ``iteration_shapes`` and
+``transform``: the test suite checks both kernels against the literal search
+built from them.
 
 Kernel contract: ``run_budget(prep, k)`` tries the compositions of k >= 1 in
 the order ``compositions`` yields them and returns None when none of them

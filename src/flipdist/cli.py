@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import FlipDistError, InstanceSyntaxError, InvalidAt
+from .errors import FlipDistError, InstanceSyntaxError, InvalidAt, NoFlippableEdge
 from .flipdag import FlipSequence, replay
 from .instances import (
     Instance,
@@ -175,8 +175,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sub_seed = args.seed * 100_003 + trial
         ps = gen_random_points(args.n, sub_seed, args.bound)
         t_start = initial_triangulation(ps)
-        steps = trial % (args.max_k + 1)
-        t_end = random_walk_triangulation(t_start, steps, sub_seed + 1)
+        try:
+            t_end = random_walk_triangulation(t_start, trial % (args.max_k + 1), sub_seed + 1)
+        except NoFlippableEdge:  # the point set's only triangulation: check distance 0
+            t_end = t_start
         oracle_found = bfs_distance(t_start, t_end, args.max_k)
         want = oracle_found[0] if oracle_found is not None else None
         got = flip_distance_upto(t_start, t_end, args.max_k)

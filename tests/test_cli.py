@@ -192,6 +192,15 @@ class TestVerify:
         assert proc.returncode == 0
         assert proc.stdout == "ok=5 fail=0\n"
 
+    @pytest.mark.parametrize("n", ["3", "4"])
+    def test_cross_mode_on_a_lone_triangulation(self, n):
+        # 3 points, or 4 with one inside the others' triangle, have one
+        # triangulation and no flip: such a trial checks distance 0
+        proc = run_cli("verify", "--mode", "cross", "--n", n, "--trials", "6",
+                       "--seed", "1", "--max-k", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok=6 fail=0\n"
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_cross_mode_needs_a_trial(self, trials):
         proc = run_cli("verify", "--mode", "cross", "--n", "6", "--trials", trials)

@@ -2,11 +2,15 @@
 
 The compiled kernel must be bit-for-bit interchangeable with the pure Python
 one: same accept/reject answer and the same witness triple for every flip
-budget, since the solver's determinism guarantee rests on that.
+budget, since the solver's determinism guarantee rests on that.  Both must
+also return the triple of the paper's search as stated, built here from
+solver's public ``compositions``, ``iteration_shapes`` and ``transform``
+(``literal_run_budget``, checked on 2,518 pairs by ``TestLiteralSearch``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -16,11 +20,10 @@ import sys
 import sysconfig
 from collections import deque
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import pytest
 
-import flipdist
 from flipdist import _kernel
 from flipdist._kernel import (
     COMPILED_MAX_POINTS,
@@ -29,13 +32,13 @@ from flipdist._kernel import (
     make_prep,
     resolve_backend,
 )
-from flipdist._searchpure import Accept, Prep
+from flipdist._searchpure import Accept
 from flipdist.flipdag import replay
 from flipdist.geometry import COORD_BOUND, PointSet, _slope_repeat, convex_hull_edges
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
 from flipdist.oracle import bfs_distance
-from flipdist.solver import search_exact, search_upto
-from flipdist.triangulation import _apex_rows, build, flip, is_flippable, necessary_edges
+from flipdist.solver import IterationShape, Move, compositions, iteration_shapes, search_exact, search_upto, transform
+from flipdist.triangulation import Triangulation, _apex_rows, build, flip, is_flippable, necessary_edges
 
 from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
 from test_prune import fan
@@ -180,11 +183,10 @@ def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
     # an endpoint out of range, which the pure twin's contract excludes
     cases.append(("apex_rows", ((0, 4, 4, 0), (0, 0, 4, 4), [(0, 1), (1, 2), (2, 7)], set())))
     want.append("ValueError: value 7 outside [0, 4)")
-    src = str(Path(flipdist.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CALLS], input="".join(f"{case!r}\n" for case in cases),
         capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path),
+        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path),
              "CC": shlex.join(cc) + " -fsanitize=address,undefined"
                    " -fno-sanitize-recover=undefined -g",
              "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"})
@@ -483,9 +485,7 @@ class TestCorruptState:
             kernel_for(backend)(prep, 1)
 
     def test_corrupt_tables_raise_under_optimize(self):
-        src = str(Path(flipdist.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TABLES],
-                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TABLES], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         backends = ["pure"] + (["compiled"] if compiled_available() else [])
         assert proc.stdout.splitlines() == [
@@ -545,7 +545,9 @@ class TestCallState:
 
 def flip_graph_distances(tris):
     """All-pairs flip distances over a whole flip graph, by a plain BFS from
-    every vertex; shares no code with oracle.bfs_distance."""
+    every vertex.  It flips through flip and is_flippable, so it shares the
+    flip rule (_flips_into, _apply_flip) with the pure kernel and the oracle,
+    but not their search or oracle.bfs_distance's BFS."""
     index = {frozenset(t.edges): i for i, t in enumerate(tris)}
     adj = [[index[frozenset(flip(t, e)[0].edges)] for e in sorted(t.edges) if is_flippable(t, e)]
            for t in tris]
@@ -606,10 +608,10 @@ class TestGapThree:
     distance exceeds the missing-edge bound by 3 (none exceeds it by more),
     and every ordered pair of gen_random_points(9, 5, 1000) whose distance
     exceeds it by 2 or more, in closure order.  Distances come from
-    flip_graph_distances, a plain BFS that shares no code with the search.
-    search_upto(s, t, d) must find distance d with a witness that replays,
-    and the declared slice PURE_SLICE of each list, run again on the pure
-    kernel, must give the identical result."""
+    flip_graph_distances, a plain BFS that shares the flip rule with the
+    pure kernel but not its search.  search_upto(s, t, d) must find distance
+    d with a witness that replays, and the declared slice PURE_SLICE of each
+    list, run again on the pure kernel, must give the identical result."""
 
     PURE_SLICE = slice(None, None, 50)
 
@@ -639,180 +641,56 @@ class TestGapThree:
             assert [self.check(start, end, d) for start, end, d, _ in sliced] == first
 
 
-# The pure kernel as it was while it recursed through iterate/descend, kept
-# verbatim (the entry point renamed) as the reference for the order in which
-# the one-loop kernels must find witnesses.
-
-class _State:
-    """Current triangulation as eid -> [apex_lo, apex_hi] (hi -1 on the hull),
-    plus the count of edges still missing from the target."""
-
-    __slots__ = ("n", "xs", "ys", "apex", "target", "nec_cnt")
-
-    def __init__(self, prep: Prep):
-        n, xs, ys, edges, target = prep
-        self.n = n
-        self.xs = xs
-        self.ys = ys
-        self.target = {a * n + b for a, b in target}
-        self.apex: dict[int, list[int]] = {}
-        self.nec_cnt = 0
-        for a, b, c, d in edges:
-            eid = a * n + b
-            self.apex[eid] = [c, d]
-            if eid not in self.target:
-                self.nec_cnt += 1
-
-    def flippable(self, eid: int) -> bool:
-        c, d = self.apex[eid]
-        if d < 0:
-            return False
-        n, xs, ys = self.n, self.xs, self.ys
-        a, b = divmod(eid, n)
-        dx, dy = xs[d] - xs[c], ys[d] - ys[c]
-        # c, d lie on opposite sides of ab: convex iff a, b lie strictly on opposite sides of cd
-        return (dx * (ys[a] - ys[c]) - dy * (xs[a] - xs[c])) * \
-               (dx * (ys[b] - ys[c]) - dy * (xs[b] - xs[c])) < 0
-
-    def _swap_apex(self, u: int, v: int, old: int, new: int) -> None:
-        sid = u * self.n + v if u < v else v * self.n + u
-        pair = self.apex[sid]
-        if pair[0] == old:
-            pair[0] = new
-        elif pair[1] == old:
-            pair[1] = new
-        else:
-            raise AssertionError("apex table corrupted")
-        if pair[1] >= 0 and pair[0] > pair[1]:
-            pair[0], pair[1] = pair[1], pair[0]
-
-    def do_flip(self, eid: int) -> int:
-        """Flip a (flippable) edge in place; returns the created edge's id.
-        Calling again on the returned id undoes the flip exactly."""
-        n = self.n
-        a, b = divmod(eid, n)
-        c, d = self.apex.pop(eid)
-        if eid not in self.target:
-            self.nec_cnt -= 1
-        gid = c * n + d
-        self.apex[gid] = [a, b]
-        if gid not in self.target:
-            self.nec_cnt += 1
-        self._swap_apex(a, c, b, d)
-        self._swap_apex(b, c, a, d)
-        self._swap_apex(a, d, b, c)
-        self._swap_apex(b, d, a, c)
-        return gid
-
-    def neighbors(self, eid: int) -> tuple[int, ...]:
-        """Edge ids of the incident triangles' other edges, in the canonical
-        direction order (2 entries on the hull, else 4)."""
-        n = self.n
-        a, b = divmod(eid, n)
-        c, d = self.apex[eid]
-        e1 = a * n + c if a < c else c * n + a
-        e2 = b * n + c if b < c else c * n + b
-        if d < 0:
-            return (e1, e2)
-        e3 = a * n + d if a < d else d * n + a
-        e4 = b * n + d if b < d else d * n + b
-        return (e1, e2, e3, e4)
+@functools.cache
+def shapes_of(k_i: int) -> tuple[IterationShape, ...]:
+    """iteration_shapes(k_i), built once: building the strings again for
+    every iteration adds about half to TestLiteralSearch's time."""
+    return tuple(iteration_shapes(k_i))
 
 
-def compositions(k: int) -> Iterator[tuple[int, ...]]:
-    """The 2^(k-1) compositions of k >= 1 in lexicographic order: drop the
-    last part, add one to the part before it, append ones."""
-    if k < 1:
-        raise ValueError(f"flip budget {k} below 1")
-    parts = [1] * k
-    yield tuple(parts)
-    while len(parts) > 1:
-        last = parts.pop()
-        parts[-1] += 1
-        parts += [1] * (last - 1)
-        yield tuple(parts)
+def literal_run_budget(start: Triangulation, end: Triangulation, k: int) -> Optional[Accept]:
+    """The paper's search for budget k as stated, from solver's public pieces.
+    It tries compositions(k) in order.  Each iteration takes its start edge by
+    the cursor rule of solver's docstring: the next surviving necessary edge,
+    else a rebuild of the sorted necessary edges, and an empty rebuild kills
+    the branch.  Every iteration_shapes(k_i) string then goes through
+    transform, and a run accepts when its final edge set is the target's.
+    Returns the kernels' triple, with action codes 0..3 for Move and 4 for
+    FlipBack.  It prunes nothing: the kernels' cuts drop only branches that
+    cannot accept, so the first accepting run is the same."""
 
-
-def reference_run_budget(prep: Prep, k: int) -> Optional[Accept]:
-    st = _State(prep)
-    n = st.n
-    olex0 = tuple(sorted(e for e in st.apex if e not in st.target))
-    flips: list[tuple[int, int, int, int]] = []
-    starts: list[int] = []
-    actions: list[list[int]] = []
-
-    def iterate(it: int, olex: tuple[int, ...], pos: int) -> bool:
-        if it == len(parts):
-            return st.nec_cnt == 0
-        # cursor rule: next surviving necessary edge, else rebuild and restart
-        chosen = -1
-        p = pos
-        while p < len(olex):
-            e = olex[p]
+    def iterate(tri, parts, olex, p):
+        if not parts:
+            return [] if tri.edges == end.edges else None
+        while p < len(olex) and (olex[p] not in tri.edges or olex[p] in end.edges):
             p += 1
-            if e in st.apex and e not in st.target:
-                chosen = e
-                break
-        if chosen < 0:
-            olex = tuple(sorted(e for e in st.apex if e not in st.target))
+        if p == len(olex):
+            olex, p = necessary_edges(tri, end), 0
             if not olex:
-                return False
-            chosen, p = olex[0], 1
-        starts.append(chosen)
-        actions.append([])
-        if descend(it, olex, p, parts[it], 0, 0, [chosen]):
-            return True
-        starts.pop()
-        actions.pop()
-        return False
+                return None
+        for shape in shapes_of(parts[0]):
+            step = transform(tri, olex[p], shape)
+            if step is not None and (rest := iterate(step[0], parts[1:], olex, p + 1)) is not None:
+                return [(olex[p], shape, step[1]), *rest]
+        return None
 
-    def descend(it: int, olex: tuple[int, ...], pos: int, ki: int,
-                m: int, f: int, stack: list[int]) -> bool:
-        if f == ki:
-            return iterate(it + 1, olex, pos)
-        cur = stack[-1]
-        trace = actions[-1]
-        if m < ki - 1:
-            nbrs = st.neighbors(cur)
-            for d in range(len(nbrs)):
-                trace.append(d)
-                stack.append(nbrs[d])
-                if descend(it, olex, pos, ki, m + 1, f, stack):
-                    return True
-                stack.pop()
-                trace.pop()
-        if (f < m or (m == ki - 1 and f == ki - 1)) and st.flippable(cur):
-            gid = st.do_flip(cur)
-            flips.append((*divmod(cur, n), *divmod(gid, n)))
-            trace.append(4)
-            stack.pop()
-            # pruned when the pop exposes an edge the flips have destroyed,
-            # or when more target edges are missing than flips remain
-            if (not stack or stack[-1] in st.apex) and st.nec_cnt <= k - len(flips):
-                if descend(it, olex, pos, ki, m, f + 1, stack):
-                    return True
-            stack.append(cur)
-            trace.pop()
-            flips.pop()
-            st.do_flip(gid)
-        return False
-
-    try:
-        for parts in compositions(k):  # iterate reads parts from this binding
-            if iterate(0, olex0, 0):
-                return flips, [divmod(e, n) for e in starts], actions
-    except KeyError as exc:  # an apex names an edge the table does not hold
-        raise AssertionError("apex table corrupted") from exc
+    for comp in compositions(k):
+        run = iterate(start, comp.parts, necessary_edges(start, end), 0)
+        if run is not None:
+            return ([(*r.underlying, *r.resulting) for _, _, recs in run for r in recs],
+                    [edge for edge, _, _ in run],
+                    [[a.direction if isinstance(a, Move) else 4 for a in shape.actions]
+                     for _, shape, _ in run])
     return None
 
 
-class TestRecursiveReference:
-    """Both kernels walk the action strings in the recursive kernel's order,
-    so they return its triple for every budget: every ordered pair of the
-    convex 4..7-gons and of gen_random_points(7, 2, 1000), at each k from
+class TestLiteralSearch:
+    """Both kernels return the triple of the paper's search as stated
+    (literal_run_budget) for every budget: every ordered pair of the convex
+    4..7-gons and of gen_random_points(7, 2, 1000), at each k from
     max(bound, 1) to d + 1."""
 
-    def test_witnesses_match_the_recursive_kernel(self):
+    def test_witnesses_match_the_literal_search(self):
         pairs = [pair for n in range(4, 8) for pair in ordered_pairs(gen_convex(n))]
         pairs += ordered_pairs(gen_random_points(7, 2, 1000))
         runs = [kernel_for("pure")] + ([kernel_for("compiled")] if compiled_available() else [])
@@ -820,7 +698,7 @@ class TestRecursiveReference:
         for start, end, d, bound in pairs:
             prep = make_prep(start, end)
             for k in range(max(bound, 1), d + 2):
-                want = reference_run_budget(prep, k)
+                want = literal_run_budget(start, end, k)
                 for run in runs:
                     assert run(prep, k) == want, (k, d)
                 calls += 1

@@ -34,15 +34,12 @@ witnesses on the benchmark's two 300-point instances.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import flipdist
 from flipdist import flipdag
 from flipdist.errors import EdgeAbsent, FlipDistError, InvalidAt, NotFlippable, ValidationError
 from flipdist.flipdag import (
@@ -569,8 +566,7 @@ for p in (3, 5):
 def plain_and_optimized(script: str) -> list[str]:
     """The lines script prints when run plainly; its first line reports
     ``__debug__``, and the others must repeat under ``python -O``."""
-    env = {**os.environ, "PYTHONPATH": str(Path(flipdist.__file__).resolve().parents[1])}
-    runs = [subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env)
+    runs = [subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True)
             for flags in ([], ["-O"])]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr

@@ -22,12 +22,10 @@ import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 from typing import Iterable
 
 import pytest
 
-import flipdist
 from flipdist import _kernel, geometry, instances, triangulation
 from flipdist.errors import (
     BadIndex,
@@ -624,13 +622,12 @@ print(len(PointSet.from_coords([(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30 - 1, 2 
 def test_crossing_rejected_under_python_O(tmp_path):
     # the compiled slope screen from the session's cache, then the pure one
     # where no compiler runs and no cached build is found
-    src = str(Path(flipdist.__file__).resolve().parent.parent)
     runs = [("compiled", {})] if _kernel._core is not None else []
     runs.append(("pure", {"CC": "/nonexistent/cc", "XDG_CACHE_HOME": str(tmp_path)}))
     for screen, env in runs:
         proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, screen],
                               capture_output=True, text=True, timeout=300,
-                              env=dict(os.environ, PYTHONPATH=src, **env))
+                              env=dict(os.environ, **env))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["NotPlanar: edges (0, 2) and (1, 3) cross", "AssertionError",
                                             "ValidationError: points 0, 1, 3 are collinear", "3 points"]
