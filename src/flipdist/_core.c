@@ -16,8 +16,11 @@
  * orientation determinant fits in a signed 64-bit product and every
  * coordinate difference is an exact double.
  *
- * One call parses prep once and steps comp through the compositions of k; a
+ * One call reads prep once and steps comp through the compositions of k; a
  * rejected one undoes all its flips, so the next starts from the same state.
+ * prep holds the triangulations' own apex maps: init reads them in place, in
+ * whatever key order they have, writes nothing to them, and sorts the
+ * start's necessary edges itself, as every rebuild does.
  * walk searches one composition in a single loop, with no recursion, so the
  * C stack does not grow with k.
  * All of a call's state, the n*n arrays included, lives in one block that
@@ -280,22 +283,47 @@ static int get_int(PyObject *seq, Py_ssize_t i, long long lo, long long hi, long
     return 0;
 }
 
+/* Read the pair in seq into *x and *y, requiring 0 <= x < n and lo <= y < n:
+ * lo = x + 1 for a canonical edge (a, b), -1 for an apex row (c, d), whose
+ * d is -1 on the hull. */
+static int get_pair(PyObject *seq, long long n, int edge, long long *x, long long *y)
+{
+    if (PySequence_Size(seq) != 2) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, edge ? "prep map keys must be edges (a, b)"
+                                                   : "prep apex rows must be (c, d)");
+        return -1;
+    }
+    return get_int(seq, 0, 0, n, x) < 0 ? -1 : get_int(seq, 1, edge ? *x + 1 : -1, n, y);
+}
+
+/* The error for a map whose entries a callback changed mid-read. */
+static int changed(void)
+{
+    PyErr_SetString(PyExc_RuntimeError, "prep map changed during the read");
+    return -1;
+}
+
 /* Fill s from prep and k, with comp at (1, ..., 1); -1 with an exception set
  * on bad input.  Every index is range-checked because the search writes
- * through it. */
+ * through it.  The two maps are read in place with PyDict_Next, whose
+ * entries are borrowed, and converting one can call back into Python: each
+ * key and value is held while it is read, and a map whose size changes, or
+ * which yields more or fewer than its E entries, raises, so no write passes
+ * the E slots allocated. */
 static int search_init(Search *s, PyObject *prep, long long k)
 {
-    PyObject *n_obj, *xs_obj, *ys_obj, *edges_obj, *target_obj;
-    Py_ssize_t E, nt, i;
+    PyObject *n_obj, *xs_obj, *ys_obj, *start, *target, *key, *val;
+    Py_ssize_t E, nt, i, pos = 0;
     long long n, a, b, c, d;
-    int nn;
+    int nn, bad;
 
     if (k < 1 || k >= INT_MAX / 4) {
         PyErr_Format(PyExc_ValueError, "flip budget %lld outside [1, %d)", k, INT_MAX / 4);
         return -1;
     }
-    if (!PyArg_ParseTuple(prep, "OOOOO;prep must be (n, xs, ys, edges, target)",
-                          &n_obj, &xs_obj, &ys_obj, &edges_obj, &target_obj))
+    if (!PyArg_ParseTuple(prep, "OOOO!O!;prep must be (n, xs, ys, start, target), maps as dicts",
+                          &n_obj, &xs_obj, &ys_obj, &PyDict_Type, &start, &PyDict_Type, &target))
         return -1;
     n = PyLong_AsLongLong(n_obj);
     if (n == -1 && PyErr_Occurred())
@@ -310,10 +338,7 @@ static int search_init(Search *s, PyObject *prep, long long k)
         return -1;
     }
     nn = (int)(n * n);
-    E = PySequence_Size(edges_obj);
-    nt = PySequence_Size(target_obj);
-    if (E < 0 || nt < 0)
-        return -1;
+    E = PyDict_GET_SIZE(start);
     if (E > nn) {
         PyErr_SetString(PyExc_ValueError, "more edges than the point set allows");
         return -1;
@@ -353,20 +378,18 @@ static int search_init(Search *s, PyObject *prep, long long k)
         if (get_int(xs_obj, i, -COORD_BOUND, COORD_BOUND + 1, &s->xs[i]) < 0 ||
             get_int(ys_obj, i, -COORD_BOUND, COORD_BOUND + 1, &s->ys[i]) < 0)
             return -1;
-    for (i = 0; i < E; i++) {
-        PyObject *tup = PySequence_GetItem(edges_obj, i);
-        int bad;
-        if (tup == NULL)
+    for (i = 0; PyDict_Next(start, &pos, &key, &val); i++) {
+        if (i == E)
+            return changed();
+        Py_INCREF(key);
+        Py_INCREF(val);
+        bad = get_pair(key, n, 1, &a, &b) < 0 || get_pair(val, n, 0, &c, &d) < 0;
+        Py_DECREF(key);
+        Py_DECREF(val);
+        if (bad)
             return -1;
-        bad = PySequence_Size(tup) != 4 || get_int(tup, 0, 0, n, &a) < 0 ||
-              get_int(tup, 1, a + 1, n, &b) < 0 || get_int(tup, 2, 0, n, &c) < 0 ||
-              get_int(tup, 3, -1, n, &d) < 0;
-        Py_DECREF(tup);
-        if (bad) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "prep edges must be (a, b, c, d)");
-            return -1;
-        }
+        if (PyDict_GET_SIZE(start) != E)
+            return changed();
         int eid = (int)(a * n + b);
         s->present[eid] = 1;
         s->ap0[eid] = (int)c;
@@ -374,24 +397,25 @@ static int search_init(Search *s, PyObject *prep, long long k)
         s->cur_edges[i] = eid;
         s->pos_of[eid] = (int)i;
     }
-    for (i = 0; i < nt; i++) {
-        PyObject *tup = PySequence_GetItem(target_obj, i);
-        int bad;
-        if (tup == NULL)
+    if (i != E)
+        return changed();
+    nt = PyDict_GET_SIZE(target);
+    for (pos = 0; PyDict_Next(target, &pos, &key, NULL);) {
+        Py_INCREF(key);
+        bad = get_pair(key, n, 1, &a, &b) < 0;
+        Py_DECREF(key);
+        if (bad)
             return -1;
-        bad = PySequence_Size(tup) != 2 || get_int(tup, 0, 0, n, &a) < 0 ||
-              get_int(tup, 1, a + 1, n, &b) < 0;
-        Py_DECREF(tup);
-        if (bad) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "prep target edges must be (a, b)");
-            return -1;
-        }
+        if (PyDict_GET_SIZE(target) != nt)
+            return changed();
         s->targ[a * n + b] = 1;
     }
-    for (i = 0; i < E; i++) /* input edges are sorted, so this is ascending */
+    /* map order is not sorted order (a flipped map appends its new edges),
+     * so the start's ordering is sorted here, as every rebuild is */
+    for (i = 0; i < E; i++)
         if (!s->targ[s->cur_edges[i]])
             s->opool[s->nec_cnt++] = s->cur_edges[i];
+    qsort(s->opool, s->nec_cnt, sizeof(int), cmp_int);
     s->cursors[0] = (Cursor){s->opool, s->nec_cnt, 0};
     return 0;
 }

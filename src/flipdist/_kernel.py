@@ -116,10 +116,7 @@ def kernel_for(name: str) -> RunFn:
 
 
 def make_prep(t_start: Triangulation, t_end: Triangulation) -> _searchpure.Prep:
-    """Flatten a start/target pair to the plain tuple the kernels consume.
-    Start edges are emitted sorted; the kernels rely on that for the initial
-    ordering of necessary edges."""
-    ps = t_start.ps
-    apex = t_start.apex
-    edges = tuple([e + apex[e] for e in sorted(apex)])
-    return (len(ps), ps.xs, ps.ys, edges, tuple(sorted(t_end.apex)))
+    """The pair as the kernels take it: the coordinates and the two apex maps
+    themselves, uncopied.  The kernels only read them and sort the necessary
+    edges they start from, so a map's key order changes no witness."""
+    return (len(t_start.ps), t_start.ps.xs, t_start.ps.ys, t_start.apex, t_end.apex)

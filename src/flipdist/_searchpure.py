@@ -27,7 +27,8 @@ transforms start into target, else the first accept as a triple
 
 Part i of the accepting composition is len(actions[i]) // 2 + 1.  A rejected
 composition undoes every flip it made, so each one starts from the same state.
-``prep`` comes from ``_kernel.make_prep`` and is plain tuple data.
+``prep`` comes from ``_kernel.make_prep``: the coordinates and the two apex
+maps, which the kernel only reads, walking a copy of the start map.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 from .triangulation import ApexMap, Edge, _apply_flip, _flips_into
 
-Prep = tuple[int, tuple[int, ...], tuple[int, ...],
-             tuple[tuple[int, int, int, int], ...], tuple[tuple[int, int], ...]]
+Prep = tuple[int, tuple[int, ...], tuple[int, ...], ApexMap, ApexMap]
 Accept = tuple[list[tuple[int, int, int, int]], list[tuple[int, int]], list[list[int]]]
 
 
@@ -56,7 +56,7 @@ def compositions(k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
-def _walk(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, target: set[Edge],
+def _walk(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, target: ApexMap,
           nec: int, olex0: tuple[Edge, ...], parts: tuple[int, ...], k: int,
           flips: list[tuple[Edge, Edge]], acts: list[int]) -> Optional[list[tuple[tuple[Edge, ...], int]]]:
     """One composition's search, the paper's walk as one loop, with no
@@ -137,9 +137,8 @@ def _walk(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, target: set[Edge]
 
 
 def run_budget(prep: Prep, k: int) -> Optional[Accept]:
-    _, xs, ys, edges, target_edges = prep
-    apex = {(a, b): (c, d) for a, b, c, d in edges}
-    target = set(target_edges)
+    _, xs, ys, start, target = prep
+    apex = start.copy()
     olex0 = tuple(sorted(e for e in apex if e not in target))
     flips: list[tuple[Edge, Edge]] = []
     acts: list[int] = []

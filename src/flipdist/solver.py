@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from . import _kernel, _searchpure
-from .errors import EdgeAbsent, ValidationError
+from .errors import EdgeAbsent, PointSetMismatch, ValidationError
 from .flipdag import FlipSequence
 from .triangulation import (
     Edge,
@@ -44,7 +44,6 @@ from .triangulation import (
     flip,
     is_flippable,
     make_edge,
-    necessary_edges,
 )
 
 
@@ -239,8 +238,10 @@ def _package(t_start: Triangulation, t_end: Triangulation, k: int,
 
 def _scan(t_start: Triangulation, t_end: Triangulation, k_lo: int, k_hi: int) -> Optional[SolveResult]:
     """The witness for the smallest k in k_lo..k_hi with a YES, or None.  The
-    bound and prep depend only on the pair, so they are computed once."""
-    bound = len(necessary_edges(t_start, t_end))
+    bound, a count of the start's missing edges, and prep are computed once."""
+    if t_start.ps != t_end.ps:
+        raise PointSetMismatch("triangulations are over different point sets")
+    bound = len(t_start.apex) - sum(map(t_end.apex.__contains__, t_start.apex))
     if k_hi < 0:
         raise ValidationError(f"negative flip budget {k_hi}")
     budgets = range(max(k_lo, bound), k_hi + 1)

@@ -103,3 +103,50 @@ def flip_closure(seed: Triangulation) -> list[Triangulation]:
                     seen[key] = nxt
                     frontier.append(nxt)
     return [seen[key] for key in sorted(seen)]
+
+
+class _Pair:
+    """A two-item sequence, hashed by identity, that a kernel reads through
+    the sequence protocol; unlike a tuple it is freed outright, so a reader
+    that kept only a borrowed reference to it reads freed memory."""
+
+    def __init__(self, first, second):
+        self.items = (first, second)
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+
+def changing_map(start: dict, change: str) -> dict:
+    """A copy of an apex map that changes while a kernel reads it.  Its edge
+    (0, 1) is keyed by a pair whose first element, when converted to an int,
+    changes the copy: "grow" adds 64 entries, "clear" empties it, "swap"
+    drops an entry already read and adds a new one, "refill" empties it and
+    puts start back.  The key and its row are freed by the change unless the
+    reader holds them.  Six entries put in first and deleted leave the table
+    free slots, so a swap runs the read past the map's size, and put the read
+    position ahead of the entries read, so a refill ends the read short."""
+    rows = [(e, row) for e, row in start.items() if e != (0, 1)]
+    table = {("deleted", i): None for i in range(6)}
+
+    class Changes:
+        def __index__(self):
+            if change == "grow":
+                table.update({("added", i): None for i in range(64)})
+            elif change == "clear":
+                table.clear()
+            elif change == "swap":
+                del table[rows[0][0]]
+                table[("added", 0)] = None
+            else:
+                table.clear()
+                table.update(start)
+            return 0
+
+    table.update(rows[:2] + [(_Pair(Changes(), 1), _Pair(*start[(0, 1)]))] + rows[2:])
+    for i in range(6):
+        del table[("deleted", i)]
+    return table

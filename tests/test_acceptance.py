@@ -15,8 +15,6 @@ import sys
 import time
 from functools import lru_cache
 
-import pytest
-
 from flipdist.flipdag import build_dag, check_reordering, replay, topological_sorts_sample
 from flipdist.geometry import convex_hull_edges
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation

@@ -40,7 +40,7 @@ from flipdist.oracle import bfs_distance
 from flipdist.solver import IterationShape, Move, compositions, iteration_shapes, search_exact, search_upto, transform
 from flipdist.triangulation import Triangulation, _apex_rows, build, flip, is_flippable, necessary_edges
 
-from conftest import can_build_core, compiler_command, convex_pair, flip_closure, tri_of
+from conftest import can_build_core, changing_map, compiler_command, convex_pair, flip_closure, tri_of
 from test_prune import fan
 from test_validation import ONE_PART_REJECTIONS, benchmark_shaped_cases, random_coords
 
@@ -60,6 +60,7 @@ def certificate_args(ps: PointSet, edges) -> tuple:
 needs_compiled = pytest.mark.skipif(not compiled_available(),
                                     reason="compiled extension not built")
 BACKENDS = ["pure", pytest.param("compiled", marks=needs_compiled)]
+MAP_CHANGES = ("grow", "clear", "swap", "refill")
 
 
 def instance_pairs():
@@ -95,14 +96,26 @@ def reference_make_prep(t_start, t_end):
     return (n, xs, ys, tuple(edges), tuple(sorted(t_end.edges)))
 
 
+def prep_rows(prep):
+    """A prep's two maps read back as the sorted (a, b, c, d) start rows and
+    (a, b) target edges that make_prep once flattened them to."""
+    n, xs, ys, start, target = prep
+    return (n, xs, ys, tuple(e + start[e] for e in sorted(start)), tuple(sorted(target)))
+
+
+def without_01(start):
+    """The start map with its hull edge (0, 1) dropped, order kept."""
+    return {e: row for e, row in start.items() if e != (0, 1)}
+
+
 def test_make_prep_matches_the_triangle_map_version():
     cases = [(start, end) for start, end, _ in instance_pairs()]
     for ps in (gen_random_points(300, seed=1, bound=1 << 20), gen_convex(300)):
         start = random_walk_triangulation(initial_triangulation(ps), steps=30, seed=2)
         cases.append((start, random_walk_triangulation(start, steps=6, seed=3)))
     for start, end in cases:
-        assert make_prep(start, end) == reference_make_prep(start, end)
-        assert make_prep(end, start) == reference_make_prep(end, start)
+        assert prep_rows(make_prep(start, end)) == reference_make_prep(start, end)
+        assert prep_rows(make_prep(end, start)) == reference_make_prep(end, start)
 
 
 @pytest.mark.skipif(not can_build_core(), reason="no C compiler on PATH or no Python.h")
@@ -142,20 +155,39 @@ for line in sys.stdin:
 """
 
 
+# Reads a prep from stdin and runs the compiled kernel on its start map as
+# conftest.changing_map changes it mid-read, once per change named in argv,
+# printing what each call raised.
+_RUN_CHANGING_MAPS = """
+import ast, sys
+from conftest import changing_map
+from flipdist import _kernel
+n, xs, ys, start, target = ast.literal_eval(sys.stdin.readline())
+for change in sys.argv[1:]:
+    try:
+        print(repr(_kernel._core.run_budget((n, xs, ys, changing_map(start, change), target), 1)))
+    except Exception as exc:
+        print(f"{change}: {type(exc).__name__}: {exc}")
+"""
+
+
 @pytest.mark.skipif(not can_build_core(), reason="no C compiler on PATH or no Python.h")
 def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
     """The kernel, the slope screen and the certificate built with
     AddressSanitizer and UBSan answer like the pure ones, so no call reads or
-    writes outside its block."""
+    writes outside its block, and the kernel's map read survives a map that
+    changes under it.  Objects are allocated with malloc, so the sanitizer
+    sees a key or row that such a change frees."""
     cc = compiler_command()
     libasan = subprocess.run(cc + ["-print-file-name=libasan.so"], capture_output=True,
                              text=True).stdout.strip()
     if not os.path.isabs(libasan) or not os.path.exists(libasan):
         pytest.skip("the compiler has no libasan.so")
-    n, xs, ys, edges, target = make_prep(*square_tris)
-    wrong_apex = (n, xs, ys, tuple((0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges), target)
+    n, xs, ys, start, target = make_prep(*square_tris)
+    wrong_apex = (n, xs, ys, {**start, (0, 1): (3, -1)}, target)
     ps = gen_convex(1024)  # the largest block the kernel allocates
     cases = [("run_budget", (wrong_apex, 1)), ("run_budget", (make_prep(fan(ps, 0), fan(ps, 1)), 1021))]
+    # maps in flip order, whose initial necessary edges the kernel sorts
     for start, end, d in instance_pairs()[::5]:
         cases += [("run_budget", (make_prep(start, end), k)) for k in range(max(d, 1), d + 2)]
     # the screen has no point cap: 1,100 points is above the kernel's
@@ -183,17 +215,23 @@ def test_sanitized_kernel_matches_pure(tmp_path, square_tris):
     # an endpoint out of range, which the pure twin's contract excludes
     cases.append(("apex_rows", ((0, 4, 4, 0), (0, 0, 4, 4), [(0, 1), (1, 2), (2, 7)], set())))
     want.append("ValueError: value 7 outside [0, 4)")
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+           "CC": shlex.join(cc) + " -fsanitize=address,undefined -fno-sanitize-recover=undefined -g",
+           "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CALLS], input="".join(f"{case!r}\n" for case in cases),
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path),
-             "CC": shlex.join(cc) + " -fsanitize=address,undefined"
-                   " -fno-sanitize-recover=undefined -g",
-             "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"})
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     lib, *got = proc.stdout.splitlines()
     assert Path(lib).is_relative_to(tmp_path)
     assert got == want
+    # run from tests/, where the script imports conftest
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CHANGING_MAPS, *MAP_CHANGES], input=f"{make_prep(*square_tris)!r}\n",
+        cwd=Path(__file__).parent, capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{change}: RuntimeError: prep map changed during the read" for change in MAP_CHANGES]
 
 
 def screen_rows(coords) -> list[int]:
@@ -341,23 +379,23 @@ class TestResolveBackend:
 
 
 class TestMakePrep:
-    def test_shape_and_sortedness(self, square_tris):
+    def test_shape_and_own_maps(self, square_tris):
         a, b = square_tris
-        n, xs, ys, edges, target = make_prep(a, b)
+        n, xs, ys, start, target = make_prep(a, b)
         assert n == 4 and len(xs) == len(ys) == 4
-        assert [e[:2] for e in edges] == sorted(e[:2] for e in edges)
-        assert list(target) == sorted(target)
+        # the triangulations' own maps, neither copied nor sorted
+        assert start is a.apex
+        assert target is b.apex
 
     def test_apex_encoding(self, square_tris):
         a, _ = square_tris
-        n, xs, ys, edges, _ = make_prep(a, a)
-        by_edge = {e[:2]: e[2:] for e in edges}
-        assert by_edge[(0, 2)] == (1, 3)   # interior edge, two apexes
-        assert by_edge[(0, 1)] == (2, -1)  # hull edge, one apex
+        n, xs, ys, start, _ = make_prep(a, a)
+        assert start[(0, 2)] == (1, 3)   # interior edge, two apexes
+        assert start[(0, 1)] == (2, -1)  # hull edge, one apex
 
     def test_build_lists_edges_sorted(self):
         # build's apex map is in sorted key order whatever the input order,
-        # so make_prep's sorts run on sorted data; its output is unchanged
+        # and make_prep hands it over with the rows it always had
         for ps in (gen_convex(9), gen_random_points(40, 3, 1000)):
             edges = sorted(initial_triangulation(ps).edges)
             for seed in range(3):
@@ -365,7 +403,7 @@ class TestMakePrep:
                 random.Random(seed).shuffle(shuffled)
                 tri = build(ps, [(b, a) if seed % 2 else (a, b) for a, b in shuffled])
                 assert list(tri.apex) == edges
-                assert make_prep(tri, tri) == reference_make_prep(tri, tri)
+                assert prep_rows(make_prep(tri, tri)) == reference_make_prep(tri, tri)
 
     def test_round_trip_pickles(self, square_tris):
         import pickle
@@ -425,17 +463,22 @@ class TestBackendParity:
     def test_out_of_range_prep_rejected(self, square_tris):
         # the compiled kernel writes through every index, so it checks them
         from flipdist import _core
-        n, xs, ys, edges, target = make_prep(*square_tris)
+        n, xs, ys, start, target = make_prep(*square_tris)
         for bad in [(0, 1, n, -1), (1, 0, 2, -1), (0, 1, 2, -2)]:
             with pytest.raises(ValueError):
-                _core.run_budget((n, xs, ys, (bad,) + edges[1:], target), 1)
+                _core.run_budget((n, xs, ys, {bad[:2]: bad[2:], **without_01(start)}, target), 1)
         with pytest.raises(ValueError):
-            _core.run_budget((n, xs, ys, edges, ((0, n),)), 1)
+            _core.run_budget((n, xs, ys, start, {(0, n): (1, -1)}), 1)
         with pytest.raises(ValueError):
-            _core.run_budget((n, (2**30 + 1,) + xs[1:], ys, edges, target), 1)
+            _core.run_budget((n, (2**30 + 1,) + xs[1:], ys, start, target), 1)
         for k in (0, -1, (2**31 - 1) // 4):
             with pytest.raises(ValueError):
-                _core.run_budget((n, xs, ys, edges, target), k)
+                _core.run_budget((n, xs, ys, start, target), k)
+        # the maps are read as dicts, never as sequences of rows
+        with pytest.raises(TypeError, match="maps as dicts"):
+            _core.run_budget((n, xs, ys, tuple(e + row for e, row in start.items()), target), 1)
+        with pytest.raises(TypeError, match="maps as dicts"):
+            _core.run_budget((n, xs, ys, start, tuple(target)), 1)
 
 
 # Runs the two corrupt apex tables of TestCorruptState through every loaded
@@ -447,10 +490,10 @@ from flipdist.triangulation import build
 
 ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 hull = [(0, 1), (1, 2), (2, 3), (0, 3)]
-n, xs, ys, edges, target = _kernel.make_prep(build(ps, hull + [(0, 2)]), build(ps, hull + [(1, 3)]))
+n, xs, ys, start, target = _kernel.make_prep(build(ps, hull + [(0, 2)]), build(ps, hull + [(1, 3)]))
 tables = {
-    "wrong apex": tuple((0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges),
-    "missing side edge": tuple(e for e in edges if e[:2] != (0, 1)),
+    "wrong apex": {**start, (0, 1): (3, -1)},
+    "missing side edge": {e: row for e, row in start.items() if e != (0, 1)},
 }
 for backend in ["pure"] + (["compiled"] if _kernel.compiled_available() else []):
     for name, table in tables.items():
@@ -466,23 +509,24 @@ class TestCorruptState:
     itself, instead of searching on from a wrong state."""
 
     @staticmethod
-    def corrupted(square_tris, edit):
-        n, xs, ys, edges, target = make_prep(*square_tris)
-        return (n, xs, ys, tuple(edit(edges)), target)
+    def raises_corrupted(square_tris, backend, edit):
+        """The kernel raises on the edited start map, and leaves it as it
+        was, although the search had flipped it when the raise came."""
+        n, xs, ys, start, target = make_prep(*square_tris)
+        table = edit(start)
+        before = list(table.items())
+        with pytest.raises(AssertionError, match="apex table corrupted"):
+            kernel_for(backend)((n, xs, ys, table, target), 1)
+        assert list(table.items()) == before
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_wrong_apex(self, square_tris, backend):
         # hull edge (0, 1) claims apex 3, but flipping (0, 2) replaces apex 2
-        prep = self.corrupted(square_tris, lambda edges: [
-            (0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges])
-        with pytest.raises(AssertionError, match="apex table corrupted"):
-            kernel_for(backend)(prep, 1)
+        self.raises_corrupted(square_tris, backend, lambda start: {**start, (0, 1): (3, -1)})
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_missing_side_edge(self, square_tris, backend):
-        prep = self.corrupted(square_tris, lambda edges: [e for e in edges if e[:2] != (0, 1)])
-        with pytest.raises(AssertionError, match="apex table corrupted"):
-            kernel_for(backend)(prep, 1)
+        self.raises_corrupted(square_tris, backend, without_01)
 
     def test_corrupt_tables_raise_under_optimize(self):
         proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TABLES], capture_output=True, text=True)
@@ -501,7 +545,7 @@ class TestCallState:
 
     def test_nested_call_answers(self, square_tris):
         from flipdist import _core
-        n, xs, ys, edges, target = prep = make_prep(*square_tris)
+        n, xs, ys, start, target = prep = make_prep(*square_tris)
         nested = []
 
         class CallsBack:
@@ -514,33 +558,81 @@ class TestCallState:
 
         expected = kernel_for("pure")(prep, 1)
         assert expected is not None
-        assert _core.run_budget((n, CallsBack(), ys, edges, target), 1) == expected
+        assert _core.run_budget((n, CallsBack(), ys, start, target), 1) == expected
         assert nested == [expected] * n
 
     def test_failed_calls_leave_no_state(self, square_tris):
         from flipdist import _core
         pure = kernel_for("pure")
-        n4, xs4, ys4, edges4, target4 = make_prep(*square_tris)
-        wrong_apex = (n4, xs4, ys4, tuple((0, 1, 3, -1) if e[:2] == (0, 1) else e for e in edges4),
-                      target4)
-        for start, end, d in instance_pairs()[::3]:
-            n, xs, ys, edges, target = prep = make_prep(start, end)
+        n4, xs4, ys4, start4, target4 = make_prep(*square_tris)
+        wrong_apex = (n4, xs4, ys4, {**start4, (0, 1): (3, -1)}, target4)
+        for t_start, t_end, d in instance_pairs()[::3]:
+            n, xs, ys, start, target = prep = make_prep(t_start, t_end)
             with pytest.raises(AssertionError, match="apex table corrupted"):
                 _core.run_budget(wrong_apex, 1)
             # init fails after marking every start edge as a target
             with pytest.raises(ValueError):
-                _core.run_budget((n, xs, ys, edges, tuple(e[:2] for e in edges) + ((0, n),)), 1)
+                _core.run_budget((n, xs, ys, start, {**start, (0, n): (1, -1)}), 1)
             # init fails after loading a few edges
+            rows = list(start.items())
             with pytest.raises(ValueError):
-                _core.run_budget((n, xs, ys, edges[:3] + ((0, 1, n, -1),) + edges[3:], target), 1)
+                _core.run_budget((n, xs, ys, dict(rows[:3] + [((0, n), (1, -1))] + rows[3:]), target), 1)
             for k in range(max(d, 1), d + 2):
                 assert _core.run_budget(prep, k) == pure(prep, k)
         # a rejected run leaves (0, 1) with apex 2, as the square's table
         # has it: the next table, which lacks (0, 1), must still be caught
-        missing_side = (n4, xs4, ys4, tuple(e for e in edges4 if e[:2] != (0, 1)), target4)
+        missing_side = (n4, xs4, ys4, without_01(start4), target4)
         assert _core.run_budget(make_prep(square_tris[0], square_tris[0]), 1) is None
         with pytest.raises(AssertionError, match="apex table corrupted"):
             _core.run_budget(missing_side, 1)
+
+    @pytest.mark.parametrize("change", MAP_CHANGES)
+    def test_map_changed_mid_read_raises(self, square_tris, change):
+        # a key element whose __index__ changes the start map while the
+        # kernel reads it (conftest.changing_map): the call raises
+        from flipdist import _core
+        n, xs, ys, start, target = make_prep(*square_tris)
+        table = changing_map(start, change)
+        assert len(table) == len(start)
+        with pytest.raises(RuntimeError, match="prep map changed during the read"):
+            _core.run_budget((n, xs, ys, table, target), 1)
+
+
+class TestMapOrder:
+    """Neither the key order of the two maps nor who owns them changes a
+    kernel's answer.  The starts are in flip order, as random_walk_triangulation
+    leaves them, and the same edges rebuilt by build come in sorted order:
+    both kernels must return identical triples on the two, and leave every
+    map the caller holds as it was, in items and in order."""
+
+    @staticmethod
+    def pairs():
+        out = []
+        for seed in range(4):
+            ps = gen_random_points(10, seed, 1000)
+            start = random_walk_triangulation(initial_triangulation(ps), steps=8, seed=seed + 10)
+            end = random_walk_triangulation(start, steps=6, seed=seed + 20)
+            out.append((start, end, bfs_distance(start, end, cap=6)[0]))
+        return out
+
+    def test_flip_order_and_sorted_order_agree(self):
+        runs = [kernel_for("pure")] + ([kernel_for("compiled")] if compiled_available() else [])
+        calls = accepts = 0
+        for start, end, d in self.pairs():
+            sorted_start, sorted_end = (build(t.ps, sorted(t.edges)) for t in (start, end))
+            for t, rebuilt in ((start, sorted_start), (end, sorted_end)):
+                assert list(t.apex) != sorted(t.apex)
+                assert list(rebuilt.apex) == sorted(t.apex)
+            maps = [start.apex, end.apex, sorted_start.apex, sorted_end.apex]
+            snapshot = [list(m.items()) for m in maps]
+            preps = [make_prep(start, end), make_prep(sorted_start, end), make_prep(start, sorted_end)]
+            for k in range(1, d + 2):
+                results = [run(prep, k) for run in runs for prep in preps]
+                assert all(r == results[0] for r in results), k
+                assert [list(m.items()) for m in maps] == snapshot
+                calls += 1
+                accepts += results[0] is not None
+        assert (calls, accepts) == (23, 6)
 
 
 def flip_graph_distances(tris):

@@ -26,7 +26,6 @@ from flipdist.solver import (
     FlipBack,
     IterationShape,
     Move,
-    SolveResult,
     compositions,
     flip_distance_upto,
     iteration_shapes,
@@ -34,7 +33,7 @@ from flipdist.solver import (
     search_upto,
     transform,
 )
-from flipdist.triangulation import build, flip
+from flipdist.triangulation import build
 
 from conftest import convex_pair, flip_closure
 from test_prune import fan
