@@ -11,15 +11,15 @@ the start: each call gives an edge the next free bit of an int when it first
 sees the edge, and a key is the XOR of the bits of ``T Δ start``, so keys
 grow with the edges the search touched, not with n^2.
 
-Each state carries its move table, {flippable edge e: (edge g it flips into,
-mask bit(e) ^ bit(g))}, and a neighbour's key is ``key ^ mask``.  A full
-table lists every flippable edge of the state; a lean one only those that
-its far root lacks, the only ones the bounds closest to the missing-edge
-count can use (``bfs_distance``).  A child copies its parent's map and
-table, applies the known flip, maps ``g`` back to ``e`` (the new diagonal
-always flips back) and tests again only the four sides of the flipped
-quadrilateral, the only edges whose triangles changed; in a lean table the
-new diagonal and the sides count only if the far root lacks them.
+Each expanded state has a move table, {flippable edge e: (edge g it flips
+into, mask bit(e) ^ bit(g))}, and a neighbour's key is ``key ^ mask``.  A
+full table lists every flippable edge of the state; a lean one only those
+that its far root lacks, the only ones a state at slack 1 or less can use
+(``bfs_distance``).  A lean state's child copies its parent's map and table,
+applies the known flip, keeps the new diagonal (it always flips back) if the
+far root lacks it and tests again only such sides of the flipped
+quadrilateral, the only edges whose triangles changed.  Every other state
+builds its table from its own map.
 
 Keys also give a free lower bound.  All triangulations of a point set have
 the same number of edges and a flip removes exactly one, so a state with key
@@ -61,32 +61,34 @@ def _move_table(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, bits: dict[
 
 
 def _flip_with_moves(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, e: Edge,
-                     moves: _Moves, bits: dict[Edge, int],
-                     missing: Optional[int] = None) -> tuple[ApexMap, _Moves]:
-    """A copy of ``apex`` with e flipped, and its move table from ``moves``,
-    the table of ``apex``: only the four sides of the quadrilateral change
-    triangles, so only they are tested again.  With ``missing``, the child's
-    key XOR its far root's key, both tables are lean: they hold only edges
-    missing from the far root, so the new diagonal is kept, and a side
-    tested, only if its bit is in ``missing`` (an edge with no bit is in
-    both roots)."""
-    child, out = apex.copy(), moves.copy()
-    g, mask = out.pop(e)
-    if missing is None or missing & bits[g]:
+                     moves: Optional[_Moves], bits: dict[Edge, int],
+                     missing: int = 0) -> tuple[ApexMap, Optional[_Moves]]:
+    """A copy of ``apex`` with e flipped into ``apex[e]``, and the child's lean
+    move table from ``moves``, the lean table of ``apex``, or None without
+    one.  A lean table holds only edges whose bit is in ``missing``, the
+    child's key XOR its far root's key (an edge with no bit is in both
+    roots); only the four sides of the quadrilateral change triangles, so
+    the new diagonal is kept, and a side tested again, only if it is missing."""
+    child, g = apex.copy(), apex[e]
+    sides = _apply_flip(child, e, g)
+    if moves is None:
+        return child, None
+    out = moves.copy()
+    mask = out.pop(e)[1]
+    if missing & bits[g]:
         out[g] = e, mask
-    for s in _apply_flip(child, e, g):  # the sides of the quadrilateral
-        if missing is not None and not missing & bits.get(s, 0):
-            continue
-        if (h := _flips_into(xs, ys, child, s)) is None:
-            out.pop(s, None)
-        else:
-            out[s] = h, bits.setdefault(s, 1 << len(bits)) ^ bits.setdefault(h, 1 << len(bits))
+    for s in sides:
+        if missing & bits.get(s, 0):
+            if (h := _flips_into(xs, ys, child, s)) is None:
+                out.pop(s, None)
+            else:
+                out[s] = h, bits.setdefault(s, 1 << len(bits)) ^ bits.setdefault(h, 1 << len(bits))
     return child, out
 
 
 _Moves = dict[Edge, tuple[Edge, int]]
 # One BFS level entry: the state with ``key`` is the flip of edge in the apex map
-# parent, whose move table is moves; or a root map, with moves None, when edge is None.
+# parent, with the parent's move table if lean, else None; or a root map, when edge is None.
 _Entry = tuple[ApexMap, Optional[Edge], int, Optional[_Moves]]
 # key -> (parent key, edge flipped in the parent, edge it inserted); None at the root
 _Seen = dict[int, Optional[tuple[int, Edge, Edge]]]
@@ -119,31 +121,30 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     bound that meets is the distance, and the meeting path is shortest.  A
     cap below the start's count returns None before any move table exists.
 
-    A bound's root slack is the bound minus the start's missing-edge count,
-    and a state's slack is the bound minus its depth and its count against
-    the far root, at least 0 in every stored state.  A flip of a missing
-    edge into an edge of the far root lowers the count by one and into
-    another edge leaves it; a flip of a shared edge raises it by one, as the
-    new diagonal crosses that edge and so is missing too.  Down a path the
-    slack therefore stays or drops by 1 or 2, never grows, and in the first
-    two bounds, at root slack 0 and 1, a shared-edge flip ends below 0.
-    Those bounds run on lean move tables, which list only the flippable
-    missing edges; the bounds from root slack 2 up keep full tables.
-    Leaving those moves out changes no witness.  When one side expands its
-    depth-g level, the other side's depth is at most bound - g - 1, so every
-    key it has seen lies that many flips at most from this side's far root,
-    its count there is at most as large, and as a depth-(g + 1) child it
-    passes the bound test.  A key the other side has seen is thus never a
-    left-out move, the moves kept stay in sorted order, and the stored
-    states, the meeting key and the witness are those of full tables.
+    A state's slack is the bound minus its depth and its count against the
+    far root, at least 0 in every stored state.  A flip of a missing edge
+    into an edge of the far root lowers the count by one and into another
+    edge leaves it; a flip of a shared edge raises it by one, as the new
+    diagonal crosses that edge and so is missing too.  Down a path the slack
+    therefore stays or drops by 1 or 2, never grows, and from a state at
+    slack 0 or 1 a shared-edge flip ends below 0.  Such a state is lean: its
+    table lists only its flippable missing edges, and its children, lean
+    too, carry it on.  Every other state, a root or a child of a state at
+    slack 2 or more, builds its table from its own map: lean by that rule,
+    otherwise full.  Leaving moves out changes no witness.
+    When one side expands its depth-g level, the other side's depth is at
+    most bound - g - 1, so every key it has seen lies that many flips at most
+    from this side's far root, its count there is at most as large, and as
+    a depth-(g + 1) child it passes the bound test.  A key the other side has
+    seen is thus never a left-out move, the moves kept stay in sorted order,
+    and the stored states, the meeting key and the witness are those of full
+    tables.
 
     A state is made only when its level is expanded, and the round that
     reaches the bound stores only the key it meets at: the seen sets are
-    disjoint, so it is the first key the other side has seen.  Each root's
-    move table is computed once per call and kind, a lean one from its
-    missing edges alone, and shared by every bound of that kind.  The
-    witness is the forward parent chain from the start, then the backward
-    chain to the target, read off the stored (flipped, inserted) pairs.
+    disjoint, so it is the first key the other side has seen.  The witness
+    is the forward parent chain from the start, then the backward chain to
+    the target, read off the stored (flipped, inserted) pairs.
     """
     if t_start.ps != t_end.ps:
         raise PointSetMismatch("triangulations are over different point sets")
@@ -158,10 +159,7 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
 
     xs, ys, far = t_start.ps.xs, t_start.ps.ys, (end_key, 0)  # the key of each side's far root
     roots = (t_start.apex, t_end.apex)
-    tables: dict[tuple[int, bool], _Moves] = {}  # (side, lean) -> that root's move table
-    low = end_key.bit_count() // 2  # the start's missing-edge count
-    for bound in range(low, cap + 1):
-        lean = bound - low <= 1  # the root slack is at most 1
+    for bound in range(end_key.bit_count() // 2, cap + 1):
         depth = [0, 0]
         seen: tuple[_Seen, _Seen] = ({0: None}, {end_key: None})
         levels: list[list[_Entry]] = [[(roots[0], None, 0, None)], [(roots[1], None, end_key, None)]]
@@ -172,12 +170,12 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
             spare = 2 * (bound - depth[side] - 1)
             nxt_level: list[_Entry] = []
             for apex, edge, key, moves in levels[side]:
+                lean = (missing := key ^ far_key).bit_count() >= spare  # its slack is at most 1
                 if edge is not None:
-                    apex, moves = _flip_with_moves(xs, ys, apex, edge, moves, bits,
-                                                   key ^ far_key if lean else None)
-                elif (moves := tables.get((side, lean))) is None:  # a root, first in this kind
+                    apex, moves = _flip_with_moves(xs, ys, apex, edge, moves, bits, missing)
+                if moves is None:  # a root or a full state's child: built from the state itself
                     edges = apex.keys() - roots[1 - side].keys() if lean else None  # missing ones
-                    moves = tables[side, lean] = _move_table(xs, ys, apex, bits, edges)
+                    moves = _move_table(xs, ys, apex, bits, edges)
                 for e in sorted(moves):  # the fixed order keeps witnesses deterministic
                     g, mask = moves[e]
                     if (nxt := key ^ mask) in other:  # so not in mine: the seen sets stay disjoint
@@ -186,7 +184,7 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
                     if (rounds_left > 1 and nxt not in mine  # the last round expands nothing
                             and (nxt ^ far_key).bit_count() <= spare):
                         mine[nxt] = (key, e, g)
-                        nxt_level.append((apex, e, nxt, moves))
+                        nxt_level.append((apex, e, nxt, moves if lean else None))
             levels[side] = nxt_level
             depth[side] += 1
     return None

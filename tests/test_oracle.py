@@ -13,7 +13,8 @@ the distance.  Against the first two the witnesses may differ, as the
 bound-pruned search keeps smaller frontiers and so may meet at another state;
 its witness is required to be shortest, to replay to the target and to repeat
 on a second call.  Against ``table_bfs_distance`` the witnesses must be
-identical: lean move tables drop only moves that the bound rules out.
+identical: a state lists only its missing edges iff its slack is at most 1,
+and then drops only moves that the bound rules out.
 """
 
 from __future__ import annotations
@@ -480,14 +481,26 @@ def far_convex_pair(n, s):
             random_walk_triangulation(base, steps=40, seed=1000 + s))
 
 
+def embedded_window(big):
+    """far_convex_pair(13, 4), at distance 12 over a bound of 8, inside the
+    convex big-gon: the window is vertices 0..12, and outside it both
+    triangulations are the fan from vertex 0, so the distance stays 12 while
+    every state carries about 2 * big more edges."""
+    ps = gen_convex(big)
+    outside = {(0, v) for v in range(12, big)} | {(v, v + 1) for v in range(12, big - 1)}
+    return tuple(build(ps, tri.edges | outside) for tri in far_convex_pair(13, 4))
+
+
 def identity_pairs():
     """The pairs on which lean tables must give the witnesses of full ones:
-    the benchmark's and the hard pairs both ways, and every ordered pair of
+    the benchmark's and the hard pairs both ways, the window embedded in the
+    40-gon both ways and in the 80-gon forward, and every ordered pair of
     the convex 7-gon and of one random 8-point set."""
     for start, end in [pair[:2] for pair in benchmark_pairs()] + [
-            far_convex_pair(n, s) for n, s, _ in HARD_PAIRS]:
+            far_convex_pair(n, s) for n, s, _ in HARD_PAIRS] + [embedded_window(40)]:
         yield start, end
         yield end, start
+    yield embedded_window(80)
     for ps in (gen_convex(7), gen_random_points(8, 5, 1000)):
         tris = flip_closure(initial_triangulation(ps))
         yield from ((a, b) for a in tris for b in tris)
@@ -523,7 +536,7 @@ class TestAgainstReference:
                 assert got == _answer(table_bfs_distance(start, end, cap))
                 assert (got is None) == (cap < d)
             pairs += 1
-        assert pairs == 2 * 32 + 42 ** 2 + 82 ** 2
+        assert pairs == 2 * 33 + 1 + 42 ** 2 + 82 ** 2
 
     def test_benchmark_pairs(self):
         found = sum(assert_same_as_bitmask(*pair) is not None for pair in benchmark_pairs())
@@ -595,10 +608,11 @@ class TestAgainstReference:
         assert calls  # the seam is the one that builds states
 
     def test_convexity_tests_per_built_state(self, monkeypatch):
-        # with full tables a root tests every edge and a built state the four
-        # sides of its flip; with lean ones a root tests only its edges that
-        # the other root lacks, and a built state only its sides that its far
-        # root lacks; a flip itself tests nothing
+        # one table rule per state: a table built from the state lists only
+        # the edges its far root lacks, and tests each once, iff the state's
+        # slack is at most 1, and else tests every edge; a child of a lean
+        # state carries its parent's table and tests only the sides its far
+        # root lacks; a child of a full state is only copied and flipped
         flips_into = triangulation._flips_into
         move_table, flip_with_moves = oracle._move_table, oracle._flip_with_moves
 
@@ -606,48 +620,60 @@ class TestAgainstReference:
             tests.append(e)
             return flips_into(xs, ys, apex, e)
 
-        def made_by(mode, real, *args):
-            before = len(tests)
-            out = real(*args)
-            made[mode] += len(tests) - before
-            return out
+        def far_and_slack(apex):
+            # id(map) -> (side, depth): every map is a root or made by the
+            # seam below, which registers it, so a live map's entry is its own
+            side, depth = states[id(apex)]
+            far = (end, start)[side].edges
+            return far, bound - depth - len(apex.keys() - far)
 
         def tabling(xs, ys, apex, bits, edges):
+            nonlocal bound
+            bound += apex is start.apex  # every bound expands the start's root first
+            far, slack = far_and_slack(apex)
+            before = len(tests)
+            out = move_table(xs, ys, apex, bits, edges)
             if edges is None:
-                want["full"] += len(apex)
+                assert slack >= 2 and sorted(tests[before:]) == sorted(apex)
+                kinds["full"] += 1
             else:
-                assert edges in (start.edges - end.edges, end.edges - start.edges)
-                want["lean"] += len(edges)
-            return made_by("full" if edges is None else "lean", move_table, xs, ys, apex, bits, edges)
+                assert slack <= 1 and edges == apex.keys() - far
+                assert sorted(tests[before:]) == sorted(edges)
+                kinds["lean root" if apex in (start.apex, end.apex) else "lean built"] += 1
+            checked[0] += len(tests) - before
+            return out
 
         def building(xs, ys, apex, e, moves, bits, missing):
-            if missing is None:
-                want["full"] += 4
-                built.append(e)
-            else:  # the mask holds the bits of the edges in which child and far root differ
-                child = apex.keys() - {e} | {moves[e][0]}
-                far = child ^ {x for x, bit in bits.items() if missing & bit}
-                assert far in (start.edges, end.edges)
-                sides = edge_neighbors(Triangulation(start.ps, apex), e)
-                want["lean"] += sum(s not in far for s in sides)
-            return made_by("full" if missing is None else "lean", flip_with_moves,
-                           xs, ys, apex, e, moves, bits, missing)
+            before = len(tests)
+            child, out = flip_with_moves(xs, ys, apex, e, moves, bits, missing)
+            states[id(child)] = states[id(apex)][0], states[id(apex)][1] + 1
+            far, slack = far_and_slack(child)
+            if moves is None:
+                assert out is None and tests[before:] == []
+                kinds["full's child"] += 1
+            else:
+                assert slack <= 1 and out.keys() <= child.keys() - far
+                assert far.isdisjoint(tests[before:])
+                kinds["carried"] += 1
+            checked[0] += len(tests) - before
+            return child, out
 
         walk_start = initial_triangulation(gen_convex(11))
         pairs = [((walk_start, random_walk_triangulation(walk_start, 8, 5)), 0),
-                 (far_convex_pair(9, 16), 2)]
+                 (far_convex_pair(9, 16), 2), (embedded_window(40), 4)]
         for module in (oracle, triangulation):  # count a test wherever the oracle makes it
             monkeypatch.setattr(module, "_flips_into", counting)
         monkeypatch.setattr(oracle, "_move_table", tabling)
         monkeypatch.setattr(oracle, "_flip_with_moves", building)
+        kinds = Counter()
         for (start, end), gap in pairs:
-            tests, built, want, made = [], [], Counter(), Counter()
+            tests, checked = [], [0]
+            states = {id(start.apex): (0, 0), id(end.apex): (1, 0)}
+            bound = len(start.edges - end.edges) - 1
             d, seq = bfs_distance(start, end, 12)
-            assert made == want and sum(made.values()) == len(tests) > 0
-            assert d == len(start.edges - end.edges) + gap and replay(seq) == end
-        # only the gap-2 pair's last bound has root slack 2, so full tables,
-        # and there the old identity holds: every root edge, four per state
-        assert built and made["full"] == len(start.edges) + len(end.edges) + 4 * len(built)
+            assert checked[0] == len(tests) > 0
+            assert d == bound == len(start.edges - end.edges) + gap and replay(seq) == end
+        assert len(kinds) == 5, kinds  # every kind of table and state occurs
 
     def test_negative_cap_rejected(self, square_tris):
         for a in square_tris:
@@ -669,31 +695,6 @@ class TestAgainstReference:
 
 
 class TestMoveTables:
-    def test_flip_with_moves_along_walks(self):
-        # each child holds the apex map build gives its edges and the move
-        # table computed from scratch, masks included, also after flips next
-        # to the hull
-        next_to_hull = flips = 0
-        for seed in range(6):
-            ps = gen_convex(9) if seed == 0 else gen_random_points(8 + seed, seed, 1000)
-            hull = set(convex_hull_edges(ps))
-            rng = random.Random(seed)
-            bits = {}
-            apex = initial_triangulation(ps).apex
-            moves = oracle._move_table(ps.xs, ps.ys, apex, bits)
-            for _ in range(3 * len(ps)):
-                e = rng.choice(sorted(moves))
-                next_to_hull += not hull.isdisjoint(edge_neighbors(Triangulation(ps, apex), e))
-                parent = dict(apex), dict(moves)
-                child = oracle._flip_with_moves(ps.xs, ps.ys, apex, e, moves, bits)
-                assert (apex, moves) == parent  # the parent's map and table are left alone
-                apex, moves = child
-                flips += 1
-                assert apex == build(ps, apex).apex
-                assert moves == oracle._move_table(ps.xs, ps.ys, apex, bits)
-                assert all(mask == bits[e] ^ bits[g] for e, (g, mask) in moves.items())
-        assert flips > next_to_hull > flips // 4
-
     def test_lean_flip_with_moves_along_walks(self):
         # walks that flip only edges missing from a far triangulation: each
         # lean child table, given the mask of the child's edges that the far
