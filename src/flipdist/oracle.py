@@ -62,7 +62,7 @@ def _move_table(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, bits: dict[
 
 def _flip_with_moves(xs: Sequence[int], ys: Sequence[int], apex: ApexMap, e: Edge,
                      moves: Optional[_Moves], bits: dict[Edge, int],
-                     missing: int = 0) -> tuple[ApexMap, Optional[_Moves]]:
+                     missing: int) -> tuple[ApexMap, Optional[_Moves]]:
     """A copy of ``apex`` with e flipped into ``apex[e]``, and the child's lean
     move table from ``moves``, the lean table of ``apex``, or None without
     one.  A lean table holds only edges whose bit is in ``missing``, the

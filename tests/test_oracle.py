@@ -628,7 +628,7 @@ class TestAgainstReference:
             return far, bound - depth - len(apex.keys() - far)
 
         def tabling(xs, ys, apex, bits, edges):
-            nonlocal bound
+            nonlocal bound, checked
             bound += apex is start.apex  # every bound expands the start's root first
             far, slack = far_and_slack(apex)
             before = len(tests)
@@ -639,11 +639,12 @@ class TestAgainstReference:
             else:
                 assert slack <= 1 and edges == apex.keys() - far
                 assert sorted(tests[before:]) == sorted(edges)
-                kinds["lean root" if apex in (start.apex, end.apex) else "lean built"] += 1
-            checked[0] += len(tests) - before
+                kinds["lean root" if states[id(apex)][1] == 0 else "lean built"] += 1
+            checked += len(tests) - before
             return out
 
         def building(xs, ys, apex, e, moves, bits, missing):
+            nonlocal checked
             before = len(tests)
             child, out = flip_with_moves(xs, ys, apex, e, moves, bits, missing)
             states[id(child)] = states[id(apex)][0], states[id(apex)][1] + 1
@@ -655,7 +656,7 @@ class TestAgainstReference:
                 assert slack <= 1 and out.keys() <= child.keys() - far
                 assert far.isdisjoint(tests[before:])
                 kinds["carried"] += 1
-            checked[0] += len(tests) - before
+            checked += len(tests) - before
             return child, out
 
         walk_start = initial_triangulation(gen_convex(11))
@@ -667,11 +668,11 @@ class TestAgainstReference:
         monkeypatch.setattr(oracle, "_flip_with_moves", building)
         kinds = Counter()
         for (start, end), gap in pairs:
-            tests, checked = [], [0]
+            tests, checked = [], 0
             states = {id(start.apex): (0, 0), id(end.apex): (1, 0)}
             bound = len(start.edges - end.edges) - 1
             d, seq = bfs_distance(start, end, 12)
-            assert checked[0] == len(tests) > 0
+            assert checked == len(tests) > 0
             assert d == bound == len(start.edges - end.edges) + gap and replay(seq) == end
         assert len(kinds) == 5, kinds  # every kind of table and state occurs
 
