@@ -39,7 +39,7 @@ from .instances import (
     random_walk_triangulation,
     serialize,
 )
-from .oracle import FlipGraphStats, bfs_distance, enumerate_all, graph_stats
+from .oracle import FlipGraphStats, bfs_distance, graph_stats
 from .solver import (
     Action,
     Composition,
@@ -65,7 +65,6 @@ from .triangulation import (
     flip,
     is_flippable,
     make_edge,
-    necessary_edges,
 )
 
 __version__ = "0.1.0"

@@ -26,19 +26,27 @@ the same number of edges and a flip removes exactly one, so a state with key
 K is at least ``popcount(K ^ root_key) / 2`` flips from either root.  The
 search runs once per distance bound, from the start's count of missing
 edges up, and drops every state that the bound rules out.
+
+``_flip_graph`` holds a whole flip graph instead, for ``graph_stats`` and
+the tests' ground truth: one BFS from a seed over the same keys and full
+move tables lists every triangulation and its neighbours, and one BFS from
+each triangulation over that integer adjacency fills its row of the
+distance matrix.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import PointSetMismatch, ValidationError
 from .flipdag import FlipSequence
 from .geometry import PointSet
-from .triangulation import (ApexMap, Edge, FlipRecord, Triangulation, _apply_flip, _flips_into,
-                            canonical_key, flip)
+from .triangulation import ApexMap, Edge, FlipRecord, Triangulation, _apply_flip, _flips_into
+# flip and canonical_key are unused here but stay module names: perfbench/tracing.py patches them
+from .triangulation import canonical_key, flip  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -199,52 +207,51 @@ def _witness(t_start: Triangulation, seen: tuple[_Seen, _Seen],
     return len(flips), FlipSequence(start=t_start, flips=tuple(flips))
 
 
-def _closure(seed: Triangulation) -> dict[frozenset[Edge], Triangulation]:
-    """Every triangulation reachable from seed, keyed by its edge set."""
-    out = {frozenset(seed.apex): seed}
-    frontier = deque(out.items())
-    while frontier:
-        key, tri = frontier.popleft()
-        for e, (g, _) in _move_table(tri.ps.xs, tri.ps.ys, tri.apex, {}).items():
-            if (nxt := key ^ {e, g}) not in out:
-                out[nxt] = flip(tri, e)[0]
-                frontier.append((nxt, out[nxt]))
-    return out
-
-
-def enumerate_all(ps: PointSet, seed_tri: Triangulation) -> list[bytes]:
-    """Canonical keys of every triangulation of ps (flip closure of the seed),
-    sorted for determinism."""
-    if seed_tri.ps != ps:
-        raise PointSetMismatch("seed triangulation is over a different point set")
-    return sorted(canonical_key(tri) for tri in _closure(seed_tri).values())
+def _flip_graph(seed: Triangulation) -> tuple[list[Triangulation], list[list[int]]]:
+    """Every triangulation reachable from seed (seed itself among them),
+    sorted by edge list, and the matrix of flip distances between them:
+    dist[i][j] is the distance from the i-th to the j-th.  Feasible for
+    small point sets only (module docstring)."""
+    xs, ys = seed.ps.xs, seed.ps.ys
+    bits: dict[Edge, int] = {}
+    maps: dict[int, ApexMap] = {0: seed.apex}  # key, as in bfs_distance -> the state's map
+    neighbours: dict[int, list[int]] = {}
+    frontier = [0]  # a BFS queue: it grows as it is read
+    for key in frontier:
+        apex = maps[key]
+        neighbours[key] = out = []
+        for e, (g, mask) in _move_table(xs, ys, apex, bits).items():
+            out.append(nxt := key ^ mask)
+            if nxt not in maps:
+                maps[nxt] = child = apex.copy()
+                _apply_flip(child, e, g)
+                frontier.append(nxt)
+    keys = sorted(maps, key=lambda key: sorted(maps[key]))
+    index = {key: i for i, key in enumerate(keys)}
+    adjacency = [[index[other] for other in neighbours[key]] for key in keys]
+    dist = []
+    for source in range(len(keys)):
+        row = [-1] * len(keys)
+        row[source] = 0
+        queue = [source]
+        for u in queue:
+            for v in adjacency[u]:
+                if row[v] < 0:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        if -1 in row:  # explicit, so it holds under python -O
+            raise AssertionError("flip graph must be connected")
+        dist.append(row)
+    tris = [seed if key == 0 else Triangulation(seed.ps, maps[key]) for key in keys]
+    return tris, dist
 
 
 def graph_stats(ps: PointSet, seed_tri: Triangulation) -> FlipGraphStats:
-    """Order, diameter, and distance histogram by all-pairs BFS over the full
-    flip graph.  Feasible for small point sets only."""
+    """Order, diameter, and distance histogram of the full flip graph, read
+    off ``_flip_graph``'s distance matrix.  Feasible for small point sets only."""
     if seed_tri.ps != ps:
         raise PointSetMismatch("seed triangulation is over a different point set")
-    nodes = _closure(seed_tri)
-    index = {key: i for i, key in enumerate(nodes)}  # int vertices keep the all-pairs BFS cheap
-    adjacency = [[index[key ^ {e, g}]
-                  for e, (g, _) in _move_table(tri.ps.xs, tri.ps.ys, tri.apex, {}).items()]
-                 for key, tri in nodes.items()]
-
-    histogram: dict[int, int] = {}
-    diameter = 0
-    for source in range(len(adjacency)):
-        dist = {source: 0}
-        frontier = deque([source])
-        while frontier:
-            key = frontier.popleft()
-            for other in adjacency[key]:
-                if other not in dist:
-                    dist[other] = dist[key] + 1
-                    frontier.append(other)
-        if len(dist) != len(adjacency):  # explicit, so it holds under python -O
-            raise AssertionError("flip graph must be connected")
-        for d in dist.values():
-            histogram[d] = histogram.get(d, 0) + 1
-            diameter = max(diameter, d)
-    return FlipGraphStats(order=len(nodes), diameter=diameter, distance_histogram=histogram)
+    _, dist = _flip_graph(seed_tri)
+    counts = Counter(chain.from_iterable(dist))
+    return FlipGraphStats(order=len(dist), diameter=max(counts),
+                          distance_histogram=dict(sorted(counts.items())))

@@ -41,7 +41,6 @@ from .errors import (
     NotFlippable,
     NotMaximal,
     NotPlanar,
-    PointSetMismatch,
     ValidationError,
 )
 from .geometry import PointSet, convex_hull_edges, segments_properly_cross
@@ -306,14 +305,6 @@ def edge_neighbors(tri: Triangulation, e: Edge) -> list[Edge]:
     """
     e = _require_edge(tri, e)
     return _quad_sides(e, *tri.apex[e])
-
-
-def necessary_edges(tri: Triangulation, target: Triangulation) -> list[Edge]:
-    """Edges of ``tri`` absent from ``target``, sorted lexicographically.
-    Each of these must be flipped at some point to reach the target."""
-    if tri.ps != target.ps:
-        raise PointSetMismatch("triangulations are over different point sets")
-    return sorted(tri.apex.keys() - target.apex.keys())
 
 
 def canonical_key(tri: Triangulation) -> bytes:

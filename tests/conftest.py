@@ -4,14 +4,13 @@ import os
 import shlex
 import shutil
 import sysconfig
-from collections import deque
 from pathlib import Path
 
 import pytest
 
 from flipdist.geometry import Point, PointSet, orient
 from flipdist.instances import gen_convex, initial_triangulation
-from flipdist.triangulation import Edge, Triangle, Triangulation, build, canonical_key, flip, is_flippable
+from flipdist.triangulation import Edge, Triangle, Triangulation, build
 
 # unit square scaled to keep things integral
 SQUARE_COORDS = [(0, 0), (4, 0), (4, 4), (0, 4)]
@@ -87,22 +86,6 @@ def tri_of(tri: Triangulation) -> dict[Edge, tuple[Triangle, ...]]:
         for e in ((u, v), (u, w), (v, w)):
             out[e].append(t)
     return {e: tuple(tris) for e, tris in out.items()}
-
-
-def flip_closure(seed: Triangulation) -> list[Triangulation]:
-    """Every triangulation of seed's point set, in canonical key order."""
-    seen = {canonical_key(seed): seed}
-    frontier = deque([seed])
-    while frontier:
-        tri = frontier.popleft()
-        for e in sorted(tri.edges):
-            if is_flippable(tri, e):
-                nxt, _ = flip(tri, e)
-                key = canonical_key(nxt)
-                if key not in seen:
-                    seen[key] = nxt
-                    frontier.append(nxt)
-    return [seen[key] for key in sorted(seen)]
 
 
 class _Pair:

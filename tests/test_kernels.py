@@ -18,7 +18,6 @@ import shlex
 import subprocess
 import sys
 import sysconfig
-from collections import deque
 from pathlib import Path
 from typing import Optional
 
@@ -36,11 +35,11 @@ from flipdist._searchpure import Accept
 from flipdist.flipdag import replay
 from flipdist.geometry import COORD_BOUND, PointSet, _slope_repeat, convex_hull_edges
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
-from flipdist.oracle import bfs_distance
+from flipdist.oracle import _flip_graph, bfs_distance
 from flipdist.solver import IterationShape, Move, compositions, iteration_shapes, search_exact, search_upto, transform
-from flipdist.triangulation import Triangulation, _apex_rows, build, flip, is_flippable, necessary_edges
+from flipdist.triangulation import Triangulation, _apex_rows, build
 
-from conftest import can_build_core, changing_map, compiler_command, convex_pair, flip_closure, tri_of
+from conftest import can_build_core, changing_map, compiler_command, convex_pair, tri_of
 from test_prune import fan
 from test_validation import ONE_PART_REJECTIONS, benchmark_shaped_cases, random_coords
 
@@ -67,7 +66,7 @@ def instance_pairs():
     """Start/target pairs with known BFS distance, mixing convex and random."""
     out = []
     ps, seed_tri = convex_pair(6)
-    tris = flip_closure(seed_tri)
+    tris, _ = _flip_graph(seed_tri)
     for target in tris:
         d, _ = bfs_distance(seed_tri, target, cap=10)
         out.append((seed_tri, target, d))
@@ -414,7 +413,7 @@ class TestMakePrep:
 def parity_pairs():
     """Every ordered pair of the convex 6-gon's triangulations, then the three
     random pairs of instance_pairs, each with its BFS distance."""
-    tris = flip_closure(convex_pair(6)[1])
+    tris, _ = _flip_graph(convex_pair(6)[1])
     out = [(start, end, bfs_distance(start, end, cap=10)[0]) for start in tris for end in tris]
     return out + instance_pairs()[-3:]
 
@@ -635,35 +634,11 @@ class TestMapOrder:
         assert (calls, accepts) == (23, 6)
 
 
-def flip_graph_distances(tris):
-    """All-pairs flip distances over a whole flip graph, by a plain BFS from
-    every vertex.  It flips through flip and is_flippable, so it shares the
-    flip rule (_flips_into, _apply_flip) with the pure kernel and the oracle,
-    but not their search or oracle.bfs_distance's BFS."""
-    index = {frozenset(t.edges): i for i, t in enumerate(tris)}
-    adj = [[index[frozenset(flip(t, e)[0].edges)] for e in sorted(t.edges) if is_flippable(t, e)]
-           for t in tris]
-    dist = []
-    for src in range(len(tris)):
-        row = [-1] * len(tris)
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if row[v] < 0:
-                    row[v] = row[u] + 1
-                    queue.append(v)
-        dist.append(row)
-    return dist
-
-
 def ordered_pairs(ps):
     """(start, end, distance, bound) for every ordered pair of ps's
     triangulations, in closure order."""
-    tris = flip_closure(initial_triangulation(ps))
-    dist = flip_graph_distances(tris)
-    return [(start, end, dist[i][j], len(necessary_edges(start, end)))
+    tris, dist = _flip_graph(initial_triangulation(ps))
+    return [(start, end, dist[i][j], len(start.edges - end.edges))
             for i, start in enumerate(tris) for j, end in enumerate(tris)]
 
 
@@ -678,8 +653,9 @@ class TestAboveTheBound:
     of 2 or more, a witness must spend flips that add no target edge.  The
     pairs are fixed by a rule, never by outcome: every gap->=2 ordered pair of
     gen_random_points(8, 2, 1000) and every 4th one, in closure order, of the
-    convex 8-gon.  At every k from the bound to the distance d, each kernel
-    must answer NO below d and YES at d, and both must return the same triple."""
+    convex 8-gon.  Distances come from oracle._flip_graph's matrix.  At every
+    k from the bound to the distance d, each kernel must answer NO below d
+    and YES at d, and both must return the same triple."""
 
     def test_no_below_distance_yes_at_it(self):
         random_pairs = gap_pairs(gen_random_points(8, 2, 1000))
@@ -700,10 +676,11 @@ class TestGapThree:
     distance exceeds the missing-edge bound by 3 (none exceeds it by more),
     and every ordered pair of gen_random_points(9, 5, 1000) whose distance
     exceeds it by 2 or more, in closure order.  Distances come from
-    flip_graph_distances, a plain BFS that shares the flip rule with the
-    pure kernel but not its search.  search_upto(s, t, d) must find distance
-    d with a witness that replays, and the declared slice PURE_SLICE of each
-    list, run again on the pure kernel, must give the identical result."""
+    oracle._flip_graph, a BFS from every state of the whole flip graph that
+    shares the flip rule with the pure kernel but not its search.
+    search_upto(s, t, d) must find distance d with a witness that replays,
+    and the declared slice PURE_SLICE of each list, run again on the pure
+    kernel, must give the identical result."""
 
     PURE_SLICE = slice(None, None, 50)
 
@@ -757,7 +734,7 @@ def literal_run_budget(start: Triangulation, end: Triangulation, k: int) -> Opti
         while p < len(olex) and (olex[p] not in tri.edges or olex[p] in end.edges):
             p += 1
         if p == len(olex):
-            olex, p = necessary_edges(tri, end), 0
+            olex, p = sorted(tri.edges - end.edges), 0
             if not olex:
                 return None
         for shape in shapes_of(parts[0]):
@@ -767,7 +744,7 @@ def literal_run_budget(start: Triangulation, end: Triangulation, k: int) -> Opti
         return None
 
     for comp in compositions(k):
-        run = iterate(start, comp.parts, necessary_edges(start, end), 0)
+        run = iterate(start, comp.parts, sorted(start.edges - end.edges), 0)
         if run is not None:
             return ([(*r.underlying, *r.resulting) for _, _, recs in run for r in recs],
                     [edge for edge, _, _ in run],

@@ -2,9 +2,10 @@
 
 Small convex point sets have closed-form flip graphs (Catalan vertex counts,
 the pentagon's graph is a 5-cycle), so most checks here compare against those
-plus an independently coded closure from conftest.  The bidirectional
-``bfs_distance`` is also compared with three searches it replaced, each kept
-below verbatim: the one-sided BFS as ``reference_bfs_distance``; the
+and against the distance matrix of ``oracle._flip_graph``, a plain BFS from
+every state that shares only the move table with ``bfs_distance``.  The
+bidirectional ``bfs_distance`` is also compared with three searches it
+replaced, each kept below verbatim: the one-sided BFS as ``reference_bfs_distance``; the
 bidirectional BFS over ``a*n + b`` edge-bitmask keys that rebuilt every move
 of every state, as ``bitmask_bfs_distance``; and the bound-pruned BFS whose
 every state listed all of its flippable edges, as ``table_bfs_distance``.  At
@@ -44,7 +45,7 @@ from flipdist.instances import (
     random_walk_triangulation,
     serialize,
 )
-from flipdist.oracle import bfs_distance, enumerate_all, graph_stats
+from flipdist.oracle import _flip_graph, bfs_distance, graph_stats
 from flipdist.solver import search_upto
 from flipdist.triangulation import (
     ApexMap,
@@ -59,7 +60,7 @@ from flipdist.triangulation import (
     is_flippable,
 )
 
-from conftest import convex_pair, flip_closure, strictly_convex_quad, tri_of
+from conftest import convex_pair, strictly_convex_quad, tri_of
 from test_prune import fan
 
 
@@ -392,7 +393,7 @@ class TestBfsDistance:
             assert replay(seq) == end
 
     def test_symmetry(self):
-        tris = flip_closure(convex_pair(6)[1])
+        tris, _ = _flip_graph(convex_pair(6)[1])
         for a in tris[:4]:
             for b in tris[-4:]:
                 da, _ = bfs_distance(a, b, cap=10)
@@ -400,7 +401,7 @@ class TestBfsDistance:
                 assert da == db
 
     def test_triangle_inequality(self):
-        tris = flip_closure(convex_pair(5)[1])
+        tris, _ = _flip_graph(convex_pair(5)[1])
         dist = {(i, j): bfs_distance(a, b, cap=10)[0]
                 for i, a in enumerate(tris) for j, b in enumerate(tris)}
         for i in range(len(tris)):
@@ -416,7 +417,7 @@ class TestBfsDistance:
 
 def convex_pairs():
     for n in range(4, 8):
-        tris = flip_closure(convex_pair(n)[1])
+        tris, _ = _flip_graph(convex_pair(n)[1])
         yield from ((a, b) for a in tris for b in tris)
 
 
@@ -502,7 +503,7 @@ def identity_pairs():
         yield end, start
     yield embedded_window(80)
     for ps in (gen_convex(7), gen_random_points(8, 5, 1000)):
-        tris = flip_closure(initial_triangulation(ps))
+        tris, _ = _flip_graph(initial_triangulation(ps))
         yield from ((a, b) for a in tris for b in tris)
 
 
@@ -744,47 +745,55 @@ class TestDeepGroundTruth:
         assert search_upto(start, end, d - 1) is None
 
 
-class TestEnumerateAll:
+class TestFlipGraph:
+    """oracle._flip_graph: every state of the flip graph, in edge-list order,
+    and the matrix of distances between them."""
+
+    @pytest.mark.parametrize("ps", [gen_convex(6), gen_random_points(7, 0, 1000)],
+                             ids=["convex-6", "random-7"])
+    def test_matrix_matches_bfs_distance(self, ps):
+        tris, dist = _flip_graph(initial_triangulation(ps))
+        cap = max(map(max, dist))
+        for i, a in enumerate(tris):
+            for j, b in enumerate(tris):
+                assert dist[i][j] == bfs_distance(a, b, cap)[0]
+
     @pytest.mark.parametrize("n,count", [(4, 2), (5, 5), (6, 14), (7, 42), (8, 132)])
     def test_convex_catalan_counts(self, n, count):
-        ps, tri = convex_pair(n)
-        assert len(enumerate_all(ps, tri)) == count
-
-    def test_matches_independent_closure(self):
-        ps, tri = convex_pair(6)
-        assert enumerate_all(ps, tri) == [canonical_key(t) for t in flip_closure(tri)]
+        tris, dist = _flip_graph(convex_pair(n)[1])
+        assert len(tris) == len(dist) == count
 
     def test_seed_independent(self):
         ps, tri = convex_pair(6)
         other_seed = random_walk_triangulation(tri, steps=9, seed=3)
-        assert enumerate_all(ps, tri) == enumerate_all(ps, other_seed)
+        tris, dist = _flip_graph(tri)
+        assert tri in tris and other_seed in tris
+        assert _flip_graph(other_seed) == (tris, dist)
 
-    def test_contains_seed(self):
-        ps, tri = convex_pair(5)
-        assert canonical_key(tri) in enumerate_all(ps, tri)
-
-    def test_general_position_closure(self):
-        ps = gen_random_points(6, seed=2, bound=400)
-        tri = initial_triangulation(ps)
-        keys = enumerate_all(ps, tri)
-        assert len(keys) == len(set(keys)) >= 2
-
-    def test_mismatched_point_sets(self, square_tris):
-        with pytest.raises(PointSetMismatch):
-            enumerate_all(gen_convex(4), square_tris[0])
+    @pytest.mark.parametrize("ps", [gen_convex(7), gen_random_points(6, 2, 400)],
+                             ids=["convex-7", "random-6"])
+    def test_states_distinct_sorted_and_built(self, ps):
+        tris, _ = _flip_graph(initial_triangulation(ps))
+        lists = [sorted(t.edges) for t in tris]
+        assert len(lists) >= 2
+        assert all(a < b for a, b in zip(lists, lists[1:]))  # sorted, so distinct
+        for tri, edges in zip(tris, lists):
+            assert tri.ps is ps
+            assert tri.apex == build(ps, edges).apex
 
 
-# The only triangulation of a triangle with one interior point has no
-# flippable edge; listed under two keys it is a flip graph of two components.
+# The square's seed map flips into the other diagonal, but with every other
+# map given no moves the flip relation is one-way: that state reaches nothing.
 _DISCONNECTED = """
 import sys
 from flipdist import oracle
 from flipdist.geometry import PointSet
 from flipdist.triangulation import build
 
-ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
-tri = build(ps, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])
-oracle._closure = lambda seed: {1: tri, 2: tri}
+ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
+tri = build(ps, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+move_table = oracle._move_table
+oracle._move_table = lambda xs, ys, apex, *rest: move_table(xs, ys, apex, *rest) if apex is tri.apex else {}
 try:
     oracle.graph_stats(ps, tri)
 except AssertionError as exc:
@@ -822,7 +831,7 @@ class TestGraphStats:
 
     def test_diameter_matches_pairwise_bfs(self):
         ps, tri = convex_pair(5)
-        tris = flip_closure(tri)
+        tris, _ = _flip_graph(tri)
         worst = max(bfs_distance(a, b, cap=10)[0] for a in tris for b in tris)
         assert graph_stats(ps, tri).diameter == worst
 

@@ -19,7 +19,7 @@ from flipdist import _kernel, _searchpure
 from flipdist.errors import EdgeAbsent, PointSetMismatch, ValidationError
 from flipdist.flipdag import replay
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
-from flipdist.oracle import bfs_distance
+from flipdist.oracle import _flip_graph, bfs_distance
 from flipdist.solver import (
     _MOVES,
     Composition,
@@ -35,7 +35,7 @@ from flipdist.solver import (
 )
 from flipdist.triangulation import build
 
-from conftest import convex_pair, flip_closure
+from conftest import convex_pair
 from test_prune import fan
 
 
@@ -260,7 +260,7 @@ class TestSearchExact:
 
     def test_no_budget_below_distance_accepts(self):
         ps, start = convex_pair(6)
-        tris = flip_closure(start)
+        tris, _ = _flip_graph(start)
         for target in tris:
             d, _ = bfs_distance(start, target, cap=10)
             for k in range(d):
@@ -301,7 +301,7 @@ class TestSearchExact:
 class TestDistanceScan:
     def test_matches_oracle_on_hexagon_pairs(self):
         ps, start = convex_pair(6)
-        tris = flip_closure(start)
+        tris, _ = _flip_graph(start)
         for a in tris:
             for b in tris:
                 d, _ = bfs_distance(a, b, cap=10)

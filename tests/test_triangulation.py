@@ -8,7 +8,6 @@ from flipdist.errors import (
     NotFlippable,
     NotMaximal,
     NotPlanar,
-    PointSetMismatch,
     ValidationError,
 )
 from flipdist.geometry import convex_hull_edges
@@ -20,7 +19,6 @@ from flipdist.triangulation import (
     edge_neighbors,
     flip,
     is_flippable,
-    necessary_edges,
 )
 
 SQUARE_HULL = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -161,34 +159,6 @@ class TestEdgeNeighbors:
                         tuple(sorted((u, v))) for u in t for v in t
                         if u < v and tuple(sorted((u, v))) != e))
                 assert edge_neighbors(tri, e) == want
-
-
-class TestNecessaryEdges:
-    def test_identical(self, square_tris):
-        assert necessary_edges(square_tris[0], square_tris[0]) == []
-
-    def test_square_diagonals(self, square_tris):
-        with_02, with_13 = square_tris
-        assert necessary_edges(with_02, with_13) == [(0, 2)]
-        assert necessary_edges(with_13, with_02) == [(1, 3)]
-
-    def test_mismatched_point_sets(self, square_tris):
-        ps = gen_convex(5)
-        with pytest.raises(PointSetMismatch):
-            necessary_edges(square_tris[0], initial_triangulation(ps))
-
-    def test_never_contains_hull_edges(self):
-        for seed in range(4):
-            ps = gen_random_points(8, seed, 500)
-            hull = convex_hull_edges(ps)
-            t1 = initial_triangulation(ps)
-            t2 = t1
-            rng = random.Random(seed)
-            for _ in range(6):
-                options = [e for e in sorted(t2.edges) if is_flippable(t2, e)]
-                t2, _ = flip(t2, rng.choice(options))
-            assert not set(necessary_edges(t1, t2)) & hull
-            assert not set(necessary_edges(t2, t1)) & hull
 
 
 class TestCanonicalKey:
