@@ -211,7 +211,7 @@ def _flip_graph(seed: Triangulation) -> tuple[list[Triangulation], list[list[int
     """Every triangulation reachable from seed (seed itself among them),
     sorted by edge list, and the matrix of flip distances between them:
     dist[i][j] is the distance from the i-th to the j-th.  Feasible for
-    small point sets only (module docstring)."""
+    small point sets only."""
     xs, ys = seed.ps.xs, seed.ps.ys
     bits: dict[Edge, int] = {}
     maps: dict[int, ApexMap] = {0: seed.apex}  # key, as in bfs_distance -> the state's map
