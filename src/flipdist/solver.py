@@ -210,11 +210,37 @@ def _code_action(code: int) -> Action:
     return _MOVES[code] if code < 4 else _FLIP_BACK
 
 
+# a kernel's raw action codes -> their validated IterationShape (see _package)
+_SHAPES: dict[tuple[int, ...], IterationShape] = {}
+
+
+def _shape(codes: tuple[int, ...]) -> IterationShape:
+    shape = _SHAPES.get(codes)
+    if shape is None:  # stored only once IterationShape's checks have passed
+        shape = _SHAPES[codes] = IterationShape(tuple(map(_code_action, codes)))
+    return shape
+
+
 def _package(t_start: Triangulation, t_end: Triangulation, k: int,
              accept: _searchpure.Accept) -> SolveResult:
+    """The SolveResult of a kernel's accept triple, checked.
+
+    Every record passes FlipRecord's checks and every action string passes
+    IterationShape's (ValidationError).  Then, raised as AssertionError so
+    that they hold under ``python -O``: the run flips exactly k times, the
+    composition's parts sum to k, the action strings take at most 2k
+    actions in all, and the witness's walk ends on t_end.  That walk is
+    memoised on the sequence, so ``replay`` and the checks reuse it.
+
+    Each distinct action string is built once and kept in ``_SHAPES``, keyed
+    by its raw codes; a malformed string is never stored, so it raises on
+    every call.  A solve adds at most t entries (t = the number of parts),
+    each a valid shape of its part, so the dict holds at most the
+    ``iteration_shapes`` of the part sizes ever accepted.
+    """
     raw_flips, raw_starts, raw_actions = accept
     recs = tuple(FlipRecord(underlying=(a, b), resulting=(c, d)) for a, b, c, d in raw_flips)
-    shapes = tuple(IterationShape(tuple(_code_action(c) for c in acts)) for acts in raw_actions)
+    shapes = tuple(map(_shape, map(tuple, raw_actions)))
     comp = Composition(tuple(s.k for s in shapes))
     result = SolveResult(
         k=k,

@@ -67,8 +67,7 @@ class FlipRecord:
     resulting: Edge
 
     def __post_init__(self):
-        involved = set(self.underlying) | set(self.resulting)
-        if self.underlying == self.resulting or len(involved) != 4:
+        if self.underlying == self.resulting or len({*self.underlying, *self.resulting}) != 4:
             raise ValidationError(f"degenerate flip record {self.underlying} -> {self.resulting}")
 
     def __str__(self) -> str:

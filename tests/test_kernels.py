@@ -11,6 +11,7 @@ solver's public ``compositions``, ``iteration_shapes`` and ``transform``
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import os
 import random
@@ -708,6 +709,38 @@ class TestGapThree:
         if compiled_available():
             monkeypatch.setattr(_kernel, "_core", None)
             assert [self.check(start, end, d) for start, end, d, _ in sliced] == first
+
+
+class TestGapFour(TestGapThree):
+    """Completeness at gap 4, which no sweep reaches, checked as TestGapThree
+    does.  The pairs are fixed by a rule, never by outcome: from the initial
+    triangulation of gen_random_points(10, 2, 1000), every target among that
+    set's 1,408 triangulations whose distance exceeds the missing-edge bound
+    by 4 and is at most 13, in closure order: 6 of the 8 gap-4 targets, the
+    other two lying at d = 14.  Distances come from oracle._flip_graph's
+    matrix.  The pure slice is the one pair at d = 11, the cheapest, since
+    the pure kernel is about 60 times slower."""
+
+    PURE_SLICE = slice(4, 5)
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        root = initial_triangulation(gen_random_points(10, 2, 1000))
+        tris, dist = _flip_graph(root)
+        row = dist[next(i for i, tri in enumerate(tris) if tri.edges == root.edges)]
+        gap4 = [(root, end, d, len(root.edges - end.edges)) for end, d in zip(tris, row)
+                if d - len(root.edges - end.edges) == 4]
+        assert [p[2] for p in gap4] == [13, 14, 13, 14, 12, 13, 11, 12]
+        return ([p for p in gap4 if p[2] <= 13],)
+
+
+def test_completeness_sweep_on_the_convex_hexagon():
+    spec = importlib.util.spec_from_file_location(
+        "completeness_sweep", Path(__file__).resolve().parents[1] / "tools" / "completeness_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    pairs, mismatches, gaps = sweep.sweep(gen_convex(6))
+    assert (pairs, mismatches, gaps) == (196, [], {0: 188, 1: 8})
 
 
 @functools.cache

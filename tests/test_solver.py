@@ -15,7 +15,8 @@ import sys
 
 import pytest
 
-from flipdist import _kernel, _searchpure
+from flipdist import _kernel, _searchpure, solver
+from flipdist._kernel import compiled_available, kernel_for, make_prep
 from flipdist.errors import EdgeAbsent, PointSetMismatch, ValidationError
 from flipdist.flipdag import replay
 from flipdist.instances import gen_convex, gen_random_points, initial_triangulation, random_walk_triangulation
@@ -26,6 +27,8 @@ from flipdist.solver import (
     FlipBack,
     IterationShape,
     Move,
+    _code_action,
+    _package,
     compositions,
     flip_distance_upto,
     iteration_shapes,
@@ -36,6 +39,7 @@ from flipdist.solver import (
 from flipdist.triangulation import build
 
 from conftest import convex_pair
+from test_kernels import BACKENDS, instance_pairs, parity_pairs
 from test_prune import fan
 
 
@@ -387,3 +391,45 @@ class TestPackageInvariants:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "raised flip count", "raised composition", "raised action budget", "raised replay"]
+
+
+class TestShapeInterning:
+    """_package builds each distinct action string's IterationShape once and
+    hands the same object to every later accept with those codes."""
+
+    def test_equal_codes_give_one_object(self, monkeypatch):
+        # two solves on the default kernel, then one on the pure kernel
+        pairs = instance_pairs()
+        runs = [[search_upto(start, end, d) for start, end, d in pairs] for _ in range(2)]
+        if compiled_available():
+            monkeypatch.setattr(_kernel, "_core", None)
+            runs.append([search_upto(start, end, d) for start, end, d in pairs])
+            assert runs[2] == runs[0]
+        seen: dict = {}
+        shapes = [shape for results in runs for result in results for shape in result.shapes]
+        for shape in shapes:
+            assert seen.setdefault(shape.actions, shape) is shape
+        assert len(seen) < len(shapes)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_shapes_equal_fresh_builds(self, backend):
+        run = kernel_for(backend)
+        accepts = 0
+        for start, end, d in parity_pairs():
+            if d == 0:
+                continue
+            accept = run(make_prep(start, end), d)
+            result = _package(start, end, d, accept)
+            assert len(result.shapes) == len(accept[2])
+            for codes, shape in zip(accept[2], result.shapes):
+                assert shape == IterationShape(tuple(map(_code_action, codes)))
+            accepts += 1
+        assert accepts == 185
+
+    @pytest.mark.parametrize("codes", [[0], [4, 4]])
+    def test_malformed_string_raises_every_call_and_is_not_kept(self, square_tris, codes):
+        start, end = square_tris
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                _package(start, end, 1, ([(0, 2, 1, 3)], [(0, 2)], [codes]))
+        assert tuple(codes) not in solver._SHAPES
