@@ -119,9 +119,11 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     One bidirectional, level-synchronous BFS over the keys and move tables
     of the module docstring for each bound from the start's missing-edge
     count up to cap.  Within a bound, each round expands every state of the
-    smaller frontier (the start side on a tie) and stops at the first key the
-    other side has seen; the path through it has length at most d_s + 1 + d_t,
-    and the bound gives up once d_s + d_t reaches it or a frontier is empty.
+    smaller frontier (the start side on a tie) in the order it was stored,
+    each trying its moves in sorted edge order, and stops at the first key
+    the other side has seen; the path through it has length at most
+    d_s + 1 + d_t, and the bound gives up once d_s + d_t reaches it or a
+    frontier is empty.
     A child at depth g is stored only if g plus its missing-edge count
     against the far root is at most the bound.  Every state of a path of
     length at most the bound passes that test at its depth on that path, so
@@ -153,6 +155,8 @@ def bfs_distance(t_start: Triangulation, t_end: Triangulation,
     disjoint, so it is the first key the other side has seen.  The witness
     is the forward parent chain from the start, then the backward chain to
     the target, read off the stored (flipped, inserted) pairs.
+    Triangulations over different point sets raise PointSetMismatch, and a
+    negative cap raises ValidationError.
     """
     if t_start.ps != t_end.ps:
         raise PointSetMismatch("triangulations are over different point sets")

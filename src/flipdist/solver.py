@@ -207,6 +207,8 @@ class SolveResult:
 
 
 def _code_action(code: int) -> Action:
+    if not 0 <= code <= 4:
+        raise ValidationError(f"action code {code} outside 0..4")
     return _MOVES[code] if code < 4 else _FLIP_BACK
 
 
@@ -225,8 +227,8 @@ def _package(t_start: Triangulation, t_end: Triangulation, k: int,
              accept: _searchpure.Accept) -> SolveResult:
     """The SolveResult of a kernel's accept triple, checked.
 
-    Every record passes FlipRecord's checks and every action string passes
-    IterationShape's (ValidationError).  Then, raised as AssertionError so
+    Every record passes FlipRecord's checks and every action string holds
+    only codes 0..4 and passes IterationShape's checks (ValidationError).  Then, raised as AssertionError so
     that they hold under ``python -O``: the run flips exactly k times, the
     composition's parts sum to k, the action strings take at most 2k
     actions in all, and the witness's walk ends on t_end.  That walk is

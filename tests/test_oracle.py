@@ -3,19 +3,21 @@
 Small convex point sets have closed-form flip graphs (Catalan vertex counts,
 the pentagon's graph is a 5-cycle), so most checks here compare against those
 and against the distance matrix of ``oracle._flip_graph``, a plain BFS from
-every state that shares only the move table with ``bfs_distance``.  The
-bidirectional ``bfs_distance`` is also compared with three searches it
-replaced, each kept below verbatim: the one-sided BFS as ``reference_bfs_distance``; the
-bidirectional BFS over ``a*n + b`` edge-bitmask keys that rebuilt every move
-of every state, as ``bitmask_bfs_distance``; and the bound-pruned BFS whose
-every state listed all of its flippable edges, as ``table_bfs_distance``.  At
-every cap all four must agree on whether the target is within reach and on
-the distance.  Against the first two the witnesses may differ, as the
-bound-pruned search keeps smaller frontiers and so may meet at another state;
-its witness is required to be shortest, to replay to the target and to repeat
-on a second call.  Against ``table_bfs_distance`` the witnesses must be
-identical: a state lists only its missing edges iff its slack is at most 1,
-and then drops only moves that the bound rules out.
+every state that shares only the move table with ``bfs_distance``.  Beyond
+that, ``bfs_distance`` is held to one reference per contract, each built on
+Triangulation values with the public ``flip`` and ``is_flippable``:
+
+- the distance: ``reference_bfs_distance``, a one-sided BFS.  At every cap
+  ``bfs_distance`` must find the target exactly when it does, at the same
+  distance, with a witness of that length that replays to the target and
+  repeats on a second call (``test_benchmark_pairs``,
+  ``test_all_convex_pairs``, ``test_random_walks``).
+- the witness: ``literal_bfs_distance``, the bound-pruned bidirectional
+  search of ``bfs_distance``'s docstring written literally, with frozenset
+  keys and every flippable edge listed at every state.  At every cap the
+  two answers, witnesses included, must be identical, as lean move tables
+  leave out only moves that change no witness
+  (``test_witnesses_match_full_tables``, ``test_hard_pairs_above_the_bound``).
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ import sys
 import tracemalloc
 from collections import Counter, deque
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import pytest
 
 from flipdist import oracle, triangulation
 from flipdist.errors import PointSetMismatch, ValidationError
 from flipdist.flipdag import FlipSequence, replay
-from flipdist.geometry import Point, convex_hull_edges
+from flipdist.geometry import convex_hull_edges
 from flipdist.instances import (
     Instance,
     gen_convex,
@@ -48,11 +50,9 @@ from flipdist.instances import (
 from flipdist.oracle import _flip_graph, bfs_distance, graph_stats
 from flipdist.solver import search_upto
 from flipdist.triangulation import (
-    ApexMap,
     Edge,
     FlipRecord,
     Triangulation,
-    _apply_flip,
     build,
     canonical_key,
     edge_neighbors,
@@ -60,7 +60,7 @@ from flipdist.triangulation import (
     is_flippable,
 )
 
-from conftest import convex_pair, strictly_convex_quad, tri_of
+from conftest import convex_pair
 from test_prune import fan
 
 
@@ -118,52 +118,11 @@ def reference_bfs_distance(t_start: Triangulation, t_end: Triangulation,
     return found_depth, FlipSequence(start=t_start, flips=tuple(recs))
 
 
-# bitmask_bfs_distance and its helpers, as bfs_distance was before states
-# carried move tables and keys took compact per-call bits.  ``_moves`` reads
-# the triangle map triangulations stored then, now derived by conftest.tri_of.
-def _bit(e: Edge, n: int) -> int:
-    return 1 << (e[0] * n + e[1])
-
-
-def _key(tri: Triangulation) -> int:
-    n = len(tri.ps)
-    return sum(_bit(e, n) for e in tri.edges)
-
-
-def _moves(tri: Triangulation, key: int) -> Iterator[tuple[Edge, Edge, int]]:
-    """(e, g, key of flip(tri, e)) for every flippable edge e, in sorted edge
-    order, where g is the edge the flip inserts and ``key`` is tri's key.  The
-    fixed order keeps witnesses deterministic."""
-    ps, triangle_map, n = tri.ps, tri_of(tri), len(tri.ps)
-    for e in sorted(tri.edges):
-        tris = triangle_map[e]
-        if len(tris) != 2:
-            continue
-        a, b = e
-        c, d = sorted(v for t in tris for v in t if v != a and v != b)
-        if strictly_convex_quad(ps[a], ps[c], ps[b], ps[d]):
-            yield e, (c, d), key ^ _bit(e, n) ^ _bit((c, d), n)
-
-
-# One BFS level entry: the state with ``key`` is flip(parent, edge), or the
-# root ``parent`` itself when edge is None.  It is built only when expanded.
-_Entry = tuple[Triangulation, Optional[Edge], int]
 # key -> (parent key, edge flipped in the parent, edge it inserted); None at the root
-_Seen = dict[int, Optional[tuple[int, Edge, Edge]]]
+_Seen = dict[frozenset, Optional[tuple[frozenset, Edge, Edge]]]
 
 
-def _expand(level: list[_Entry], seen: _Seen) -> Iterator[_Entry]:
-    """Build each state of ``level`` and yield the entries of its neighbours
-    missing from ``seen``, recording each there as it is yielded."""
-    for parent, edge, key in level:
-        tri = parent if edge is None else flip(parent, edge)[0]
-        for e, g, nxt in _moves(tri, key):
-            if nxt not in seen:
-                seen[nxt] = (key, e, g)
-                yield tri, e, nxt
-
-
-def _chain(seen: _Seen, key: int) -> list[tuple[Edge, Edge]]:
+def _chain(seen: _Seen, key: frozenset) -> list[tuple[Edge, Edge]]:
     """The (flipped, inserted) edge pairs on the parent chain from ``key`` up
     to its side's root, nearest to ``key`` first."""
     out = []
@@ -173,172 +132,62 @@ def _chain(seen: _Seen, key: int) -> list[tuple[Edge, Edge]]:
     return out
 
 
-def bitmask_bfs_distance(t_start: Triangulation, t_end: Triangulation,
+def literal_bfs_distance(t_start: Triangulation, t_end: Triangulation,
                          cap: int) -> Optional[tuple[int, FlipSequence]]:
     """Exact flip distance with one shortest witness, or None if it exceeds cap.
 
-    Bidirectional, level-synchronous BFS over edge-bitmask keys.  Each round
-    expands every state of the smaller frontier (the start side on a tie) and
-    stops at the first key the other side has seen.  Before the round the
-    balls of radius d_s around the start and d_t around the target were
-    disjoint, so the distance exceeds d_s + d_t, while the path through the
-    meeting key has length at most d_s + 1 + d_t: it is shortest.  The search
-    gives up once d_s + d_t reaches cap.  A state is built with ``flip`` only
-    when its level is expanded, so the last level is never built.  The
-    witness is the forward parent chain from the start, then the backward
-    chain to the target, read off the stored (flipped, inserted) pairs.
-    """
-    if t_start.ps != t_end.ps:
-        raise PointSetMismatch("triangulations are over different point sets")
-    roots = (_key(t_start), _key(t_end))
-    if roots[0] == roots[1]:
-        return 0, FlipSequence(start=t_start, flips=())
-
-    seen: tuple[_Seen, _Seen] = ({roots[0]: None}, {roots[1]: None})
-    levels = [[(t_start, None, roots[0])], [(t_end, None, roots[1])]]
-    depth = [0, 0]
-    while depth[0] + depth[1] < cap:
-        side = 0 if len(levels[0]) <= len(levels[1]) else 1
-        other = seen[1 - side]
-        nxt_level = []
-        for entry in _expand(levels[side], seen[side]):
-            if entry[2] in other:
-                return _witness(t_start, seen, entry[2])
-            nxt_level.append(entry)
-        levels[side] = nxt_level
-        depth[side] += 1
-    return None
-
-
-def _witness(t_start: Triangulation, seen: tuple[_Seen, _Seen],
-             meet: int) -> tuple[int, FlipSequence]:
-    # forward: the flips from the start to meet; backward: each state's
-    # inserted edge flips it back to its parent, one step nearer the target
-    flips = [FlipRecord(underlying=e, resulting=g) for e, g in reversed(_chain(seen[0], meet))]
-    flips += [FlipRecord(underlying=g, resulting=e) for e, g in _chain(seen[1], meet)]
-    return len(flips), FlipSequence(start=t_start, flips=tuple(flips))
-
-
-# table_bfs_distance and its helpers, as bfs_distance was before lean move
-# tables: every state's table lists all of its flippable edges.  Verbatim but
-# for the names; ``_table_flips_into`` is the flip test of that time, which read
-# coordinates from the point tuple.
-def _table_flips_into(pts: Sequence[Point], apex: ApexMap, e: Edge) -> Optional[Edge]:
-    """The diagonal that canonical edge e of the apex map flips into: the
-    other diagonal of its quadrilateral, or None when e is a hull edge or the
-    quadrilateral is not strictly convex.  ``pts`` is the point tuple."""
-    c, d = apex[e]
-    if d < 0:
-        return None
-    pa, pb, pc, pd = pts[e[0]], pts[e[1]], pts[c], pts[d]
-    dx, dy = pd.x - pc.x, pd.y - pc.y
-    # c, d lie on opposite sides of e: convex iff e's ends lie strictly on opposite sides of cd
-    cross = (dx * (pa.y - pc.y) - dy * (pa.x - pc.x)) * (dx * (pb.y - pc.y) - dy * (pb.x - pc.x))
-    return (c, d) if cross < 0 else None
-
-
-def _table_move_table(pts: Sequence[Point], apex: ApexMap, bits: dict[Edge, int]) -> _TableMoves:
-    """The move table of an apex map; an edge's bit is the next free one at first sight."""
-    return {e: (g, bits.setdefault(e, 1 << len(bits)) ^ bits.setdefault(g, 1 << len(bits)))
-            for e in apex if (g := _table_flips_into(pts, apex, e)) is not None}
-
-
-def _table_flip_with_moves(pts: Sequence[Point], apex: ApexMap, e: Edge, moves: _TableMoves,
-                           bits: dict[Edge, int]) -> tuple[ApexMap, _TableMoves]:
-    """A copy of ``apex`` with e flipped, and its move table from ``moves``,
-    the table of ``apex``: only the four sides of the quadrilateral change
-    triangles, so only they are tested again."""
-    child, out = apex.copy(), moves.copy()
-    g, mask = out.pop(e)
-    out[g] = e, mask
-    for s in _apply_flip(child, e, g):  # the sides of the quadrilateral
-        if (h := _table_flips_into(pts, child, s)) is None:
-            out.pop(s, None)
-        else:
-            out[s] = h, bits.setdefault(s, 1 << len(bits)) ^ bits.setdefault(h, 1 << len(bits))
-    return child, out
-
-
-_TableMoves = dict[Edge, tuple[Edge, int]]
-# One BFS level entry: the state with ``key`` is the flip of edge in the apex map
-# parent, whose move table is moves; or a root map, with its table once computed,
-# when edge is None.
-_TableEntry = tuple[ApexMap, Optional[Edge], int, Optional[_TableMoves]]
-
-
-def table_bfs_distance(t_start: Triangulation, t_end: Triangulation,
-                       cap: int) -> Optional[tuple[int, FlipSequence]]:
-    """Exact flip distance with one shortest witness, or None if it exceeds cap.
-
-    One bidirectional, level-synchronous BFS over the keys and move tables
-    of the oracle's module docstring for each bound from the start's missing-edge
-    count up to cap.  Within a bound, each round expands every state of the
-    smaller frontier (the start side on a tie) and stops at the first key the
-    other side has seen; the path through it has length at most d_s + 1 + d_t,
-    and the bound gives up once d_s + d_t reaches it or a frontier is empty.
-    A child at depth g is stored only if g plus its missing-edge count
-    against the far root is at most the bound.  Every state of a path of
-    length at most the bound passes that test at its depth on that path, so
-    the bound meets whenever the distance is at most the bound: the first
-    bound that meets is the distance, and the meeting path is shortest.  A
-    cap below the start's count returns None before any move table exists.
-
-    A state is made only when its level is expanded, and the round that
-    reaches the bound stores only the key it meets at: the seen sets are
-    disjoint, so it is the first key the other side has seen.  Each root's
-    move table is computed once per call and shared by every bound.  The
-    witness is the forward parent chain from the start, then the backward
-    chain to the target, read off the stored (flipped, inserted) pairs.
+    The search of ``bfs_distance``'s docstring, written literally on
+    Triangulation values: a state's key is the frozenset ``T Δ start``, and
+    every expanded state lists all of its flippable edges, in sorted order,
+    with the edge each flips into read off ``tri.apex``.  One pass per bound
+    from the start's missing-edge count up to cap; each round expands the
+    smaller frontier (the start side on a tie), checks each child against
+    the other side's keys first and stores it only while rounds remain and
+    if its depth plus its missing-edge count against the far root is at
+    most the bound.  A state is built with ``flip`` only when its level is
+    expanded.  A key's move list depends on the key alone, so it is kept
+    for the call: every bound expands the same states again.
     """
     if t_start.ps != t_end.ps:
         raise PointSetMismatch("triangulations are over different point sets")
     if cap < 0:
         raise ValidationError(f"negative depth cap {cap}")
-    bits: dict[Edge, int] = {}  # edge -> its bit, the next free one at first sight
-    end_key = 0
-    for e in t_start.edges ^ t_end.edges:
-        end_key |= bits.setdefault(e, 1 << len(bits))
-    if end_key == 0:
+    end_key = frozenset(t_start.edges ^ t_end.edges)
+    if not end_key:
         return 0, FlipSequence(start=t_start, flips=())
-
-    pts, far = t_start.ps.points, (end_key, 0)  # the key of each side's far root
-    roots: list[_TableEntry] = [(t_start.apex, None, 0, None), (t_end.apex, None, end_key, None)]
-    for bound in range(end_key.bit_count() // 2, cap + 1):
+    far = (end_key, frozenset())  # the key of each side's far root
+    listed: dict[frozenset, list[tuple[Edge, Edge, frozenset]]] = {}  # key -> its moves (e, g, child key)
+    for bound in range(len(end_key) // 2, cap + 1):
+        seen: tuple[_Seen, _Seen] = ({frozenset(): None}, {end_key: None})
+        # (parent state, edge to flip in it, edge it flips into, key); a root has no edge
+        levels = [[(t_start, None, None, frozenset())], [(t_end, None, None, end_key)]]
         depth = [0, 0]
-        seen: tuple[_Seen, _Seen] = ({0: None}, {end_key: None})
-        levels = [[roots[0]], [roots[1]]]
-        while all(levels) and (rounds_left := bound - depth[0] - depth[1]) > 0:
+        while all(levels) and depth[0] + depth[1] < bound:
             side = 0 if len(levels[0]) <= len(levels[1]) else 1
-            mine, other, far_key = seen[side], seen[1 - side], far[side]
-            # a child at depth g stays if g + popcount(key ^ far_key) / 2 <= bound
-            spare = 2 * (bound - depth[side] - 1)
-            nxt_level: list[_TableEntry] = []
-            for apex, edge, key, moves in levels[side]:
+            mine, other = seen[side], seen[1 - side]
+            last_round = depth[0] + depth[1] + 1 == bound
+            nxt_level = []
+            for tri, edge, inserted, key in levels[side]:
                 if edge is not None:
-                    apex, moves = _table_flip_with_moves(pts, apex, edge, moves, bits)
-                elif moves is None:  # a root, expanded for the first time in this call
-                    moves = _table_move_table(pts, apex, bits)
-                    roots[side] = apex, None, key, moves
-                for e in sorted(moves):  # the fixed order keeps witnesses deterministic
-                    g, mask = moves[e]
-                    if (nxt := key ^ mask) in other:  # so not in mine: the seen sets stay disjoint
+                    tri, rec = flip(tri, edge)
+                    assert rec.resulting == inserted
+                if key not in listed:
+                    listed[key] = [(e, g, key ^ {e, g}) for e in sorted(tri.edges)
+                                   if is_flippable(tri, e) for g in [tri.apex[e]]]
+                for e, g, nxt in listed[key]:
+                    if nxt in other:
                         mine[nxt] = (key, e, g)
-                        return _witness(t_start, seen, nxt)
-                    if (rounds_left > 1 and nxt not in mine  # the last round expands nothing
-                            and (nxt ^ far_key).bit_count() <= spare):
+                        # the forward chain from the start, then the backward chain to the target
+                        flips = [FlipRecord(e, g) for e, g in reversed(_chain(seen[0], nxt))]
+                        flips += [FlipRecord(g, e) for e, g in _chain(seen[1], nxt)]
+                        return len(flips), FlipSequence(start=t_start, flips=tuple(flips))
+                    if (not last_round and nxt not in mine
+                            and depth[side] + 1 + len(nxt ^ far[side]) // 2 <= bound):
                         mine[nxt] = (key, e, g)
-                        nxt_level.append((apex, e, nxt, moves))
+                        nxt_level.append((tri, e, g, nxt))
             levels[side] = nxt_level
             depth[side] += 1
     return None
-
-
-def pentagon_fan(apex: int):
-    ps = gen_convex(5)
-    hull = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
-    diags = [tuple(sorted((apex, v))) for v in range(5)
-             if v != apex and abs(v - apex) not in (1, 4)]
-    return build(ps, hull + diags)
 
 
 class TestBfsDistance:
@@ -369,14 +218,14 @@ class TestBfsDistance:
 
     def test_pentagon_disjoint_fans(self):
         # fans whose diagonal sets are disjoint sit two flips apart
-        a, b = pentagon_fan(0), pentagon_fan(1)
+        a, b = fan(gen_convex(5), 0), fan(gen_convex(5), 1)
         dist, seq = bfs_distance(a, b, cap=5)
         assert dist == 2
         assert replay(seq) == b
 
     def test_pentagon_adjacent_fans(self):
         # fan(0) and fan(2) share diagonal (0,2), one flip apart
-        a, b = pentagon_fan(0), pentagon_fan(2)
+        a, b = fan(gen_convex(5), 0), fan(gen_convex(5), 2)
         dist, _ = bfs_distance(a, b, cap=5)
         assert dist == 1
 
@@ -428,32 +277,31 @@ def walk_pairs():
         yield start, random_walk_triangulation(start, steps=4 + seed % 5, seed=seed + 500)
 
 
-def assert_same_as_bitmask(start, end, cap):
-    """bfs_distance finds the target within cap exactly when the bitmask and
-    the one-sided reference BFS do, at the same distance; its witness has
-    that length, replays to the target and repeats on a second call."""
+def assert_same_as_reference(start, end, cap):
+    """bfs_distance finds the target within cap exactly when the one-sided
+    reference BFS does, at the same distance; its witness has that length,
+    replays to the target and repeats on a second call."""
     got = bfs_distance(start, end, cap)
-    want = bitmask_bfs_distance(start, end, cap)
     ref = reference_bfs_distance(start, end, cap)
-    assert (got is None) == (want is None) == (ref is None)
+    assert (got is None) == (ref is None)
     if got is not None:
         d, seq = got
-        assert d == want[0] == ref[0] == len(seq)
+        assert d == ref[0] == len(seq)
         assert replay(seq) == end
         assert bfs_distance(start, end, cap) == got
     return got
 
 
 def assert_shortest(start, end, cap):
-    """bfs_distance agrees with both kept BFSes at cap, gives the distance d
-    at cap d and None at every cap below."""
-    got = assert_same_as_bitmask(start, end, cap)
+    """bfs_distance agrees with the one-sided reference at cap, gives the
+    distance d at cap d and None at every cap below."""
+    got = assert_same_as_reference(start, end, cap)
     if got is None:
         return
     d = got[0]
-    assert assert_same_as_bitmask(start, end, d)[0] == d
+    assert assert_same_as_reference(start, end, d)[0] == d
     for below in range(d):
-        assert assert_same_as_bitmask(start, end, below) is None
+        assert assert_same_as_reference(start, end, below) is None
 
 
 def benchmark_pairs():
@@ -493,7 +341,7 @@ def embedded_window(big):
 
 
 def identity_pairs():
-    """The pairs on which lean tables must give the witnesses of full ones:
+    """The pairs on which bfs_distance must give the literal search's witnesses:
     the benchmark's and the hard pairs both ways, the window embedded in the
     40-gon both ways and in the 80-gon forward, and every ordered pair of
     the convex 7-gon and of one random 8-point set."""
@@ -528,19 +376,19 @@ def _answer(result):
 
 class TestAgainstReference:
     def test_witnesses_match_full_tables(self):
-        # the same witness as full tables at every cap from below the bound to past d
+        # the witness of the literal search at every cap from below the bound to past d
         pairs = 0
         for start, end in identity_pairs():
             bound, d = len(start.edges - end.edges), bfs_distance(start, end, 30)[0]
             for cap in range(max(bound - 1, 0), d + 2):
                 got = _answer(bfs_distance(start, end, cap))
-                assert got == _answer(table_bfs_distance(start, end, cap))
+                assert got == _answer(literal_bfs_distance(start, end, cap))
                 assert (got is None) == (cap < d)
             pairs += 1
         assert pairs == 2 * 33 + 1 + 42 ** 2 + 82 ** 2
 
     def test_benchmark_pairs(self):
-        found = sum(assert_same_as_bitmask(*pair) is not None for pair in benchmark_pairs())
+        found = sum(assert_same_as_reference(*pair) is not None for pair in benchmark_pairs())
         assert found == 24  # every walk is reached within its length; no fan pair within 4
 
     def test_all_convex_pairs(self):
@@ -554,14 +402,16 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n,s,d", HARD_PAIRS)
     def test_hard_pairs_above_the_bound(self, n, s, d):
         # far-apart convex pairs: the first bounds from the missing-edge
-        # count up fail before the one that answers
+        # count up fail before the one that answers, and the witness is the
+        # literal search's
         start, end = far_convex_pair(n, s)
         assert len(start.edges - end.edges) + 3 <= d
         for cap in range(d - 2, d + 2):
-            got, want = bfs_distance(start, end, cap), bitmask_bfs_distance(start, end, cap)
-            assert (got is None) == (want is None) == (cap < d)
+            got = bfs_distance(start, end, cap)
+            assert _answer(got) == _answer(literal_bfs_distance(start, end, cap))
+            assert (got is None) == (cap < d)
             if got is not None:
-                assert got[0] == want[0] == len(got[1]) == d
+                assert got[0] == len(got[1]) == d
                 assert replay(got[1]) == end
 
     def test_pinned_large_n_references(self):

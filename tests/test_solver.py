@@ -426,10 +426,13 @@ class TestShapeInterning:
             accepts += 1
         assert accepts == 185
 
-    @pytest.mark.parametrize("codes", [[0], [4, 4]])
+    @pytest.mark.parametrize("codes", [[0], [4, 4], [7], [5], [-1, 4, 4]])
     def test_malformed_string_raises_every_call_and_is_not_kept(self, square_tris, codes):
-        start, end = square_tris
+        # k is the part a string of this length would fill; the k flips cross
+        # the square's diagonal and back, so every other check passes
+        k = (len(codes) + 1) // 2
+        flips = [(0, 2, 1, 3), (1, 3, 0, 2)][:k]
         for _ in range(2):
             with pytest.raises(ValidationError):
-                _package(start, end, 1, ([(0, 2, 1, 3)], [(0, 2)], [codes]))
+                _package(square_tris[0], square_tris[k % 2], k, (flips, [(0, 2)], [codes]))
         assert tuple(codes) not in solver._SHAPES
